@@ -15,7 +15,7 @@ from evstation import (
     mean_wait_theorem1,
     occupancy_marginal,
 )
-from evstation.queueing import mean_wait_at
+from evstation.queueing import mean_wait
 
 station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
 n, d = 4, 20.0
@@ -39,6 +39,6 @@ omega = mean_wait_theorem1(analysis, moments, station)
 print(f"\ncharging load rho = {rho:.3f}, service {analysis.service_time:.1f} min")
 print(f"closed-form wait index omega = {omega:.1f}")
 print("(omega's bracket carries squared-minute units, so omega is in min^3)")
-wait = mean_wait_at(analysis, station, "allen_cunneen")
+wait = mean_wait(analysis, station, "allen_cunneen")
 print(f"Allen-Cunneen mean wait = {wait:.3f} min (n <= m: each slot reopens only")
 print(" after its EV has finished charging, so no EV ever waits)")

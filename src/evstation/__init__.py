@@ -31,13 +31,11 @@ from .experiments import (
 )
 from .optimizer import (
     JoapPolicy,
-    RelaxedSolution,
     brute_force_oracle,
     demand_region_bound,
     optimize_joap,
     optimize_tau,
     profit_s,
-    solve_relaxed,
 )
 from .queueing import (
     AdmissionAnalysis,
@@ -47,7 +45,6 @@ from .queueing import (
     admitted_interarrival_moments,
     analyze_admission,
     erlang_blocking,
-    erlang_blocking_real,
     erlang_steady_state,
     fit_mixture_exponential,
     load_density,

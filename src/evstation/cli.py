@@ -46,7 +46,7 @@ def _json_ready(obj):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_json_ready(obj), indent=2, sort_keys=True))
+    print(json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load(args) -> tuple[list, RunOptions]:

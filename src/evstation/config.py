@@ -24,6 +24,7 @@ fig4 configs select "allen_cunneen". Any other value is a ConfigError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -133,8 +134,8 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
         except (TypeError, ValueError, DomainError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
         duration = float(sc.get("duration_min", 240.0))
-        if duration <= 0:
-            problems.append(f"{ctx}: duration_min must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            problems.append(f"{ctx}: duration_min must be finite and positive")
         scenarios.append(
             Scenario(
                 name=str(sc.get("name", f"scenario-{i}")),

@@ -20,6 +20,13 @@ class DomainError(ValueError):
 WAIT_MODELS = ("theorem1", "allen_cunneen")
 
 
+def _check_finite(params, fields: tuple) -> None:
+    # NaN fails every comparison, so the range checks alone would let it through.
+    for name in fields:
+        if not math.isfinite(getattr(params, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class EconomicParams:
     """Station-wide economic description of the (homogeneous) EV population.
@@ -43,6 +50,7 @@ class EconomicParams:
     wait_model: str = "theorem1"
 
     def __post_init__(self):
+        _check_finite(self, ("beta", "phi", "u_phi", "p_e", "c"))
         if self.beta <= 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
         if self.phi <= 0:
@@ -88,6 +96,7 @@ class StationParams:
     tau: float
 
     def __post_init__(self):
+        _check_finite(self, ("m", "alpha", "parking_capacity", "lam", "tau"))
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.alpha <= 0:

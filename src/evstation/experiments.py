@@ -24,7 +24,7 @@ from .queueing import (
     admission_probability,
     analyze_admission,
     load_density,
-    mean_wait_at,
+    mean_wait,
     threshold_t_v,
 )
 from .simulator import (
@@ -240,7 +240,8 @@ def _write_daily_outputs(report: ExperimentReport, policies: tuple, out_dir: Pat
             for r in report.rows
         ],
     }
-    (out_dir / "daily_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / "daily_summary.json").write_text(text)
 
 
 DEFAULT_ADMISSION_GRID = tuple(
@@ -320,7 +321,7 @@ def run_wait_validation(
         if rho >= 1.0:
             rows.append([n, lam, d, rho, None, None, None, "unstable"])
             continue
-        analytic = mean_wait_at(analysis, station, econ.wait_model)
+        analytic = mean_wait(analysis, station, econ.wait_model)
         policy = JoapAdmission(n, analysis.t_v, d)
         metrics = replicate(policy, econ, station, horizon, reps, seed)
         simulated = metrics.mean_wait

@@ -1,17 +1,11 @@
 """Profit maximization over the admission policy and the per-EV demand.
 
-The integer program over (n, d) is attacked in three steps: (1) maximize
-the relaxed objective over (admission probability, demand) by projected
-gradient ascent, (2) recover the continuous sub-process count matching the
-relaxed admission probability, (3) re-optimize the demand at the floor and
-ceiling integer counts and keep the better of the two. An exhaustive sweep
-over n is kept as an independent oracle.
-
-The map from count to admission probability saturates extremely fast, so
-the (P, d) parameterization is ill-conditioned near P = 1; solve_relaxed
-therefore runs gradient ascent from several deterministic starts and
-finishes with a line search over the equivalent continuous-count
-parameterization, which resolves the flat boundary layer.
+optimize_joap evaluates the profit of every slot count 1..N_CAP on a
+demand grid in one vectorised call (objective), refines the best demand of
+every count at once by golden-section search, and keeps the first best
+count. The scalar path (profit_s, inner_demand_opt, brute_force_oracle)
+computes the same optimum count by count through the queueing module; it
+shares no arithmetic with objective and is kept as the independent oracle.
 """
 from __future__ import annotations
 
@@ -19,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy import special
 
 from .economics import DomainError, EconomicParams, StationParams, price_for_demand
 from . import queueing as q
@@ -27,18 +21,7 @@ from . import queueing as q
 UNSTABLE = float("-inf")
 N_CAP = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class RelaxedSolution:
-    """Optimum of the continuous (admission probability, demand) program."""
-
-    p_v: float
-    d_v: float
-    n_v: float
-    objective: float
-    converged: bool
-    iterations: int
+_GRID_POINTS = 160  # coarse demand grid that brackets each golden-section search
 
 
 @dataclass(frozen=True)
@@ -59,11 +42,6 @@ def revenue_term(d: float, econ: EconomicParams) -> float:
     return d * math.exp(-econ.beta * d) / econ.xi - d * econ.p_e
 
 
-def _check_demand(d: float, econ: EconomicParams) -> None:
-    if d < 0 or d > econ.phi:
-        raise DomainError(f"demand {d} outside [0, {econ.phi}]")
-
-
 def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> float:
     """Expected per-arrival profit at integer sub-process count n.
 
@@ -72,107 +50,69 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    _check_demand(d, econ)
+    if d < 0 or d > econ.phi:
+        raise DomainError(f"demand {d} outside [0, {econ.phi}]")
     if d == 0:
         return 0.0
     analysis = q.analyze_admission(n, d, station)
     rho = q.load_density(analysis.p_admit, analysis.service_time, station)
     if rho >= 1.0:
         return UNSTABLE
-    wait = q.mean_wait_at(analysis, station, econ.wait_model)
+    wait = q.mean_wait(analysis, station, econ.wait_model)
     return analysis.p_admit * revenue_term(d, econ) - econ.c * wait
 
 
-def _moment_pair(n: int, d: float, station: StationParams) -> tuple[float, float]:
-    analysis = q.analyze_admission(n, d, station)
-    moments = q.admitted_interarrival_moments(analysis, station)
-    return moments.mu_y, moments.var_y
+def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarray:
+    """profit_s for every count in ns against demands ds, as one array.
 
+    ns is a 1-D array of counts; ds is either one demand vector shared by
+    every count or one row of demands per count. Returns an array with a
+    row per count, -inf where the charging-queue load is at or above 1 and
+    0 at zero demand.
 
-def _moments_real_n(nu: float, d: float, station: StationParams) -> tuple[float, float]:
-    """Coordinated-arrival moments at a real-valued sub-process count.
-
-    Linear interpolation between the adjacent integer counts; exact at the
-    integers, which keeps the relaxed objective consistent with profit_s.
+    The Erlang occupancy terms a^i/i! are summed over the occupancy index i
+    together with the two gap-moment sums, each term scaled by the largest
+    one (at i = min(n, floor(a))), so no array grows with i.
     """
-    lo = max(1, math.floor(nu))
-    hi = math.ceil(nu)
-    mu_lo, var_lo = _moment_pair(lo, d, station)
-    if hi == lo:
-        return mu_lo, var_lo
-    mu_hi, var_hi = _moment_pair(hi, d, station)
-    w = nu - lo
-    return mu_lo + w * (mu_hi - mu_lo), var_lo + w * (var_hi - var_lo)
-
-
-def profit_s_real(nu: float, d: float, econ: EconomicParams, station: StationParams) -> float:
-    """Per-arrival profit at a real-valued count; matches profit_s at integers."""
-    if nu < 1:
-        raise DomainError(f"count must be >= 1, got {nu}")
-    _check_demand(d, econ)
-    if d == 0:
-        return 0.0
-    s = station.service_time(d)
-    p = q.admission_probability_real(nu, d, station)
-    rho = q.load_density(p, s, station)
-    if rho >= 1.0:
-        return UNSTABLE
-    wait = q.mean_wait(econ.wait_model, nu, p, s, station, lambda: _moments_real_n(nu, d, station))
-    return p * revenue_term(d, econ) - econ.c * wait
-
-
-def recover_n(p: float, d: float, station: StationParams, n_cap: int = N_CAP) -> tuple[float, bool]:
-    """Continuous sub-process count with admission probability p at demand d.
-
-    Bisection on the monotone continuous-n admission probability. Returns
-    (n, exact): exact is False when p lies below the n=1 probability (n=1 is
-    returned) or above the n=n_cap probability (n_cap is returned).
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1), got {p}")
-    if d <= 0:
-        raise DomainError(f"demand must be positive, got {d}")
-    lo, hi = 1.0, float(n_cap)
-    p_lo = q.admission_probability_real(lo, d, station)
-    if p <= p_lo:
-        return lo, math.isclose(p, p_lo, rel_tol=0, abs_tol=1e-12)
-    p_hi = q.admission_probability_real(hi, d, station)
-    if p >= p_hi:
-        return hi, math.isclose(p, p_hi, rel_tol=0, abs_tol=1e-12)
-    nu = brentq(
-        lambda x: q.admission_probability_real(x, d, station) - p,
-        lo,
-        hi,
-        xtol=1e-12,
-        rtol=8.9e-16,
-    )
-    nu = float(nu)
-    # Snap to an adjacent integer so integer-probability inputs reproduce the
-    # integer objective exactly rather than to root-finder tolerance.
-    if abs(nu - round(nu)) < 1e-9:
-        nu = float(round(nu))
-    return nu, True
-
-
-def profit_relaxed(p: float, d: float, econ: EconomicParams, station: StationParams) -> float:
-    """Relaxed objective over (admission probability, demand).
-
-    The waiting-time term is evaluated at the continuous sub-process count
-    implied by (p, d), so the function agrees with profit_s whenever p is an
-    integer-n admission probability. Unstable points get -inf.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1), got {p}")
-    _check_demand(d, econ)
-    if d == 0:
-        return 0.0
-    s = station.service_time(d)
-    rho = q.load_density(p, s, station)
-    if rho >= 1.0:
-        return UNSTABLE
-    nu, _ = recover_n(p, d, station)
-    wait = q.mean_wait(econ.wait_model, nu, p, s, station, lambda: _moments_real_n(nu, d, station))
-    return p * revenue_term(d, econ) - econ.c * wait
+    n, d = np.broadcast_arrays(np.asarray(ns, dtype=float)[:, None], np.asarray(ds, dtype=float))
+    if np.any(n < 1) or np.any(d < 0) or np.any(d > econ.phi):
+        raise DomainError(f"counts must be >= 1 and demands within [0, {econ.phi}]")
+    m = station.m
+    d_pos = np.where(d > 0, d, 1.0)
+    s = d_pos / station.alpha_per_min
+    t_v = station.tau * m * s / n
+    a = station.lam * t_v
+    log_a = np.log(a)
+    top = np.minimum(n, np.floor(a))
+    log_q = -(top * log_a - special.gammaln(top + 1.0))  # i = 0, scaled by the largest term
+    q0 = total = np.exp(log_q)
+    q_n = s1 = s2 = np.zeros_like(q0)
+    for i in range(1, int(n.max()) + 1):
+        log_q = np.where(n >= i, log_q + (log_a - math.log(i)), -np.inf)
+        term = np.exp(log_q)
+        total = total + term
+        s1 = s1 + term / (i + 1)
+        s2 = s2 + term * (2.0 / ((i + 1) * (i + 2)))
+        q_n = np.where(n == i, term, q_n)
+    p_admit = 1.0 - q_n / total
+    busy = 1.0 - q0 / total
+    mean_x = t_v * (s1 / total) / busy
+    second_x = t_v**2 * (s2 / total) / busy
+    mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
+    rho = station.lam * p_admit * s / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if econ.wait_model == "allen_cunneen":
+            b = np.ones_like(rho)  # queueing.erlang_c: Erlang B over m ports at load m*rho
+            for k in range(1, m + 1):
+                b = m * rho * b / (k + m * rho * b)
+            erlang_c = b / (1.0 - rho * (1.0 - b))
+            ca2 = m * var_y / mu_y**2
+            wait = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
+        else:
+            wait = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+        revenue = d_pos * np.exp(-econ.beta * d_pos) / econ.xi - d_pos * econ.p_e
+        value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - econ.c * wait)
+    return np.where(d > 0, value, 0.0)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -222,7 +162,7 @@ def _best_demand(profit_fn, econ: EconomicParams, tol: float) -> tuple[float, fl
     d_hi = demand_region_bound(econ)
     if d_hi <= 0:
         return 0.0, 0.0
-    grid = np.linspace(0.0, d_hi, 160)
+    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
     vals = [profit_fn(d) for d in grid]
     k = int(np.argmax(vals))
     if vals[k] <= 0.0:
@@ -247,138 +187,6 @@ def inner_demand_opt(
     return _best_demand(lambda d: profit_s(n, d, econ, station), econ, tol)
 
 
-def _pga(
-    f,
-    x0: np.ndarray,
-    d_max: float,
-    grad_tol: float,
-    max_iter: int,
-    d_scale: float,
-) -> tuple[np.ndarray, float, bool, int]:
-    """Projected gradient ascent with central differences and backtracking."""
-
-    def project(x: np.ndarray) -> np.ndarray:
-        eps = 1e-9
-        return np.array([min(max(x[0], eps), 1.0 - eps), min(max(x[1], eps), d_max)])
-
-    x = project(x0)
-    fx = f(x)
-    if fx == UNSTABLE:
-        return x, fx, False, 0
-    h = np.array([1e-6, 1e-6 * d_scale])
-    step = 1.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        grad = np.zeros(2)
-        for k in range(2):
-            xp = x.copy(); xp[k] += h[k]
-            xm = x.copy(); xm[k] -= h[k]
-            xp, xm = project(xp), project(xm)
-            fp, fm = f(xp), f(xm)
-            if fp == UNSTABLE:
-                fp, xp = fx, x
-            if fm == UNSTABLE:
-                fm, xm = fx, x
-            span = xp[k] - xm[k]
-            grad[k] = 0.0 if span == 0 else (fp - fm) / span
-        proj_grad = project(x + grad) - x
-        if float(np.linalg.norm(proj_grad)) < grad_tol:
-            converged = True
-            break
-        step = min(step * 2.0, 1e4)
-        improved = False
-        while step > 1e-16:
-            cand = project(x + step * grad)
-            fc = f(cand)
-            if fc != UNSTABLE and fc >= fx + 1e-4 * float(grad @ (cand - x)):
-                gain = fc - fx
-                x, fx = cand, fc
-                improved = gain > 1e-12 * (1.0 + abs(fx))
-                break
-            step *= 0.5
-        if not improved:
-            # Line search exhausted or progress stalled below float resolution.
-            converged = True
-            break
-    return x, fx, converged, iterations
-
-
-def solve_relaxed(
-    econ: EconomicParams,
-    station: StationParams,
-    x0: tuple[float, float] | None = None,
-    grad_tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> RelaxedSolution:
-    """Maximize the relaxed objective over (0,1) x [0, phi].
-
-    Runs projected gradient ascent (central differences, halving line search
-    with Armijo constant 1e-4) from a deterministic set of starts (or the
-    caller's start), then polishes through the continuous-count
-    parameterization where the admission-probability axis is degenerate.
-    Degenerate economics (electricity at or above the choke price)
-    short-circuit to d = 0.
-    """
-    if econ.p_e >= econ.choke_price:
-        return RelaxedSolution(p_v=1e-9, d_v=0.0, n_v=1.0, objective=0.0, converged=True, iterations=0)
-    d_max = econ.phi
-
-    def f(x: np.ndarray) -> float:
-        return profit_relaxed(float(x[0]), float(x[1]), econ, station)
-
-    d_cap = demand_region_bound(econ)
-    if x0 is not None:
-        starts = [np.array([x0[0], x0[1]], dtype=float)]
-    else:
-        d_grid = [0.15 * d_cap, 0.6 * d_cap]
-        p_grid = [0.5, 1.0 - 1e-6]
-        starts = [np.array([p, d]) for p in p_grid for d in d_grid]
-
-    best_x, best_f, best_conv, total_iter = None, UNSTABLE, False, 0
-    for s0 in starts:
-        x, fx, conv, iters = _pga(f, s0, d_max, grad_tol, max_iter, econ.phi)
-        total_iter += iters
-        if fx > best_f:
-            best_x, best_f, best_conv = x, fx, conv
-
-    # Polish along the count axis: between adjacent counts the probability
-    # axis moves by less than floating-point resolution near P = 1, so the
-    # equivalent unimodal search over the count recovers what ascent on P
-    # cannot. The demand is re-optimized jointly.
-    def count_profile(nu: float) -> float:
-        return _best_demand(lambda d: profit_s_real(nu, d, econ, station), econ, 1e-6)[1]
-
-    # The profile can be flat at zero over most of the range (nothing
-    # profitable at small counts) and rise only near the cap, so bracket the
-    # maximum with an integer scan before refining between its neighbours.
-    coarse = [(count_profile(float(k)), float(k)) for k in range(1, N_CAP + 1)]
-    peak_val, peak_nu = max(coarse)
-    lo_nu = max(1.0, peak_nu - 1.0)
-    hi_nu = min(float(N_CAP), peak_nu + 1.0)
-    nu_best, val_best = _golden_max(count_profile, lo_nu, hi_nu, 0.02)
-    if peak_val > val_best:
-        nu_best, val_best = peak_nu, peak_val
-    if val_best > best_f:
-        d_v, _ = _best_demand(lambda d: profit_s_real(nu_best, d, econ, station), econ, 1e-9)
-        p_v = q.admission_probability_real(nu_best, d_v, station) if d_v > 0 else 1e-9
-        if d_v <= 1e-8 or val_best <= 0.0:
-            return RelaxedSolution(p_v=p_v, d_v=0.0, n_v=1.0, objective=max(val_best, 0.0),
-                                   converged=True, iterations=total_iter)
-        # Keep the count from the polish: near saturation the probability
-        # axis has no float resolution left to recover it from.
-        return RelaxedSolution(p_v=min(p_v, 1.0 - 1e-12), d_v=d_v, n_v=float(nu_best),
-                               objective=val_best, converged=True, iterations=total_iter)
-
-    p_v, d_v = float(best_x[0]), float(best_x[1])
-    if d_v <= 1e-8 or best_f <= 0.0:
-        return RelaxedSolution(p_v=p_v, d_v=0.0, n_v=1.0, objective=max(best_f, 0.0),
-                               converged=best_conv, iterations=total_iter)
-    nu, _ = recover_n(p_v, d_v, station)
-    return RelaxedSolution(p_v=p_v, d_v=d_v, n_v=nu, objective=best_f,
-                           converged=best_conv, iterations=total_iter)
-
-
 def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station: StationParams) -> JoapPolicy:
     if d <= 0:
         return JoapPolicy(
@@ -386,7 +194,7 @@ def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station:
             predicted_profit=0.0, predicted_admit=1.0, predicted_wait=0.0,
         )
     analysis = q.analyze_admission(n, d, station)
-    wait = q.mean_wait_at(analysis, station, econ.wait_model)
+    wait = q.mean_wait(analysis, station, econ.wait_model)
     return JoapPolicy(
         n_star=n,
         d_star=d,
@@ -398,24 +206,56 @@ def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station:
     )
 
 
-def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
-    """Three-step optimization: relax, recover the count, round and refine.
+def _golden_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_max on every row's bracket [lo, hi] at once.
 
-    Ties between the floor and ceiling candidates break toward the smaller
-    count (stronger regulation).
+    f maps one abscissa per row to one value per row. A row whose bracket
+    is narrower than tol stops moving, as its scalar search would.
     """
-    relaxed = solve_relaxed(econ, station)
-    if relaxed.d_v <= 0:
+    c = hi - _INVPHI * (hi - lo)
+    e = lo + _INVPHI * (hi - lo)
+    fc, fe = f(c), f(e)
+    while (live := hi - lo > tol).any():
+        left = live & (fc >= fe)  # the maximum lies in [lo, e]
+        right = live & ~left  # the maximum lies in [c, hi]
+        hi, lo = np.where(left, e, hi), np.where(right, c, lo)
+        e, fe = np.where(left, c, e), np.where(left, fc, fe)
+        c, fc = np.where(right, e, c), np.where(right, fe, fc)
+        c = np.where(left, hi - _INVPHI * (hi - lo), c)
+        e = np.where(right, lo + _INVPHI * (hi - lo), e)
+        probe = f(np.where(left, c, e))
+        fc, fe = np.where(left, probe, fc), np.where(right, probe, fe)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
+    """Best (n, d) over every count up to N_CAP, from the vectorised objective.
+
+    Every count gets inner_demand_opt's search: the demand grid over the
+    non-negative-marginal-revenue region, golden-section refinement of the
+    bracket around the grid maximum to 1e-8, and demand 0 when nothing is
+    profitable. Ties keep the smallest count (stronger regulation).
+    """
+    d_hi = demand_region_bound(econ)
+    if d_hi <= 0:
         return _policy_from(1, 0.0, 0.0, econ, station)
-    n_lo = max(1, math.floor(relaxed.n_v))
-    n_hi = max(1, math.ceil(relaxed.n_v))
-    d_lo, s_lo = inner_demand_opt(n_lo, econ, station)
-    if n_hi == n_lo:
-        return _policy_from(n_lo, d_lo, s_lo, econ, station)
-    d_hi, s_hi = inner_demand_opt(n_hi, econ, station)
-    if s_hi > s_lo:
-        return _policy_from(n_hi, d_hi, s_hi, econ, station)
-    return _policy_from(n_lo, d_lo, s_lo, econ, station)
+    ns = np.arange(1, N_CAP + 1)
+    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
+    vals = objective(ns, grid, econ, station)
+    k = np.argmax(vals, axis=1)
+    peak = vals[np.arange(len(ns)), k]
+    d, val = _golden_rows(
+        lambda x: objective(ns, x[:, None], econ, station)[:, 0],
+        grid[np.maximum(k - 1, 0)],
+        grid[np.minimum(k + 1, len(grid) - 1)],
+        1e-8,
+    )
+    val = np.where((peak <= 0.0) | (val < 0.0), 0.0, val)
+    best = int(np.argmax(val))
+    if val[best] <= 0.0:
+        return _policy_from(1, 0.0, 0.0, econ, station)
+    return _policy_from(int(ns[best]), float(d[best]), float(val[best]), econ, station)
 
 
 def brute_force_oracle(

@@ -10,11 +10,9 @@ selected by EconomicParams.wait_model.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .economics import WAIT_MODELS, DomainError, StationParams
 
@@ -27,8 +25,8 @@ def erlang_steady_state(n: int, offered_load: float) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if offered_load < 0:
-        raise DomainError(f"offered load must be >= 0, got {offered_load}")
+    if not (math.isfinite(offered_load) and offered_load >= 0):
+        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
     # log-space cumulative terms log(a^i / i!), shifted before exponentiation
     if offered_load == 0.0:
         out = np.zeros(n + 1)
@@ -48,46 +46,12 @@ def erlang_blocking(n: int, offered_load: float) -> float:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if offered_load < 0:
-        raise DomainError(f"offered load must be >= 0, got {offered_load}")
+    if not (math.isfinite(offered_load) and offered_load >= 0):
+        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
     b = 1.0
     for k in range(1, n + 1):
         b = offered_load * b / (k + offered_load * b)
     return b
-
-
-def erlang_blocking_real(n: float, offered_load: float) -> float:
-    """Continuous-n blocking probability via the incomplete-gamma form.
-
-    B(n, a) = a^n e^{-a} / Gamma(n+1, a), where Gamma(n+1, a) is the upper
-    incomplete gamma function. Well-defined for any real n > 0 and agrees
-    with the integer recursion at integer n.
-    """
-    if n <= 0:
-        raise DomainError(f"n must be positive, got {n}")
-    if offered_load < 0:
-        raise DomainError(f"offered load must be >= 0, got {offered_load}")
-    if offered_load == 0:
-        return 0.0
-    # Gamma(n+1, a) = gammaincc(n+1, a) * Gamma(n+1); work in logs.
-    regularized = special.gammaincc(n + 1.0, offered_load)
-    if regularized <= 0.0:
-        # a >> n: the regularized tail underflows. Use the asymptotic
-        # expansion Gamma(n+1,a) = a^n e^{-a} [1 + n/a + n(n-1)/a^2 + ...],
-        # truncated at the smallest term, so 1/B is the bracketed series.
-        inv_b = term = 1.0
-        k = 0.0
-        while True:
-            nxt = term * (n - k) / offered_load
-            if abs(nxt) >= abs(term) or abs(nxt) < 1e-18:
-                break
-            inv_b += nxt
-            term = nxt
-            k += 1.0
-        return 1.0 / inv_b
-    log_upper = math.log(regularized) + special.gammaln(n + 1.0)
-    log_b = n * math.log(offered_load) - offered_load - log_upper
-    return math.exp(log_b)
 
 
 @dataclass(frozen=True)
@@ -171,16 +135,6 @@ def admission_probability(n: int, d: float, station: StationParams) -> float:
     # Use the normalized state vector (not the blocking recursion) so this
     # value is bit-identical to 1 - state_probs[n] from analyze_admission.
     return 1.0 - float(erlang_steady_state(n, a)[n])
-
-
-def admission_probability_real(n: float, d: float, station: StationParams) -> float:
-    """Continuous-n admission probability via the incomplete-gamma form."""
-    if n <= 0:
-        raise DomainError(f"n must be positive, got {n}")
-    if d <= 0:
-        raise DomainError(f"demand must be positive, got {d}")
-    a = station.lam * station.tau * station.m * station.service_time(d) / n
-    return 1.0 - erlang_blocking_real(n, a)
 
 
 def interarrival_pdf(x: float, analysis: AdmissionAnalysis) -> float:
@@ -291,59 +245,43 @@ def erlang_c(m: int, offered_load: float) -> float:
     return b / (1.0 - rho * (1.0 - b))
 
 
-def mean_wait(
-    model: str,
-    n: float,
-    p_admit: float,
-    service: float,
-    station: StationParams,
-    moments: Callable[[], tuple[float, float]],
-) -> float:
-    """Mean wait in the charging queue under one of WAIT_MODELS.
+def _stable_load(analysis: AdmissionAnalysis, station: StationParams) -> float:
+    rho = load_density(analysis.p_admit, analysis.service_time, station)
+    if rho >= 1.0:
+        raise DomainError(f"unstable charging queue: rho = {rho:.4f} >= 1")
+    return rho
 
-    n is the slot count (real-valued in the relaxed program), p_admit the
-    admission probability and service the charging time in minutes.
-    `moments` returns the coordinated pair (mu_Y, sigma_Y^2) at the same
-    operating point; it is called only when the model needs it.
 
-    "theorem1": rho*s/(2(1-rho)) * [s^2 + 2 s mu_Y + sigma_Y^2], the
-    published closed form. The bracket carries squared-minute units, so the
-    value is a wait index in min^3, not a wait in minutes.
+def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -> float:
+    """Mean wait in the charging queue at an operating point under one of WAIT_MODELS.
+
+    "theorem1": mean_wait_theorem1 at the operating point's gap moments,
+    the published closed form; it is a wait index in min^3, not a wait in
+    minutes.
 
     "allen_cunneen": the two-moment GI/D/m approximation (Allen-Cunneen, as
     surveyed in Whitt 1993), C(m, m rho) * s/(m(1-rho)) * ca^2/2, in minutes.
-    It is exactly 0 when n <= m: each slot reopens only after
-    T_v = tau*m*s/n >= tau*s > s, so at most m admitted EVs are ever in the
-    system. Otherwise ca^2 = sigma_X^2 / mean_X^2 = m sigma_Y^2 / mu_Y^2 is
-    taken from the slot-release gap moments as a shape factor only.
+    It is exactly 0 when n <= m, and then the gap moments are not computed:
+    each slot reopens only after T_v = tau*m*s/n >= tau*s > s, so at most m
+    admitted EVs are ever in the system. Otherwise ca^2 = sigma_X^2 / mean_X^2
+    = m sigma_Y^2 / mu_Y^2 is taken from the slot-release gap moments as a
+    shape factor only.
 
     Raises DomainError when the admitted load rho is at or above 1.
     """
     if model not in WAIT_MODELS:
         raise DomainError(f"wait model must be one of {list(WAIT_MODELS)}, got {model!r}")
-    s = service
-    rho = load_density(p_admit, s, station)
-    if rho >= 1.0:
-        raise DomainError(f"unstable charging queue: rho = {rho:.4f} >= 1")
-    if model == "allen_cunneen":
-        m = station.m
-        if n <= m:
-            return 0.0
-        mu_y, var_y = moments()
-        ca2 = m * var_y / mu_y**2
-        return erlang_c(m, m * rho) * s / (m * (1.0 - rho)) * ca2 / 2.0
-    mu_y, var_y = moments()
-    return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
-
-
-def mean_wait_at(analysis: AdmissionAnalysis, station: StationParams, model: str) -> float:
-    """mean_wait at an integer operating point, its moments computed on demand."""
-
-    def moments() -> tuple[float, float]:
-        mom = admitted_interarrival_moments(analysis, station)
-        return mom.mu_y, mom.var_y
-
-    return mean_wait(model, analysis.n, analysis.p_admit, analysis.service_time, station, moments)
+    rho = _stable_load(analysis, station)
+    if model == "theorem1":
+        moments = admitted_interarrival_moments(analysis, station)
+        return mean_wait_theorem1(analysis, moments, station)
+    m = station.m
+    if analysis.n <= m:
+        return 0.0
+    moments = admitted_interarrival_moments(analysis, station)
+    s = analysis.service_time
+    ca2 = m * moments.var_y / moments.mu_y**2
+    return erlang_c(m, m * rho) * s / (m * (1.0 - rho)) * ca2 / 2.0
 
 
 def mean_wait_theorem1(
@@ -357,10 +295,9 @@ def mean_wait_theorem1(
     is positive even at n <= m, where no EV ever waits. A $/min penalty is
     meant for the "allen_cunneen" model, whose value is in minutes.
     """
-    return mean_wait(
-        "theorem1", analysis.n, analysis.p_admit, analysis.service_time, station,
-        lambda: (moments.mu_y, moments.var_y),
-    )
+    rho = _stable_load(analysis, station)
+    s = analysis.service_time
+    return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * moments.mu_y + moments.var_y)
 
 
 def mean_wait_ph_d1(fit: PhaseFit, service: float, rho: float) -> float:

@@ -36,7 +36,10 @@ class EvRecord:
 
 @dataclass(frozen=True)
 class SimMetrics:
-    """Replication-aggregated simulation output with 95% confidence half-widths."""
+    """Replication-aggregated simulation output with 95% confidence half-widths.
+
+    A half-width is None when there is a single replication.
+    """
 
     admission_rate: float
     mean_wait: float
@@ -258,7 +261,7 @@ def replicate(
         profits.append(metrics.profit_per_hour)
     def half_width(xs):
         if len(xs) < 2:
-            return float("inf")
+            return None
         return 1.96 * float(np.std(xs, ddof=1)) / math.sqrt(len(xs))
     return SimMetrics(
         admission_rate=float(np.mean(rates)),

@@ -105,7 +105,7 @@ def test_criterion_02_ctmc_oracle_agreement():
 
 
 def test_criterion_03_optimizer_matches_oracle():
-    # The three-step optimizer ties the exhaustive search (n <= 64) in
+    # The vectorised optimizer ties the exhaustive search (n <= 64) in
     # objective on 200 random stable parameter sets, within 1e-6, under 5 min.
     rng = np.random.default_rng(SEED)
     start = time.perf_counter()

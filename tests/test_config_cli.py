@@ -70,6 +70,27 @@ def test_invalid_values_reported():
     raw["scenarios"][0]["lambda_per_min"] = -0.1
     with pytest.raises(ConfigError, match="scenarios\\[0\\]"):
         parse_config(raw)
+    for block, key, bad in (
+        ("scenario", "lambda_per_min", float("nan")),
+        ("scenario", "duration_min", float("inf")),
+        ("station", "tau", float("nan")),
+        ("economics", "beta", float("inf")),
+    ):
+        raw = valid_raw()
+        target = raw["scenarios"][0] if block == "scenario" else raw[block]
+        target[key] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(raw)
+
+
+def test_cli_non_finite_config_value(tmp_path, capsys):
+    raw = valid_raw()
+    raw["scenarios"][0]["lambda_per_min"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))
+    assert "NaN" in path.read_text()
+    assert cli_dispatch(["optimize", "--config", str(path)]) == 1
+    assert "lam must be finite" in capsys.readouterr().err
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -148,6 +169,19 @@ def test_cli_simulate(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["policy"] == "qba"
     assert out["metrics"]["replication_count"] == 3
+
+
+def test_cli_simulate_one_rep_strict_json(capsys):
+    code = cli_dispatch(
+        ["simulate", "--config", "table1", "--policy", "qba", "--reps", "1", "--seed", "1"]
+    )
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert set(out["metrics"]["half_width_95"].values()) == {None}
 
 
 def test_cli_oracle(capsys):

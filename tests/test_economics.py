@@ -103,6 +103,15 @@ def test_param_validation():
         StationParams(m=4, alpha=11.5, parking_capacity=3, lam=0.3, tau=1.01)
     with pytest.raises(DomainError):
         StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.0)
+    # NaN fails every comparison, so each field is also checked for finiteness.
+    with pytest.raises(DomainError, match="finite"):
+        EconomicParams(beta=math.nan, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    with pytest.raises(DomainError, match="finite"):
+        EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=math.inf)
+    for bad in ({"lam": math.nan}, {"tau": math.nan}, {"alpha": math.inf}):
+        fields = {"m": 4, "alpha": 11.5, "parking_capacity": 40, "lam": 0.3, "tau": 1.01, **bad}
+        with pytest.raises(DomainError, match="finite"):
+            StationParams(**fields)
 
 
 def test_service_time_units():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from evstation import (
     DomainError,
     EconomicParams,
     StationParams,
-    admission_probability,
     admitted_interarrival_moments,
     analyze_admission,
     brute_force_oracle,
@@ -17,15 +17,13 @@ from evstation import (
     optimize_joap,
     optimize_tau,
     price_for_demand,
-    solve_relaxed,
 )
 from evstation.optimizer import (
+    N_CAP,
     UNSTABLE,
     inner_demand_opt,
-    profit_relaxed,
+    objective,
     profit_s,
-    profit_s_real,
-    recover_n,
     revenue_term,
 )
 
@@ -82,54 +80,34 @@ def test_profit_compositional_recomputation(econ_default, station_default):
     )
 
 
-def test_profit_relaxed_consistent_with_integer(econ_default, station_default):
-    n, d = 3, 40.0
-    p = admission_probability(n, d, station_default)
-    assert profit_relaxed(p, d, econ_default, station_default) == pytest.approx(
-        profit_s(n, d, econ_default, station_default), abs=1e-9
-    )
-
-
-def test_profit_relaxed_linear_in_p(econ_default, station_default):
-    # At fixed demand the revenue term scales linearly with the admission
-    # probability while the penalty depends on it through the load only.
-    no_penalty = replace(econ_default, c=0.0)
-    d = 2.0
-    p1, p2 = 0.3, 0.6
-    v1 = profit_relaxed(p1, d, no_penalty, station_default)
-    v2 = profit_relaxed(p2, d, no_penalty, station_default)
-    assert UNSTABLE not in (v1, v2)
-    assert v1 > 0
-    assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
-
-
-def test_profit_s_real_matches_integer(econ_default, station_default):
-    # Pairs chosen to keep the charging-queue load below 1.
-    for econ in (econ_default, replace(econ_default, wait_model="allen_cunneen")):
-        for n, d in ((1, 5.0), (2, 20.0), (4, 35.0), (5, 2.0), (9, 1.0)):
-            val = profit_s(n, d, econ, station_default)
-            assert val != UNSTABLE
-            # The real-count path goes through the incomplete-gamma probability,
-            # which agrees with the sum form to ~1e-10, hence relative tolerance.
-            assert profit_s_real(float(n), d, econ, station_default) == pytest.approx(
-                val, rel=1e-9, abs=1e-9
+def test_objective_matches_profit_s(econ_default, station_default, table1):
+    # The vectorised objective against the scalar reference, count by count,
+    # on demands that include zero and unstable points.
+    scenarios, _ = table1
+    counts = np.arange(1, N_CAP + 1)
+    cases = [(econ_default, station_default), (scenarios[1].econ, scenarios[1].station)]
+    for base, station in cases:
+        demands = np.linspace(0.0, base.phi, 26)
+        for model in ("theorem1", "allen_cunneen"):
+            econ = replace(base, wait_model=model)
+            got = objective(counts, demands, econ, station)
+            want = np.array(
+                [[profit_s(int(n), float(d), econ, station) for d in demands] for n in counts]
             )
-            p = admission_probability(n, d, station_default)
-            if p < 1.0:
-                assert profit_relaxed(p, d, econ, station_default) == pytest.approx(
-                    val, rel=1e-9, abs=1e-9
-                )
-
-
-def test_recover_n_roundtrip(station_default):
-    for n in (2.5, 4.0, 7.3, 15.0):
-        d = 12.0
-        from evstation.queueing import admission_probability_real
-
-        p = admission_probability_real(n, d, station_default)
-        nu, exact = recover_n(p, d, station_default)
-        assert exact
-        assert nu == pytest.approx(n, abs=1e-6)
+            unstable = want == UNSTABLE
+            assert unstable.any() and not unstable.all()
+            np.testing.assert_array_equal(got == UNSTABLE, unstable)
+            np.testing.assert_allclose(got[~unstable], want[~unstable], rtol=1e-12, atol=0.0)
+    # One demand per count, as the golden-section refinement evaluates it.
+    per_count = np.linspace(0.5, 10.0, N_CAP)
+    got = objective(counts, per_count[:, None], econ_default, station_default)
+    assert got.shape == (N_CAP, 1)
+    want = [
+        profit_s(int(n), float(d), econ_default, station_default) for n, d in zip(counts, per_count)
+    ]
+    np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=0.0)
+    with pytest.raises(DomainError):
+        objective(counts, [econ_default.phi + 1.0], econ_default, station_default)
 
 
 def test_demand_region_bound(econ_default):
@@ -147,51 +125,9 @@ def test_demand_region_bound(econ_default):
 def test_choke_price_gives_zero_demand(station_default):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     assert econ.p_e >= econ.choke_price
-    sol = solve_relaxed(econ, station_default)
-    assert sol.d_v == 0.0
-    assert sol.objective == 0.0
     policy = optimize_joap(econ, station_default)
     assert policy.d_star == 0.0
     assert policy.predicted_profit == 0.0
-
-
-def test_solve_relaxed_beats_random_restarts(econ_default, station_default):
-    sol = solve_relaxed(econ_default, station_default)
-    rng = np.random.default_rng(21)
-    d_cap = demand_region_bound(econ_default)
-    for _ in range(10):
-        start = (float(rng.uniform(0.05, 0.999)), float(rng.uniform(0.05, 1.0) * d_cap))
-        alt = solve_relaxed(econ_default, station_default, x0=start)
-        assert sol.objective >= alt.objective - 1e-6
-
-
-def test_solve_relaxed_invariants(econ_default, station_default):
-    sol = solve_relaxed(econ_default, station_default)
-    assert 0.0 < sol.p_v < 1.0
-    assert 0.0 <= sol.d_v <= econ_default.phi
-    assert sol.n_v > 0
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the relaxed objective is not jointly concave in (P, d): chord "
-    "midpoints can fall below the endpoint average (measured violations up "
-    "to ~2e2 in magnitude), so the concavity certificate cannot hold",
-)
-def test_relaxed_concavity_certificate(econ_default, station_default):
-    rng = np.random.default_rng(3)
-    d_cap = demand_region_bound(econ_default)
-    checked = 0
-    while checked < 100:
-        p1, p2 = rng.uniform(0.05, 0.95, size=2)
-        d1, d2 = rng.uniform(0.05, 1.0, size=2) * d_cap
-        f1 = profit_relaxed(float(p1), float(d1), econ_default, station_default)
-        f2 = profit_relaxed(float(p2), float(d2), econ_default, station_default)
-        fm = profit_relaxed(float((p1 + p2) / 2), float((d1 + d2) / 2), econ_default, station_default)
-        if UNSTABLE in (f1, f2, fm):
-            continue
-        checked += 1
-        assert fm >= (f1 + f2) / 2.0 - 1e-9
 
 
 def test_optimize_matches_oracle_small_sample():
@@ -218,6 +154,20 @@ def test_policy_fields_self_consistent(econ_default, station_default):
     assert policy.predicted_profit == pytest.approx(
         profit_s(policy.n_star, policy.d_star, econ_default, station_default), abs=1e-9
     )
+
+
+def test_optimize_joap_memory_bounded(table1):
+    # The (count, demand) working set is about 80 KiB per array; an array
+    # that also spanned the occupancy index would be tens of MiB.
+    scenarios, _ = table1
+    for scenario in scenarios:
+        tracemalloc.start()
+        try:
+            optimize_joap(scenario.econ, scenario.station)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{scenario.name}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_inner_demand_opt_beats_grid(econ_default, station_default):

@@ -12,7 +12,6 @@ from evstation import (
     admitted_interarrival_moments,
     analyze_admission,
     erlang_blocking,
-    erlang_blocking_real,
     erlang_steady_state,
     fit_mixture_exponential,
     load_density,
@@ -25,7 +24,6 @@ from evstation.queueing import (
     interarrival_cdf,
     interarrival_pdf,
     mean_wait,
-    mean_wait_at,
 )
 
 
@@ -40,6 +38,14 @@ def test_erlang_steady_state_empty():
     probs = erlang_steady_state(5, 0.0)
     assert probs[0] == 1.0
     assert np.all(probs[1:] == 0.0)
+
+
+def test_erlang_rejects_non_finite_load():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="offered load"):
+            erlang_steady_state(5, bad)
+        with pytest.raises(DomainError, match="offered load"):
+            erlang_blocking(5, bad)
 
 
 def test_erlang_steady_state_two_state():
@@ -61,15 +67,6 @@ def test_erlang_blocking_recursion_consistent():
         for a in (0.5, 1.0, 2.0, 4.0):
             assert erlang_blocking(n, a) == pytest.approx(
                 float(erlang_steady_state(n, a)[n]), rel=1e-12
-            )
-
-
-def test_erlang_blocking_real_matches_integer():
-    # Continuous-count form agrees with the recursion at the integers.
-    for n in (1, 2, 3, 4, 5, 6):
-        for a in (0.5, 1.0, 2.0, 4.0):
-            assert erlang_blocking_real(float(n), a) == pytest.approx(
-                erlang_blocking(n, a), abs=1e-10
             )
 
 
@@ -244,24 +241,23 @@ def test_erlang_c_hand_value():
         erlang_c(2, 2.0)
 
 
-def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default):
+def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default, monkeypatch):
     # T_v = tau*m*s/n > s for n <= m, so no admitted EV ever waits: the
     # model says 0 without touching the moments, and the simulation agrees.
     from dataclasses import replace
 
-    from evstation import JoapAdmission, replicate
+    from evstation import JoapAdmission, queueing, replicate
 
-    def no_moments():
+    def no_moments(*args):
         raise AssertionError("moments must not be needed at n <= m")
 
     station = replace(station_default, lam=0.4)
-    for n in range(1, station.m + 1):
-        for d in (0.5, 20.0, 60.0):
-            analysis = analyze_admission(n, d, station)
-            assert mean_wait_at(analysis, station, "allen_cunneen") == 0.0
-            assert mean_wait(
-                "allen_cunneen", n, analysis.p_admit, analysis.service_time, station, no_moments
-            ) == 0.0
+    with monkeypatch.context() as patched:
+        patched.setattr(queueing, "admitted_interarrival_moments", no_moments)
+        for n in range(1, station.m + 1):
+            for d in (0.5, 20.0, 60.0):
+                analysis = analyze_admission(n, d, station)
+                assert mean_wait(analysis, station, "allen_cunneen") == 0.0
     analysis = analyze_admission(station.m, 20.0, station)
     econ = replace(econ_default, wait_model="allen_cunneen")
     metrics = replicate(JoapAdmission(station.m, analysis.t_v, 20.0), econ, station, 600.0, 5, 3)
@@ -283,11 +279,11 @@ def test_allen_cunneen_hand_value(station_default):
     mom = admitted_interarrival_moments(analysis, station_default)
     ca2 = mom.second_x / mom.mean_x**2 - 1.0
     expected = wait_prob * s / (m * (1.0 - rho)) * ca2 / 2.0
-    got = mean_wait_at(analysis, station_default, "allen_cunneen")
+    got = mean_wait(analysis, station_default, "allen_cunneen")
     assert got > 0.0
     assert got == pytest.approx(expected, rel=1e-10)
     # The theorem-1 model is the published index, unchanged.
-    assert mean_wait_at(analysis, station_default, "theorem1") == mean_wait_theorem1(
+    assert mean_wait(analysis, station_default, "theorem1") == mean_wait_theorem1(
         analysis, mom, station_default
     )
 
@@ -295,8 +291,8 @@ def test_allen_cunneen_hand_value(station_default):
 def test_mean_wait_guards(station_default):
     analysis = analyze_admission(4, 20.0, station_default)
     with pytest.raises(DomainError, match="wait model"):
-        mean_wait_at(analysis, station_default, "kingman")
+        mean_wait(analysis, station_default, "kingman")
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.4, tau=1.01)
     unstable = analyze_admission(8, 50.0, station)
     with pytest.raises(DomainError, match="unstable"):
-        mean_wait_at(unstable, station, "allen_cunneen")
+        mean_wait(unstable, station, "allen_cunneen")

@@ -173,6 +173,7 @@ def test_replicate_deterministic_and_reps1():
     one = replicate(policy, econ, station, 240.0, 1, 123)
     assert one.profit_per_hour == pytest.approx(single.profit_per_hour)
     assert one.admission_rate == pytest.approx(single.admission_rate)
+    assert set(one.half_width_95.values()) == {None}  # undefined for one replication
 
 
 def test_half_width_shrinks():
