@@ -12,7 +12,8 @@ The schema (version 1) has four blocks:
 
 Electricity prices are given in $/MWh (as tariffs usually are) and stored
 in $/kWh. Unknown keys anywhere are rejected so typos cannot silently
-change an experiment.
+change an experiment. In the run block, seed must be a whole number >= 0,
+reps a whole number >= 1 and horizon_min finite and positive.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -146,14 +147,39 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
                 station=station,
             )
         )
+    seed = _whole(run_raw.get("seed", RunOptions.seed), "seed", 0, problems)
+    reps = _whole(run_raw.get("reps", RunOptions.reps), "reps", 1, problems)
+    horizon = run_raw.get("horizon_min")
+    if horizon is not None:
+        horizon = _number(horizon)
+        if not (math.isfinite(horizon) and horizon > 0):
+            problems.append(
+                f"run: horizon_min must be finite and positive, got {run_raw['horizon_min']!r}"
+            )
     if problems:
         raise ConfigError(f"{context}: " + "; ".join(problems))
-    run = RunOptions(
-        seed=int(run_raw.get("seed", RunOptions.seed)),
-        reps=int(run_raw.get("reps", RunOptions.reps)),
-        horizon=float(run_raw["horizon_min"]) if "horizon_min" in run_raw else None,
-    )
-    return scenarios, run
+    return scenarios, RunOptions(seed=seed, reps=reps, horizon=horizon)
+
+
+def _number(value) -> float:
+    """`value` as a float, or NaN when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _whole(value, name: str, least: int, problems: list) -> int | None:
+    """`value` as an int if it is a whole number >= least; otherwise a problem is noted."""
+    if isinstance(value, int):
+        whole = int(value)
+    else:
+        number = _number(value)
+        whole = int(number) if math.isfinite(number) and number.is_integer() else None
+    if whole is None or whole < least:
+        problems.append(f"run: {name} must be a whole number >= {least}, got {value!r}")
+        return None
+    return whole
 
 
 def with_penalty(scenario: Scenario, c: float) -> Scenario:

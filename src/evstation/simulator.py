@@ -7,6 +7,11 @@ EVs drain to completion after the arrival horizon so their waits and
 profits are not censored. Simultaneous departure/arrival ties are resolved
 departures-first (a completion at exactly the arrival instant has left the
 system).
+
+One event loop serves both entry points. `run_simulation` is the trace
+path: it also returns an `EvRecord` per EV. `replicate` keeps no per-EV
+records, only the waits and profits of the admitted EVs, from which the
+same metrics follow.
 """
 from __future__ import annotations
 
@@ -53,24 +58,25 @@ TRACE_COLUMNS = ["arrival_time", "demand", "admitted", "sub_process", "service_s
 
 def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing Poisson arrival times on (0, horizon]."""
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if horizon < 0:
-        raise DomainError(f"horizon must be non-negative, got {horizon}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lam must be finite and positive, got {lam}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise DomainError(f"horizon must be finite and non-negative, got {horizon}")
     if horizon == 0:
         return np.empty(0)
-    # Draw in blocks of the expected count plus slack until the horizon is covered.
-    times = []
+    # Draw in blocks of the expected count plus slack until the horizon is
+    # covered. The first gap carries the last time drawn and cumsum adds in
+    # sequence, so each time is bitwise the running sum t += gap.
+    blocks = []
     t = 0.0
     block = max(16, int(lam * horizon * 1.2) + 16)
     while t <= horizon:
-        gaps = rng.exponential(1.0 / lam, size=block)
-        for g in gaps:
-            t += g
-            if t > horizon:
-                break
-            times.append(t)
-    return np.asarray(times)
+        times = rng.exponential(1.0 / lam, size=block)
+        times[0] += t
+        np.cumsum(times, out=times)
+        blocks.append(times[: np.searchsorted(times, horizon, side="right")])
+        t = times[-1]
+    return np.concatenate(blocks)
 
 
 class SubProcessAdmitter:
@@ -107,7 +113,7 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """
     window: deque = deque()
     admitted = 0
-    for t in arrivals:
+    for t in arrivals.tolist():
         while window and window[0] + t_v <= t:
             window.popleft()
         if len(window) < n:
@@ -184,55 +190,49 @@ def run_simulation(
     Returns the per-EV records and single-run metrics. Deterministic given
     the generator state.
     """
+    records: list = []
+    return records, _replication(policy, econ, station, horizon, rng, records)
+
+
+def _replication(policy, econ, station, horizon, rng, records: list | None = None) -> SimMetrics:
+    """The event loop of one replication; appends an EvRecord per EV to `records` if given."""
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    arrivals = gen_poisson_arrivals(station.lam, horizon, rng)
+    arrivals = gen_poisson_arrivals(station.lam, horizon, rng).tolist()
     policy.reset()
     d = policy.demand
     service = station.service_time(d)
+    # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
+    margin = per_ev_profit(d, 0.0, econ)
+    c = 0.0 if d == 0 else econ.c
+    joap = isinstance(policy, JoapAdmission)
     server_free = [0.0] * station.m
     completions: list = []  # heap of in-system completion times
-    records = []
+    waits, profits = [], []  # of the admitted EVs, in arrival order
     for t in arrivals:
         while completions and completions[0] <= t:
             heapq.heappop(completions)
         in_system = len(completions)
         slot = policy.decide(t, in_system, server_free, service)
-        if slot is not None and in_system >= station.parking_capacity:
-            slot = None  # lot full: the admission is converted to a rejection
-        if slot is None:
-            records.append(EvRecord(arrival_time=t, demand=d, admitted=False))
+        if slot is None or in_system >= station.parking_capacity:  # a full lot rejects
+            if records is not None:
+                records.append(EvRecord(t, d, False))
             continue
-        j = min(range(station.m), key=lambda k: server_free[k])
-        start = max(t, server_free[j])
+        first = min(server_free)
+        j = server_free.index(first)
+        start = max(t, first)
         server_free[j] = start + service
         heapq.heappush(completions, start + service)
         wait = start - t
-        records.append(
-            EvRecord(
-                arrival_time=t,
-                demand=d,
-                admitted=True,
-                sub_process=slot if isinstance(policy, JoapAdmission) else None,
-                service_start=start,
-                wait=wait,
-                profit=per_ev_profit(d, wait, econ),
-            )
-        )
-    return records, summarize_run(records, horizon)
-
-
-def summarize_run(records: list, horizon: float) -> SimMetrics:
-    """Single-run metrics; an empty arrival stream counts as full admission."""
-    total = len(records)
-    admitted = [r for r in records if r.admitted]
-    rate = len(admitted) / total if total else 1.0
-    mean_wait = float(np.mean([r.wait for r in admitted])) if admitted else 0.0
-    profit = sum(r.profit for r in records)
+        profit = margin - c * wait
+        waits.append(wait)
+        profits.append(profit)
+        if records is not None:
+            records.append(EvRecord(t, d, True, slot if joap else None, start, wait, profit))
     return SimMetrics(
-        admission_rate=rate,
-        mean_wait=mean_wait,
-        profit_per_hour=profit / (horizon / 60.0),
+        admission_rate=len(waits) / len(arrivals) if arrivals else 1.0,  # none: full admission
+        mean_wait=float(np.mean(waits)) if waits else 0.0,
+        profit_per_hour=sum(profits) / (horizon / 60.0),
         replication_count=1,
     )
 
@@ -255,7 +255,7 @@ def replicate(
         raise DomainError(f"reps must be >= 1, got {reps}")
     rates, waits, profits = [], [], []
     for rep in range(reps):
-        _, metrics = run_simulation(policy, econ, station, horizon, rng_for_stream(seed, rep))
+        metrics = _replication(policy, econ, station, horizon, rng_for_stream(seed, rep))
         rates.append(metrics.admission_rate)
         waits.append(metrics.mean_wait)
         profits.append(metrics.profit_per_hour)

@@ -5,6 +5,7 @@ import pytest
 from evstation.cli import cli_dispatch
 from evstation.config import (
     ConfigError,
+    RunOptions,
     bundled_config_path,
     load_config,
     parse_config,
@@ -81,6 +82,23 @@ def test_invalid_values_reported():
         target[key] = bad
         with pytest.raises(ConfigError, match="finite"):
             parse_config(raw)
+    for key, bad in (
+        ("horizon_min", float("inf")),
+        ("horizon_min", float("nan")),
+        ("horizon_min", -5),
+        ("reps", 0),
+        ("reps", 2.7),
+        ("reps", float("nan")),
+        ("seed", float("inf")),
+        ("seed", -1),
+    ):
+        raw = valid_raw()
+        raw["run"][key] = bad
+        with pytest.raises(ConfigError, match=f"run: {key}"):
+            parse_config(raw)
+    raw = valid_raw()
+    raw["run"].update(seed=3.0, reps=2.0, horizon_min=60)
+    assert parse_config(raw)[1] == RunOptions(seed=3, reps=2, horizon=60.0)
 
 
 def test_cli_non_finite_config_value(tmp_path, capsys):
@@ -91,6 +109,16 @@ def test_cli_non_finite_config_value(tmp_path, capsys):
     assert "NaN" in path.read_text()
     assert cli_dispatch(["optimize", "--config", str(path)]) == 1
     assert "lam must be finite" in capsys.readouterr().err
+
+
+def test_cli_invalid_run_block(tmp_path, capsys):
+    for key, bad in (("reps", float("nan")), ("seed", float("inf")), ("horizon_min", -5)):
+        raw = valid_raw()
+        raw["run"][key] = bad
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(raw))
+        assert cli_dispatch(["simulate", "--config", str(path), "--policy", "qba"]) == 1
+        assert f"run: {key}" in capsys.readouterr().err
 
 
 def test_missing_file_and_bad_json(tmp_path):

@@ -1,9 +1,14 @@
+import heapq
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import evstation.simulator as sim
 from evstation import (
+    DomainError,
     EconomicParams,
     GreedyAdmission,
     JoapAdmission,
@@ -11,6 +16,7 @@ from evstation import (
     StationParams,
     erlang_blocking,
     gen_poisson_arrivals,
+    per_ev_profit,
     price_for_demand,
     replicate,
     rng_for_stream,
@@ -19,7 +25,9 @@ from evstation import (
     threshold_t_v,
     write_trace_csv,
 )
-from evstation.simulator import SubProcessAdmitter
+from evstation.config import with_penalty
+from evstation.experiments import build_policy
+from evstation.simulator import EvRecord, SimMetrics, SubProcessAdmitter
 
 
 def test_poisson_determinism():
@@ -171,8 +179,10 @@ def test_replicate_deterministic_and_reps1():
     assert a == b
     _, single = run_simulation(policy, econ, station, 240.0, rng_for_stream(123, 0))
     one = replicate(policy, econ, station, 240.0, 1, 123)
-    assert one.profit_per_hour == pytest.approx(single.profit_per_hour)
-    assert one.admission_rate == pytest.approx(single.admission_rate)
+    # One event loop serves both, so a single replication reproduces the run exactly.
+    assert one.profit_per_hour == single.profit_per_hour
+    assert one.admission_rate == single.admission_rate
+    assert one.mean_wait == single.mean_wait
     assert set(one.half_width_95.values()) == {None}  # undefined for one replication
 
 
@@ -210,3 +220,188 @@ def test_drain_out_completes_all(monkeypatch):
     )
     assert all(r.admitted and r.service_start is not None for r in records)
     assert records[1].wait == pytest.approx(9.5)
+
+
+# Reference copies of the simulator loops as they were before arrivals were
+# generated by cumsum and the event loop ran on plain floats. The tests below
+# hold the current code to them bit for bit.
+
+
+def reference_gen_poisson_arrivals(lam, horizon, rng):
+    if horizon == 0:
+        return np.empty(0)
+    times = []
+    t = 0.0
+    block = max(16, int(lam * horizon * 1.2) + 16)
+    while t <= horizon:
+        gaps = rng.exponential(1.0 / lam, size=block)
+        for g in gaps:
+            t += g
+            if t > horizon:
+                break
+            times.append(t)
+    return np.asarray(times)
+
+
+def reference_run_loss_admission(arrivals, n, t_v):
+    window = deque()
+    admitted = 0
+    for t in arrivals:
+        while window and window[0] + t_v <= t:
+            window.popleft()
+        if len(window) < n:
+            window.append(t)
+            admitted += 1
+    return admitted
+
+
+def reference_run_simulation(policy, econ, station, horizon, rng):
+    arrivals = reference_gen_poisson_arrivals(station.lam, horizon, rng)
+    policy.reset()
+    d = policy.demand
+    service = station.service_time(d)
+    server_free = [0.0] * station.m
+    completions = []
+    records = []
+    for t in arrivals:
+        while completions and completions[0] <= t:
+            heapq.heappop(completions)
+        in_system = len(completions)
+        slot = policy.decide(t, in_system, server_free, service)
+        if slot is not None and in_system >= station.parking_capacity:
+            slot = None
+        if slot is None:
+            records.append(EvRecord(arrival_time=t, demand=d, admitted=False))
+            continue
+        j = min(range(station.m), key=lambda k: server_free[k])
+        start = max(t, server_free[j])
+        server_free[j] = start + service
+        heapq.heappush(completions, start + service)
+        wait = start - t
+        records.append(
+            EvRecord(
+                arrival_time=t,
+                demand=d,
+                admitted=True,
+                sub_process=slot if isinstance(policy, JoapAdmission) else None,
+                service_start=start,
+                wait=wait,
+                profit=per_ev_profit(d, wait, econ),
+            )
+        )
+    total = len(records)
+    admitted = [r for r in records if r.admitted]
+    metrics = SimMetrics(
+        admission_rate=len(admitted) / total if total else 1.0,
+        mean_wait=float(np.mean([r.wait for r in admitted])) if admitted else 0.0,
+        profit_per_hour=sum(r.profit for r in records) / (horizon / 60.0),
+        replication_count=1,
+    )
+    return records, metrics
+
+
+def reference_replicate(policy, econ, station, horizon, reps, seed):
+    rates, waits, profits = [], [], []
+    for rep in range(reps):
+        _, metrics = reference_run_simulation(
+            policy, econ, station, horizon, rng_for_stream(seed, rep)
+        )
+        rates.append(metrics.admission_rate)
+        waits.append(metrics.mean_wait)
+        profits.append(metrics.profit_per_hour)
+
+    def half_width(xs):
+        if len(xs) < 2:
+            return None
+        return 1.96 * float(np.std(xs, ddof=1)) / math.sqrt(len(xs))
+
+    return SimMetrics(
+        admission_rate=float(np.mean(rates)),
+        mean_wait=float(np.mean(waits)),
+        profit_per_hour=float(np.mean(profits)),
+        replication_count=reps,
+        half_width_95={
+            "admission_rate": half_width(rates),
+            "mean_wait": half_width(waits),
+            "profit_per_hour": half_width(profits),
+        },
+    )
+
+
+class ShortGapRng:
+    """A generator whose gaps are an eighth of the real draws, so the block
+    sized for the expected count runs out and several blocks are drawn."""
+
+    def __init__(self, seed):
+        self.rng = rng_for_stream(seed, 0)
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        return self.rng.exponential(scale, size=size) / 8.0
+
+
+@pytest.mark.parametrize(
+    "lam, horizon, seed",
+    [(0.3, 240.0, 11), (0.1, 1.0, 2), (2.5, 1000.0, 5), (1e-4, 10.0, 3), (0.4, 0.0, 1)],
+)
+def test_arrivals_match_reference(lam, horizon, seed):
+    rng, ref_rng = rng_for_stream(seed, 0), rng_for_stream(seed, 0)
+    a = gen_poisson_arrivals(lam, horizon, rng)
+    b = reference_gen_poisson_arrivals(lam, horizon, ref_rng)
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    # The same draws were made: both generators are left in the same state.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_arrivals_match_reference_across_blocks():
+    for seed in (1, 2, 3):
+        rng, ref_rng = ShortGapRng(seed), ShortGapRng(seed)
+        a = gen_poisson_arrivals(0.5, 300.0, rng)
+        b = reference_gen_poisson_arrivals(0.5, 300.0, ref_rng)
+        assert len(rng.sizes) >= 5
+        assert rng.sizes == ref_rng.sizes
+        assert np.array_equal(a, b)
+
+
+def test_arrivals_reject_non_finite():
+    rng = rng_for_stream(0, 0)
+    for lam, horizon in ((float("nan"), 10.0), (float("inf"), 10.0), (0.3, float("inf")),
+                         (0.3, float("nan")), (0.0, 10.0), (0.3, -1.0)):
+        with pytest.raises(DomainError):
+            gen_poisson_arrivals(lam, horizon, rng)
+
+
+def test_loss_mode_matches_admitter_and_reference():
+    # The third arrival comes at exactly window[0] + t_v and is admitted.
+    streams = [(np.array([0.5, 3.0, 10.5, 13.0, 20.5]), 1, 10.0)]
+    for seed, (n, t_v, lam) in enumerate([(1, 5.0, 0.3), (3, 8.0, 0.4), (6, 2.5, 2.0)]):
+        streams.append((gen_poisson_arrivals(lam, 5000.0, rng_for_stream(seed, 0)), n, t_v))
+    for arrivals, n, t_v in streams:
+        admitter = SubProcessAdmitter(n, t_v)
+        expected = sum(admitter.admit(t) is not None for t in arrivals)
+        assert run_loss_admission(arrivals, n, t_v) == expected
+        assert reference_run_loss_admission(arrivals, n, t_v) == expected
+    assert run_loss_admission(streams[0][0], 1, 10.0) == 3
+
+
+@pytest.mark.parametrize("c", [0.4, 1.0])
+def test_replicate_matches_reference_on_table1(table1, c):
+    scenarios, run = table1
+    for scenario in scenarios:
+        scenario = with_penalty(scenario, c)
+        for name in ("joap", "qba", "greedy"):
+            policy, _, _ = build_policy(name, scenario)
+            args = (policy, scenario.econ, scenario.station, scenario.duration, 20, run.seed)
+            assert replicate(*args) == reference_replicate(*args), (scenario.name, name)
+
+
+def test_trace_matches_reference(table1):
+    scenarios, run = table1
+    for name in ("joap", "qba", "greedy"):
+        policy, _, _ = build_policy(name, scenarios[0])
+        args = (policy, scenarios[0].econ, scenarios[0].station, scenarios[0].duration)
+        records, metrics = run_simulation(*args, rng_for_stream(run.seed, 4))
+        ref_records, ref_metrics = reference_run_simulation(*args, rng_for_stream(run.seed, 4))
+        assert records == ref_records
+        assert metrics == ref_metrics
