@@ -15,7 +15,7 @@ print("scenario          lam   p_e($/kWh)  n*  d*(kWh)  r*($/kWh)")
 for s in scenarios:
     plan = optimize_joap(s.econ, s.station)
     print(
-        f"{s.name:<16} {s.lam:>4.1f}  {s.p_e:>8.3f}  {plan.n_star:>4} "
+        f"{s.name:<16} {s.station.lam:>4.1f}  {s.econ.p_e:>8.3f}  {plan.n_star:>4} "
         f"{plan.d_star:>7.2f}  {plan.r_star:>8.2f}"
     )
 

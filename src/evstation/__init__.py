@@ -15,14 +15,12 @@ from .economics import (
     EconomicParams,
     StationParams,
     demand_response,
-    penalty,
     per_ev_profit,
     price_for_demand,
     utility,
 )
 from .experiments import (
     ExperimentReport,
-    benchmark_demand,
     build_policy,
     run_admission_validation,
     run_daily_experiment,
@@ -40,15 +38,11 @@ from .optimizer import (
 from .queueing import (
     AdmissionAnalysis,
     ArrivalMoments,
-    PhaseFit,
-    admission_probability,
     admitted_interarrival_moments,
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    fit_mixture_exponential,
     load_density,
-    mean_wait_ph_d1,
     mean_wait_theorem1,
     threshold_t_v,
 )

@@ -12,8 +12,9 @@ The schema (version 1) has four blocks:
 
 Electricity prices are given in $/MWh (as tariffs usually are) and stored
 in $/kWh. Unknown keys anywhere are rejected so typos cannot silently
-change an experiment. In the run block, seed must be a whole number >= 0,
-reps a whole number >= 1 and horizon_min finite and positive.
+change an experiment. station.m and station.parking_capacity must be whole
+numbers >= 1. In the run block, seed must be a whole number >= 0, reps a
+whole number >= 1 and horizon_min finite and positive.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -44,8 +45,6 @@ class Scenario:
     """One demand/tariff block: arrival rate, electricity price, duration."""
 
     name: str
-    lam: float
-    p_e: float
     duration: float
     econ: EconomicParams
     station: StationParams
@@ -109,6 +108,10 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     scenarios_raw = raw["scenarios"]
     if not isinstance(scenarios_raw, list) or not scenarios_raw:
         raise ConfigError(f"{context}: scenarios must be a non-empty array")
+    m = _whole(st.get("m"), "m", 1, problems, "station")
+    capacity = _whole(st.get("parking_capacity"), "parking_capacity", 1, problems, "station")
+    if problems:
+        raise ConfigError(f"{context}: " + "; ".join(problems))
 
     scenarios: list[Scenario] = []
     for i, sc in enumerate(scenarios_raw):
@@ -124,9 +127,9 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
                 wait_model=ec.get("wait_model", "theorem1"),
             )
             station = StationParams(
-                m=int(st["m"]),
+                m=m,
                 alpha=float(st["alpha_kw"]),
-                parking_capacity=int(st["parking_capacity"]),
+                parking_capacity=capacity,
                 lam=float(sc["lambda_per_min"]),
                 tau=float(st["tau"]),
             )
@@ -140,8 +143,6 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
         scenarios.append(
             Scenario(
                 name=str(sc.get("name", f"scenario-{i}")),
-                lam=station.lam,
-                p_e=econ.p_e,
                 duration=duration,
                 econ=econ,
                 station=station,
@@ -169,15 +170,20 @@ def _number(value) -> float:
         return math.nan
 
 
-def _whole(value, name: str, least: int, problems: list) -> int | None:
-    """`value` as an int if it is a whole number >= least; otherwise a problem is noted."""
-    if isinstance(value, int):
+def _whole(value, name: str, least: int, problems: list, block: str = "run") -> int | None:
+    """`value` as an int if it is a whole number >= least; otherwise a problem is noted.
+
+    A JSON boolean is not a number here, though Python counts it as an int.
+    """
+    if isinstance(value, bool):
+        whole = None
+    elif isinstance(value, int):
         whole = int(value)
     else:
         number = _number(value)
         whole = int(number) if math.isfinite(number) and number.is_integer() else None
     if whole is None or whole < least:
-        problems.append(f"run: {name} must be a whole number >= {least}, got {value!r}")
+        problems.append(f"{block}: {name} must be a whole number >= {least}, got {value!r}")
         return None
     return whole
 

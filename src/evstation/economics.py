@@ -155,15 +155,8 @@ def price_for_demand(d: float, econ: EconomicParams) -> float:
     return math.exp(-econ.beta * d) / econ.xi
 
 
-def penalty(omega: float, econ: EconomicParams) -> float:
-    """Waiting-time penalty ($) for a mean wait of `omega` minutes."""
-    if omega < 0:
-        raise DomainError(f"wait must be non-negative, got {omega}")
-    return econ.c * omega
-
-
-def per_ev_profit(d: float, wait: float, econ: EconomicParams, admitted: bool = True) -> float:
-    """Realized profit ($) from a single EV; rejected EVs contribute nothing."""
-    if not admitted or d == 0:
+def per_ev_profit(d: float, wait: float, econ: EconomicParams) -> float:
+    """Realized profit ($) from one admitted EV; an EV charged nothing earns nothing."""
+    if d == 0:
         return 0.0
     return (price_for_demand(d, econ) - econ.p_e) * d - econ.c * wait

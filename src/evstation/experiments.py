@@ -11,22 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .config import RunOptions, Scenario
 from .economics import EconomicParams, StationParams, price_for_demand
-from .optimizer import demand_region_bound, optimize_joap
-from .queueing import (
-    admission_probability,
-    analyze_admission,
-    load_density,
-    mean_wait,
-    threshold_t_v,
-)
+from .optimizer import DEFAULT_TAU_GRID, demand_region_bound, optimize_joap
+from .queueing import analyze_admission, load_density, mean_wait
 from .simulator import (
     GreedyAdmission,
     JoapAdmission,
@@ -80,24 +71,6 @@ class ExperimentReport:
     policies_by_scenario: dict = field(default_factory=dict)
 
 
-def benchmark_demand(econ: EconomicParams) -> float:
-    """Demand maximizing per-EV margin d*(r(d) - p_e), ignoring congestion.
-
-    This is the operating point a station would pick with no queueing model:
-    both benchmark policies charge every admitted EV this amount.
-    """
-    hi = demand_region_bound(econ)
-    if hi <= 0:
-        return 0.0
-    res = minimize_scalar(
-        lambda d: -(price_for_demand(d, econ) - econ.p_e) * d,
-        bounds=(1e-9, econ.phi),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
-
-
 def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, float]:
     """Instantiate one admission policy for a scenario.
 
@@ -109,7 +82,7 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
     if name == "joap":
         plan = optimize_joap(econ, station)
         return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
-    d_b = benchmark_demand(econ)
+    d_b = demand_region_bound(econ)
     if name == "qba":
         return QbaAdmission(station.parking_capacity, d_b), None, d_b
     if name == "greedy":
@@ -265,19 +238,13 @@ def run_admission_validation(
     """
     rows = []
     for idx, (n, lam) in enumerate(grid):
-        station = StationParams(
-            m=station_template.m,
-            alpha=station_template.alpha,
-            parking_capacity=station_template.parking_capacity,
-            lam=lam,
-            tau=station_template.tau,
-        )
-        t_v = threshold_t_v(n, demand, station)
-        analytic = admission_probability(n, demand, station)
+        analysis = analyze_admission(n, demand, replace(station_template, lam=lam))
+        analytic = float(analysis.p_admit)
         rng = rng_for_stream(seed, idx)
         horizon = arrivals_per_point / lam
         arrivals = gen_poisson_arrivals(lam, horizon, rng)
-        simulated = run_loss_admission(arrivals, n, t_v) / len(arrivals) if len(arrivals) else 1.0
+        admitted = run_loss_admission(arrivals, n, analysis.t_v)
+        simulated = admitted / len(arrivals) if len(arrivals) else 1.0
         rows.append([n, lam, demand, analytic, simulated, abs(analytic - simulated)])
     if out_path is not None:
         _write_csv(Path(out_path), ADMISSION_COLUMNS, rows)
@@ -309,13 +276,7 @@ def run_wait_validation(
     """
     rows = []
     for n, lam, d in grid:
-        station = StationParams(
-            m=station_template.m,
-            alpha=station_template.alpha,
-            parking_capacity=station_template.parking_capacity,
-            lam=lam,
-            tau=station_template.tau,
-        )
+        station = replace(station_template, lam=lam)
         analysis = analyze_admission(n, d, station)
         rho = load_density(analysis.p_admit, analysis.service_time, station)
         if rho >= 1.0:
@@ -346,10 +307,6 @@ def run_tau_study(
     grid, so per-scenario gain is a maximum over a superset and never
     negative. Returns per-scenario rows and the aggregate relative gain.
     """
-    from dataclasses import replace as _replace
-
-    from .optimizer import DEFAULT_TAU_GRID
-
     grid = tuple(tau_grid) if tau_grid is not None else DEFAULT_TAU_GRID
     rows = []
     fixed_total = 0.0
@@ -358,7 +315,7 @@ def run_tau_study(
         horizon = run.horizon if run.horizon is not None else scenario.duration
 
         def simulate(tau: float) -> float:
-            station = _replace(scenario.station, tau=tau)
+            station = replace(scenario.station, tau=tau)
             plan = optimize_joap(scenario.econ, station)
             policy = JoapAdmission(plan.n_star, plan.t_v, plan.d_star)
             metrics = replicate(policy, scenario.econ, station, horizon, run.reps, run.seed)

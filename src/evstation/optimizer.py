@@ -137,7 +137,10 @@ def demand_region_bound(econ: EconomicParams) -> float:
     """Largest demand with non-negative marginal revenue.
 
     The region where e^{-beta d}(1 - beta d)/xi - p_e >= 0; empty (0.0) when
-    electricity costs at least the choke price.
+    electricity costs at least the choke price. The marginal revenue is the
+    derivative of the per-EV margin d (r(d) - p_e); it falls on [0, 1/beta]
+    and is negative beyond, so the bound is also the margin-maximizing
+    demand, the one both benchmark policies charge.
     """
 
     def g(d: float) -> float:
@@ -157,34 +160,34 @@ def demand_region_bound(econ: EconomicParams) -> float:
     return lo
 
 
-def _best_demand(profit_fn, econ: EconomicParams, tol: float) -> tuple[float, float]:
-    """Coarse bracket plus golden-section refinement of a demand profile."""
-    d_hi = demand_region_bound(econ)
-    if d_hi <= 0:
-        return 0.0, 0.0
-    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
-    vals = [profit_fn(d) for d in grid]
-    k = int(np.argmax(vals))
-    if vals[k] <= 0.0:
-        return 0.0, 0.0
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    d_best, val = _golden_max(profit_fn, lo, hi, tol)
-    if val < 0.0:
-        return 0.0, 0.0
-    return float(d_best), float(val)
-
-
 def inner_demand_opt(
     n: int, econ: EconomicParams, station: StationParams, tol: float = 1e-8
 ) -> tuple[float, float]:
     """Best demand for a fixed integer sub-process count.
 
     Searches the region with non-negative marginal revenue (outside it the
-    objective only decreases); returns (d, profit), or (0, 0) when the
-    region is empty or nothing profitable exists.
+    objective only decreases) on a coarse grid, then refines the bracket
+    around the grid maximum by golden-section search; returns (d, profit),
+    or (0, 0) when the region is empty or nothing profitable exists.
     """
-    return _best_demand(lambda d: profit_s(n, d, econ, station), econ, tol)
+    d_hi = demand_region_bound(econ)
+    if d_hi <= 0:
+        return 0.0, 0.0
+
+    def profit(d: float) -> float:
+        return profit_s(n, d, econ, station)
+
+    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
+    vals = [profit(d) for d in grid]
+    k = int(np.argmax(vals))
+    if vals[k] <= 0.0:
+        return 0.0, 0.0
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    d_best, val = _golden_max(profit, lo, hi, tol)
+    if val < 0.0:
+        return 0.0, 0.0
+    return float(d_best), float(val)
 
 
 def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station: StationParams) -> JoapPolicy:

@@ -3,9 +3,8 @@
 The virtual admission queue is an M/D/n/n loss system whose occupancy
 distribution is Erlang; the admitted stream feeds an m-port FIFO charging
 queue with deterministic service. This module provides the loss-system
-steady state, the moments of the gap to the next slot release, a two-branch
-exponential mixture fit of the coordinated gap, and the mean-wait models
-selected by EconomicParams.wait_model.
+steady state, the moments of the gap to the next slot release, and the
+mean-wait models selected by EconomicParams.wait_model.
 """
 from __future__ import annotations
 
@@ -91,16 +90,6 @@ class ArrivalMoments:
     var_y: float
 
 
-@dataclass(frozen=True)
-class PhaseFit:
-    """Two-branch exponential mixture (weights 1/2 each) fit by moments."""
-
-    lambda1: float
-    lambda2: float
-    gamma_w: float
-    feasible: bool
-
-
 def threshold_t_v(n: int, d: float, station: StationParams) -> float:
     """Sub-process spacing T_v = tau * m * (d/alpha) / n (min)."""
     return station.tau * station.m * station.service_time(d) / n
@@ -125,18 +114,6 @@ def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnal
     )
 
 
-def admission_probability(n: int, d: float, station: StationParams) -> float:
-    """Probability that an arriving EV is admitted, 1 - P_n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if d <= 0:
-        raise DomainError(f"demand must be positive, got {d}")
-    a = station.lam * threshold_t_v(n, d, station)
-    # Use the normalized state vector (not the blocking recursion) so this
-    # value is bit-identical to 1 - state_probs[n] from analyze_admission.
-    return 1.0 - float(erlang_steady_state(n, a)[n])
-
-
 def interarrival_pdf(x: float, analysis: AdmissionAnalysis) -> float:
     """Density of the gap to the next slot release on [0, T_v] (defective).
 
@@ -154,19 +131,6 @@ def interarrival_pdf(x: float, analysis: AdmissionAnalysis) -> float:
     total = 0.0
     for i in range(1, analysis.n + 1):
         total += (i / t_v) * ((t_v - x) / t_v) ** (i - 1) * probs[i]
-    return total
-
-
-def interarrival_cdf(x: float, analysis: AdmissionAnalysis) -> float:
-    """CDF companion of interarrival_pdf; reaches 1 - P_0 at T_v."""
-    t_v = analysis.t_v
-    if x < 0:
-        return 0.0
-    x = min(x, t_v)
-    probs = analysis.state_probs
-    total = 0.0
-    for i in range(0, analysis.n + 1):
-        total += (1.0 - ((t_v - x) / t_v) ** i) * probs[i]
     return total
 
 
@@ -203,28 +167,6 @@ def admitted_interarrival_moments(
         mu_y=station.m * mean_x,
         var_y=station.m * var_x,
     )
-
-
-def fit_mixture_exponential(mu_y: float, second_y: float) -> PhaseFit:
-    """Match a half/half exponential mixture to a mean-sum and second-moment target.
-
-    Solves 1/l1 + 1/l2 = 2 mu_y and 1/l1^2 + 1/l2^2 = second_y. The branch
-    means are roots of z^2 - 2 mu_y z + (4 mu_y^2 - second_y)/2 = 0; the fit
-    is infeasible when the discriminant is negative (variability too low for
-    a hyperexponential) or a root is non-positive.
-    """
-    if mu_y <= 0 or second_y <= 0:
-        raise DomainError("moment targets must be positive")
-    prod = (4.0 * mu_y**2 - second_y) / 2.0
-    disc = mu_y**2 - prod
-    if disc < 0:
-        return PhaseFit(lambda1=float("nan"), lambda2=float("nan"), gamma_w=0.5, feasible=False)
-    root = math.sqrt(disc)
-    z1 = mu_y + root
-    z2 = mu_y - root
-    if z2 <= 0:
-        return PhaseFit(lambda1=float("nan"), lambda2=float("nan"), gamma_w=0.5, feasible=False)
-    return PhaseFit(lambda1=1.0 / z1, lambda2=1.0 / z2, gamma_w=0.5, feasible=True)
 
 
 def load_density(p_admit: float, service: float, station: StationParams) -> float:
@@ -299,22 +241,3 @@ def mean_wait_theorem1(
     s = analysis.service_time
     return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * moments.mu_y + moments.var_y)
 
-
-def mean_wait_ph_d1(fit: PhaseFit, service: float, rho: float) -> float:
-    """Heavy-traffic mean wait of the fitted-mixture / deterministic queue.
-
-    Classical two-moment (Kingman) approximation rho*s*(ca^2 + cs^2)/(2(1-rho))
-    with cs^2 = 0 and ca^2 taken from the mixture's own moments. Reduces
-    exactly to the M/D/1 Pollaczek-Khinchine mean wait when the two branch
-    rates coincide.
-    """
-    if not fit.feasible:
-        raise DomainError("phase fit is infeasible; no mean-wait estimate available")
-    if rho >= 1.0:
-        raise DomainError(f"unstable queue: rho = {rho:.4f} >= 1")
-    z1 = 1.0 / fit.lambda1
-    z2 = 1.0 / fit.lambda2
-    mean_a = fit.gamma_w * z1 + (1.0 - fit.gamma_w) * z2
-    second_a = fit.gamma_w * 2.0 * z1**2 + (1.0 - fit.gamma_w) * 2.0 * z2**2
-    ca2 = (second_a - mean_a**2) / mean_a**2
-    return rho * service * ca2 / (2.0 * (1.0 - rho))

@@ -79,36 +79,10 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
     return np.concatenate(blocks)
 
 
-class SubProcessAdmitter:
-    """Online admission with n slots, each enforcing spacing t_v.
-
-    An arrival at exactly a slot's free time is admissible (inclusive
-    boundary); among free slots the lowest index is used so traces are
-    reproducible.
-    """
-
-    def __init__(self, n: int, t_v: float):
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        if t_v <= 0:
-            raise DomainError(f"t_v must be positive, got {t_v}")
-        self.n = n
-        self.t_v = t_v
-        self.free_at = [0.0] * n
-
-    def admit(self, t: float) -> int | None:
-        """Return the assigned slot index, or None on rejection."""
-        for i, free in enumerate(self.free_at):
-            if free <= t:
-                self.free_at[i] = t + self.t_v
-                return i
-        return None
-
-
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """Fast count of admissions under the slot rule with no charging queue.
 
-    Equivalent to SubProcessAdmitter for counting purposes: an arrival is
+    Equivalent to JoapAdmission for counting purposes: an arrival is
     admitted iff fewer than n admissions occurred in the window (t - t_v, t].
     """
     window: deque = deque()
@@ -123,21 +97,37 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
 
 
 class JoapAdmission:
-    """Slot-based admission at a fixed demand (the optimized operating point)."""
+    """Slot-based admission at a fixed demand (the optimized operating point).
+
+    n slots, each enforcing spacing t_v. An arrival at exactly a slot's
+    free time is admissible (inclusive boundary); among free slots the
+    lowest index is used so traces are reproducible. With t_v == 0, the
+    operating point of a station that sells nothing, every arrival is
+    admitted.
+    """
 
     name = "joap"
 
     def __init__(self, n: int, t_v: float, demand: float):
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
+        if not (math.isfinite(t_v) and t_v >= 0):
+            raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
         self.n = n
         self.t_v = t_v
         self.demand = demand
-        self._admitter: SubProcessAdmitter | None = None
+        self.free_at: list | None = None
 
     def reset(self):
-        self._admitter = SubProcessAdmitter(self.n, self.t_v)
+        self.free_at = [0.0] * self.n
 
     def decide(self, t: float, in_system: int, server_free: list, service: float) -> int | None:
-        return self._admitter.admit(t)
+        """Return the assigned slot index, or None on rejection."""
+        for i, free in enumerate(self.free_at):
+            if free <= t:
+                self.free_at[i] = t + self.t_v
+                return i
+        return None
 
 
 class QbaAdmission:
@@ -166,9 +156,7 @@ class GreedyAdmission:
     def __init__(self, demand: float, econ: EconomicParams):
         self.demand = demand
         self.econ = econ
-        from .economics import price_for_demand
-
-        self._margin = (price_for_demand(demand, econ) - econ.p_e) * demand
+        self._margin = per_ev_profit(demand, 0.0, econ)
 
     def reset(self):
         pass

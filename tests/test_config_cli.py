@@ -28,7 +28,7 @@ def valid_raw():
 def test_bundled_table1_scenarios(table1):
     scenarios, run = table1
     assert len(scenarios) == 6
-    pairs = [(s.lam, round(s.p_e * 1000)) for s in scenarios]
+    pairs = [(s.station.lam, round(s.econ.p_e * 1000)) for s in scenarios]
     assert pairs == [(0.3, 60), (0.4, 90), (0.4, 80), (0.4, 100), (0.3, 80), (0.1, 60)]
     assert all(s.duration == 240.0 for s in scenarios)
     assert all(s.econ.wait_model == "allen_cunneen" for s in scenarios)
@@ -37,7 +37,6 @@ def test_bundled_table1_scenarios(table1):
 
 def test_unit_conversion():
     scenarios, _ = parse_config(valid_raw())
-    assert scenarios[0].p_e == pytest.approx(0.06)
     assert scenarios[0].econ.p_e == pytest.approx(0.06)
 
 
@@ -99,6 +98,25 @@ def test_invalid_values_reported():
     raw = valid_raw()
     raw["run"].update(seed=3.0, reps=2.0, horizon_min=60)
     assert parse_config(raw)[1] == RunOptions(seed=3, reps=2, horizon=60.0)
+    # Port and lot counts are whole numbers too: neither is truncated.
+    for key, bad in (
+        ("m", 4.7),
+        ("m", True),
+        ("m", 0),
+        ("m", "four"),
+        ("parking_capacity", 40.9),
+        ("parking_capacity", False),
+        ("parking_capacity", float("nan")),
+    ):
+        raw = valid_raw()
+        raw["station"][key] = bad
+        with pytest.raises(ConfigError, match=f"station: {key} must be a whole number"):
+            parse_config(raw)
+    raw = valid_raw()
+    raw["station"].update(m=4.0, parking_capacity=40.0)
+    station = parse_config(raw)[0][0].station
+    assert (station.m, station.parking_capacity) == (4, 40)
+    assert type(station.m) is int and type(station.parking_capacity) is int
 
 
 def test_cli_non_finite_config_value(tmp_path, capsys):
@@ -119,6 +137,16 @@ def test_cli_invalid_run_block(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         assert cli_dispatch(["simulate", "--config", str(path), "--policy", "qba"]) == 1
         assert f"run: {key}" in capsys.readouterr().err
+
+
+def test_cli_non_whole_station_count(tmp_path, capsys):
+    for key, bad in (("m", 4.7), ("parking_capacity", 40.9), ("m", True)):
+        raw = valid_raw()
+        raw["station"][key] = bad
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(raw))
+        assert cli_dispatch(["optimize", "--config", str(path)]) == 1
+        assert f"station: {key}" in capsys.readouterr().err
 
 
 def test_missing_file_and_bad_json(tmp_path):

@@ -8,7 +8,6 @@ from evstation import (
     EconomicParams,
     StationParams,
     demand_response,
-    penalty,
     per_ev_profit,
     price_for_demand,
     utility,
@@ -77,18 +76,10 @@ def test_price_for_demand_domain(econ_default):
         price_for_demand(econ_default.phi + 0.1, econ_default)
 
 
-def test_penalty_linear(econ_default):
-    assert penalty(0.0, econ_default) == 0.0
-    assert penalty(10.0, econ_default) == pytest.approx(4.0)
-    with pytest.raises(DomainError):
-        penalty(-1.0, econ_default)
-
-
 def test_per_ev_profit(econ_default):
     d, wait = 20.0, 5.0
     expected = (price_for_demand(d, econ_default) - econ_default.p_e) * d - 0.4 * wait
     assert per_ev_profit(d, wait, econ_default) == pytest.approx(expected)
-    assert per_ev_profit(d, wait, econ_default, admitted=False) == 0.0
     assert per_ev_profit(0.0, 0.0, econ_default) == 0.0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from evstation import (
 )
 from evstation.config import RunOptions
 from evstation.experiments import (
-    benchmark_demand,
     build_policy,
     run_admission_validation,
     run_daily_experiment,
@@ -25,12 +26,25 @@ def small_run():
 
 
 def test_benchmark_demand_maximizes_margin(econ_default):
-    d_b = benchmark_demand(econ_default)
-    assert 0 < d_b <= demand_region_bound(econ_default)
+    d_b = demand_region_bound(econ_default)
+    assert 0 < d_b <= econ_default.phi
     margin = (price_for_demand(d_b, econ_default) - econ_default.p_e) * d_b
     for d in (d_b * 0.9, d_b * 1.1):
         other = (price_for_demand(d, econ_default) - econ_default.p_e) * d
         assert margin >= other - 1e-9
+
+
+def test_scenario_that_sells_nothing(table1):
+    # At or above the choke price no demand is profitable: JoAP's operating
+    # point is d* = 0 with t_v = 0, and both benchmarks charge 0 kWh.
+    scenarios, _ = table1
+    econ = scenarios[0].econ
+    broke = replace(scenarios[0], econ=replace(econ, p_e=econ.choke_price + 1.0))
+    report = run_daily_experiment([broke], small_run())
+    assert report.daily_profit == {"joap": 0.0, "qba": 0.0, "greedy": 0.0}
+    assert report.ratios == {}
+    result = run_tau_study([broke], small_run())
+    assert result["aggregate_gain"] == 0.0
 
 
 def test_build_policy_rejects_unknown(table1):

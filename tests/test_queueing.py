@@ -8,20 +8,16 @@ from scipy.integrate import quad
 from evstation import (
     DomainError,
     StationParams,
-    admission_probability,
     admitted_interarrival_moments,
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    fit_mixture_exponential,
     load_density,
-    mean_wait_ph_d1,
     mean_wait_theorem1,
     threshold_t_v,
 )
 from evstation.queueing import (
     erlang_c,
-    interarrival_cdf,
     interarrival_pdf,
     mean_wait,
 )
@@ -77,11 +73,11 @@ def test_threshold_spacing(station_default):
 
 
 def test_admission_probability_limits(station_default):
-    assert admission_probability(4, 1e-9, station_default) == pytest.approx(1.0, abs=1e-9)
+    assert analyze_admission(4, 1e-9, station_default).p_admit == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
-        admission_probability(0, 1.0, station_default)
+        analyze_admission(0, 1.0, station_default)
     with pytest.raises(DomainError):
-        admission_probability(4, -1.0, station_default)
+        analyze_admission(4, -1.0, station_default)
 
 
 def test_admission_probability_hand_value():
@@ -92,7 +88,7 @@ def test_admission_probability_hand_value():
     d = 3.0 * n / (station.lam * station.tau * station.m * 60.0)
     a = station.lam * threshold_t_v(n, d, station)
     assert a == pytest.approx(3.0, rel=1e-12)
-    assert admission_probability(n, d, station) == pytest.approx(1.0 - 4.5 / 13.0, rel=1e-12)
+    assert analyze_admission(n, d, station).p_admit == pytest.approx(1.0 - 4.5 / 13.0, rel=1e-12)
 
 
 def test_analysis_invariants(station_default):
@@ -139,41 +135,21 @@ def test_moments_match_quadrature(station_default):
 
 
 def test_cdf_defective_mass(station_default):
-    # The raw gap distribution carries total mass 1 - P_0.
+    # The raw gap distribution carries total mass 1 - P_0 on [0, T_v] and
+    # none outside it. The density is a polynomial of degree n - 1 there, so
+    # Gauss-Kronrod quadrature integrates it to rounding error.
     for n, d in ((1, 15.0), (3, 40.0), (5, 60.0)):
         analysis = analyze_admission(n, d, station_default)
-        mass = interarrival_cdf(analysis.t_v, analysis)
+        mass = quad(lambda x: interarrival_pdf(x, analysis), 0, analysis.t_v)[0]
         assert mass == pytest.approx(1.0 - float(analysis.state_probs[0]), abs=1e-12)
-        assert interarrival_cdf(0.0, analysis) == 0.0
+        assert interarrival_pdf(-1e-9, analysis) == 0.0
+        assert interarrival_pdf(analysis.t_v * (1 + 1e-9), analysis) == 0.0
 
 
 def test_moments_error_without_departures(station_default):
     analysis = analyze_admission(3, 1e-18, station_default)
     with pytest.raises(DomainError):
         admitted_interarrival_moments(analysis, station_default)
-
-
-def test_fit_mixture_boundary():
-    fit = fit_mixture_exponential(1.0, 2.0)
-    assert fit.feasible
-    assert fit.lambda1 == pytest.approx(1.0)
-    assert fit.lambda2 == pytest.approx(1.0)
-
-
-def test_fit_mixture_hyperexponential():
-    fit = fit_mixture_exponential(1.0, 3.0)
-    assert fit.feasible
-    means = sorted([1.0 / fit.lambda1, 1.0 / fit.lambda2])
-    assert means == pytest.approx([1.0 - math.sqrt(0.5), 1.0 + math.sqrt(0.5)])
-    # Moment-matching identity: branch means average to mu and squares sum to S.
-    z1, z2 = 1.0 / fit.lambda1, 1.0 / fit.lambda2
-    assert (z1 + z2) / 2.0 == pytest.approx(1.0, abs=1e-9)
-    assert z1**2 + z2**2 == pytest.approx(3.0, abs=1e-9)
-
-
-def test_fit_mixture_infeasible():
-    fit = fit_mixture_exponential(1.0, 1.5)
-    assert not fit.feasible
 
 
 def test_mean_wait_zero_load(station_default):
@@ -211,26 +187,6 @@ def test_mean_wait_unstable_raises():
     assert load_density(analysis.p_admit, analysis.service_time, station) >= 1.0
     with pytest.raises(DomainError):
         mean_wait_theorem1(analysis, m, station)
-
-
-def test_ph_d1_degenerate_matches_md1():
-    # Equal branch rates make arrivals exponential: the estimate must agree
-    # with the classical single-server deterministic-service mean wait.
-    fit = fit_mixture_exponential(1.0, 2.0)
-    for rho in (0.1, 0.5, 0.8):
-        service = 3.0
-        expected = rho * service / (2.0 * (1.0 - rho))
-        assert mean_wait_ph_d1(fit, service, rho) == pytest.approx(expected, rel=1e-6)
-
-
-def test_ph_d1_guards():
-    fit = fit_mixture_exponential(1.0, 1.5)
-    with pytest.raises(DomainError):
-        mean_wait_ph_d1(fit, 1.0, 0.5)
-    good = fit_mixture_exponential(1.0, 3.0)
-    with pytest.raises(DomainError):
-        mean_wait_ph_d1(good, 1.0, 1.0)
-    assert mean_wait_ph_d1(good, 1.0, 1e-12) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_erlang_c_hand_value():

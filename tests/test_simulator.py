@@ -27,7 +27,7 @@ from evstation import (
 )
 from evstation.config import with_penalty
 from evstation.experiments import build_policy
-from evstation.simulator import EvRecord, SimMetrics, SubProcessAdmitter
+from evstation.simulator import EvRecord, SimMetrics
 
 
 def test_poisson_determinism():
@@ -54,27 +54,45 @@ def test_poisson_empty_and_sorted():
     assert a[-1] <= 500.0
 
 
+def slot_admitter(n, t_v):
+    """The slot rule of JoapAdmission as a function of the arrival time alone."""
+    policy = JoapAdmission(n, t_v, 10.0)
+    policy.reset()
+    return lambda t: policy.decide(t, 0, [0.0], 0.0)
+
+
 def test_subprocess_admitter_example_pattern():
     # Two slots with 10-minute spacing: the fourth arrival finds both slots
     # recently used and is the only rejection.
-    admitter = SubProcessAdmitter(2, 10.0)
-    decisions = [admitter.admit(t) for t in (0.0, 2.0, 11.0, 11.5, 13.0)]
+    admit = slot_admitter(2, 10.0)
+    decisions = [admit(t) for t in (0.0, 2.0, 11.0, 11.5, 13.0)]
     assert [d is not None for d in decisions] == [True, True, True, False, True]
 
 
 def test_subprocess_boundary_inclusive():
-    admitter = SubProcessAdmitter(1, 10.0)
-    assert admitter.admit(0.0) == 0
-    assert admitter.admit(10.0) == 0  # exactly at the free time: admitted
-    assert admitter.admit(19.999) is None
+    admit = slot_admitter(1, 10.0)
+    assert admit(0.0) == 0
+    assert admit(10.0) == 0  # exactly at the free time: admitted
+    assert admit(19.999) is None
 
 
 def test_subprocess_lowest_index():
-    admitter = SubProcessAdmitter(3, 5.0)
-    assert admitter.admit(0.0) == 0
-    assert admitter.admit(0.1) == 1
-    assert admitter.admit(0.2) == 2
-    assert admitter.admit(5.1) == 0
+    admit = slot_admitter(3, 5.0)
+    assert admit(0.0) == 0
+    assert admit(0.1) == 1
+    assert admit(0.2) == 2
+    assert admit(5.1) == 0
+
+
+def test_joap_admission_spacing_domain():
+    # t_v = 0 is the operating point of a station that sells nothing: all admitted.
+    admit = slot_admitter(1, 0.0)
+    assert [admit(t) for t in (0.0, 0.0, 1e-9, 3.0)] == [0, 0, 0, 0]
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="t_v"):
+            JoapAdmission(2, bad, 10.0)
+    with pytest.raises(DomainError, match="n must"):
+        JoapAdmission(0, 1.0, 10.0)
 
 
 def test_qba_threshold_strict():
@@ -378,8 +396,8 @@ def test_loss_mode_matches_admitter_and_reference():
     for seed, (n, t_v, lam) in enumerate([(1, 5.0, 0.3), (3, 8.0, 0.4), (6, 2.5, 2.0)]):
         streams.append((gen_poisson_arrivals(lam, 5000.0, rng_for_stream(seed, 0)), n, t_v))
     for arrivals, n, t_v in streams:
-        admitter = SubProcessAdmitter(n, t_v)
-        expected = sum(admitter.admit(t) is not None for t in arrivals)
+        admit = slot_admitter(n, t_v)
+        expected = sum(admit(t) is not None for t in arrivals)
         assert run_loss_admission(arrivals, n, t_v) == expected
         assert reference_run_loss_admission(arrivals, n, t_v) == expected
     assert run_loss_admission(streams[0][0], 1, 10.0) == 3
