@@ -11,8 +11,6 @@ from evstation import (
     admitted_interarrival_moments,
     analyze_admission,
     build_generator,
-    load_density,
-    mean_wait_theorem1,
     occupancy_marginal,
 )
 from evstation.queueing import mean_wait
@@ -30,13 +28,13 @@ marginal = occupancy_marginal(chain)
 print(f"chain-oracle marginal:  {np.round(marginal, 4)}")
 print(f"max |closed form - chain| = {np.max(np.abs(marginal - analysis.state_probs)):.2e}")
 
-moments = admitted_interarrival_moments(analysis, station)
-print(f"\nslot-release gap mean E(X) = {moments.mean_x:.2f} min, E(X^2) = {moments.second_x:.1f}")
-print(f"coordinated arrivals: mu_Y = {moments.mu_y:.2f} min, var_Y = {moments.var_y:.2f}")
+mean_x, second_x = admitted_interarrival_moments(analysis)
+print(f"\nslot-release gap mean E(X) = {mean_x:.2f} min, E(X^2) = {second_x:.1f}")
+mu_y, var_y = station.m * mean_x, station.m * (second_x - mean_x**2)
+print(f"coordinated arrivals: mu_Y = {mu_y:.2f} min, var_Y = {var_y:.2f}")
 
-rho = load_density(analysis.p_admit, analysis.service_time, station)
-omega = mean_wait_theorem1(analysis, moments, station)
-print(f"\ncharging load rho = {rho:.3f}, service {analysis.service_time:.1f} min")
+omega = mean_wait(analysis, station, "theorem1")
+print(f"\ncharging load rho = {analysis.rho:.3f}, service {analysis.service_time:.1f} min")
 print(f"closed-form wait index omega = {omega:.1f}")
 print("(omega's bracket carries squared-minute units, so omega is in min^3)")
 wait = mean_wait(analysis, station, "allen_cunneen")

@@ -37,13 +37,10 @@ from .optimizer import (
 )
 from .queueing import (
     AdmissionAnalysis,
-    ArrivalMoments,
     admitted_interarrival_moments,
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    load_density,
-    mean_wait_theorem1,
     threshold_t_v,
 )
 from .simulator import (
@@ -57,7 +54,6 @@ from .simulator import (
     rng_for_stream,
     run_loss_admission,
     run_simulation,
-    write_trace_csv,
 )
 
 __version__ = "1.0.0"

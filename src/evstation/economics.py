@@ -7,6 +7,7 @@ needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -96,7 +97,12 @@ class StationParams:
     tau: float
 
     def __post_init__(self):
-        _check_finite(self, ("m", "alpha", "parking_capacity", "lam", "tau"))
+        for name in ("m", "parking_capacity"):
+            value = getattr(self, name)
+            # The simulator sizes its port list with m; a bool is not a count.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        _check_finite(self, ("alpha", "lam", "tau"))
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.alpha <= 0:

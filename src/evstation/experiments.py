@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import RunOptions, Scenario
 from .economics import EconomicParams, StationParams, price_for_demand
 from .optimizer import DEFAULT_TAU_GRID, demand_region_bound, optimize_joap
-from .queueing import analyze_admission, load_density, mean_wait
+from .queueing import analyze_admission, mean_wait
 from .simulator import (
     GreedyAdmission,
     JoapAdmission,
@@ -278,7 +278,7 @@ def run_wait_validation(
     for n, lam, d in grid:
         station = replace(station_template, lam=lam)
         analysis = analyze_admission(n, d, station)
-        rho = load_density(analysis.p_admit, analysis.service_time, station)
+        rho = analysis.rho
         if rho >= 1.0:
             rows.append([n, lam, d, rho, None, None, None, "unstable"])
             continue

@@ -15,13 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .economics import DomainError, EconomicParams, StationParams, price_for_demand
+from .economics import DomainError, EconomicParams, StationParams, per_ev_profit, price_for_demand
 from . import queueing as q
 
 UNSTABLE = float("-inf")
 N_CAP = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 160  # coarse demand grid that brackets each golden-section search
+_DEMAND_TOL = 1e-8  # bracket width (kWh) at which the golden-section searches stop
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,6 @@ class JoapPolicy:
     predicted_wait: float
 
 
-def revenue_term(d: float, econ: EconomicParams) -> float:
-    """Margin d * e^{-beta d} / xi - d * p_e collected from one admitted EV."""
-    return d * math.exp(-econ.beta * d) / econ.xi - d * econ.p_e
-
-
 def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> float:
     """Expected per-arrival profit at integer sub-process count n.
 
@@ -55,11 +51,10 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     if d == 0:
         return 0.0
     analysis = q.analyze_admission(n, d, station)
-    rho = q.load_density(analysis.p_admit, analysis.service_time, station)
-    if rho >= 1.0:
+    if analysis.rho >= 1.0:
         return UNSTABLE
     wait = q.mean_wait(analysis, station, econ.wait_model)
-    return analysis.p_admit * revenue_term(d, econ) - econ.c * wait
+    return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
 
 
 def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarray:
@@ -160,9 +155,7 @@ def demand_region_bound(econ: EconomicParams) -> float:
     return lo
 
 
-def inner_demand_opt(
-    n: int, econ: EconomicParams, station: StationParams, tol: float = 1e-8
-) -> tuple[float, float]:
+def inner_demand_opt(n: int, econ: EconomicParams, station: StationParams) -> tuple[float, float]:
     """Best demand for a fixed integer sub-process count.
 
     Searches the region with non-negative marginal revenue (outside it the
@@ -184,7 +177,7 @@ def inner_demand_opt(
         return 0.0, 0.0
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    d_best, val = _golden_max(profit, lo, hi, tol)
+    d_best, val = _golden_max(profit, lo, hi, _DEMAND_TOL)
     if val < 0.0:
         return 0.0, 0.0
     return float(d_best), float(val)
@@ -252,7 +245,7 @@ def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
         lambda x: objective(ns, x[:, None], econ, station)[:, 0],
         grid[np.maximum(k - 1, 0)],
         grid[np.minimum(k + 1, len(grid) - 1)],
-        1e-8,
+        _DEMAND_TOL,
     )
     val = np.where((peak <= 0.0) | (val < 0.0), 0.0, val)
     best = int(np.argmax(val))
@@ -261,19 +254,15 @@ def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
     return _policy_from(int(ns[best]), float(d[best]), float(val[best]), econ, station)
 
 
-def brute_force_oracle(
-    econ: EconomicParams, station: StationParams, n_max: int = N_CAP
-) -> tuple[JoapPolicy, list]:
-    """Exhaustive demand optimization for every count up to n_max.
+def brute_force_oracle(econ: EconomicParams, station: StationParams) -> tuple[JoapPolicy, list]:
+    """Exhaustive demand optimization for every count up to N_CAP.
 
     Returns the best policy plus the per-n (d, profit) table so callers can
     inspect unimodality around the optimum.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
     table = []
     best = (1, 0.0, float("-inf"))
-    for n in range(1, n_max + 1):
+    for n in range(1, N_CAP + 1):
         d, val = inner_demand_opt(n, econ, station)
         table.append((n, d, val))
         if val > best[2]:

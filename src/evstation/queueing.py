@@ -2,9 +2,11 @@
 
 The virtual admission queue is an M/D/n/n loss system whose occupancy
 distribution is Erlang; the admitted stream feeds an m-port FIFO charging
-queue with deterministic service. This module provides the loss-system
-steady state, the moments of the gap to the next slot release, and the
-mean-wait models selected by EconomicParams.wait_model.
+queue with deterministic service. analyze_admission returns one record
+of an operating point: the loss-system steady state, the admission
+probability and the charging-queue load rho. mean_wait is the one entry
+point to the mean-wait models selected by EconomicParams.wait_model; it
+draws on the moments of the gap to the next slot release.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def erlang_blocking(n: int, offered_load: float) -> float:
 
 @dataclass(frozen=True)
 class AdmissionAnalysis:
-    """Analytic snapshot of the admission queue for a given (n, d) choice.
+    """Analytic snapshot of the tandem queue at one operating point (n, d).
 
     Attributes:
         n: sub-process count.
@@ -64,6 +66,8 @@ class AdmissionAnalysis:
         state_probs: occupancy probabilities P_0..P_n.
         p_admit: admission probability 1 - P_n.
         service_time: charging duration d / alpha (min).
+        rho: admitted charging-queue load lam * P * s / m; the queue is
+            stable only below 1.
     """
 
     n: int
@@ -72,22 +76,7 @@ class AdmissionAnalysis:
     state_probs: np.ndarray
     p_admit: float
     service_time: float
-
-
-@dataclass(frozen=True)
-class ArrivalMoments:
-    """First/second moments of the gap to the next slot release.
-
-    mean_x / second_x describe one gap given a busy virtual queue (see
-    admitted_interarrival_moments); mu_y / var_y describe the coordinated
-    gap (sum of m consecutive gaps) of the single-server reduction of the
-    charging queue.
-    """
-
-    mean_x: float
-    second_x: float
-    mu_y: float
-    var_y: float
+    rho: float
 
 
 def threshold_t_v(n: int, d: float, station: StationParams) -> float:
@@ -104,13 +93,16 @@ def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnal
     t_v = threshold_t_v(n, d, station)
     a = station.lam * t_v
     probs = erlang_steady_state(n, a)
+    p_admit = 1.0 - probs[n]
+    service = station.service_time(d)
     return AdmissionAnalysis(
         n=n,
         t_v=t_v,
         offered_load=a,
         state_probs=probs,
-        p_admit=1.0 - probs[n],
-        service_time=station.service_time(d),
+        p_admit=p_admit,
+        service_time=service,
+        rho=station.lam * p_admit * service / station.m,
     )
 
 
@@ -134,16 +126,17 @@ def interarrival_pdf(x: float, analysis: AdmissionAnalysis) -> float:
     return total
 
 
-def admitted_interarrival_moments(
-    analysis: AdmissionAnalysis, station: StationParams
-) -> ArrivalMoments:
-    """Moments of the gap to the next slot release, given a busy virtual queue.
+def admitted_interarrival_moments(analysis: AdmissionAnalysis) -> tuple[float, float]:
+    """Mean and second moment (mean_x, second_x) of the gap to the next slot
+    release, given a busy virtual queue.
 
     The density (interarrival_pdf) is defective (mass 1 - P_0); weights are
     renormalized by 1 - P_0 so the moments are conditioned on at least one
     busy slot. State i contributes a gap with mean T_v/(i+1) and second
-    moment 2 T_v^2 / ((i+1)(i+2)). The coordinated moments describe the sum
-    of m consecutive independent gaps.
+    moment 2 T_v^2 / ((i+1)(i+2)). The sum of m consecutive independent
+    gaps, the coordinated gap Y of the single-server reduction of the
+    charging queue, has mean mu_Y = m mean_x and variance
+    sigma_Y^2 = m (second_x - mean_x^2).
 
     These are not the moments of the admitted inter-arrival time, whose
     mean is 1/(lam P): at n=5, lam=0.1/min, d=0.5 kWh on the default
@@ -160,18 +153,7 @@ def admitted_interarrival_moments(
     w = probs[1:] / busy_mass
     mean_x = float(np.sum(w * t_v / (i + 1)))
     second_x = float(np.sum(w * 2.0 * t_v**2 / ((i + 1) * (i + 2))))
-    var_x = second_x - mean_x**2
-    return ArrivalMoments(
-        mean_x=mean_x,
-        second_x=second_x,
-        mu_y=station.m * mean_x,
-        var_y=station.m * var_x,
-    )
-
-
-def load_density(p_admit: float, service: float, station: StationParams) -> float:
-    """Admitted load rho = lam * P * s / m; must stay below 1 for stability."""
-    return station.lam * p_admit * service / station.m
+    return mean_x, second_x
 
 
 def erlang_c(m: int, offered_load: float) -> float:
@@ -187,19 +169,16 @@ def erlang_c(m: int, offered_load: float) -> float:
     return b / (1.0 - rho * (1.0 - b))
 
 
-def _stable_load(analysis: AdmissionAnalysis, station: StationParams) -> float:
-    rho = load_density(analysis.p_admit, analysis.service_time, station)
-    if rho >= 1.0:
-        raise DomainError(f"unstable charging queue: rho = {rho:.4f} >= 1")
-    return rho
-
-
 def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -> float:
     """Mean wait in the charging queue at an operating point under one of WAIT_MODELS.
 
-    "theorem1": mean_wait_theorem1 at the operating point's gap moments,
-    the published closed form; it is a wait index in min^3, not a wait in
-    minutes.
+    "theorem1": the published closed form rho*s/(2(1-rho)) * [s^2 + 2 s mu_Y
+    + sigma_Y^2], with s the service time in minutes and mu_Y, sigma_Y^2 the
+    coordinated gap moments (see admitted_interarrival_moments). The bracket
+    carries squared-minute units, so the value is a wait index in min^3
+    rather than a calibrated wait, and it is positive even at n <= m, where
+    no EV ever waits. A $/min penalty is meant for the "allen_cunneen"
+    model, whose value is in minutes.
 
     "allen_cunneen": the two-moment GI/D/m approximation (Allen-Cunneen, as
     surveyed in Whitt 1993), C(m, m rho) * s/(m(1-rho)) * ca^2/2, in minutes.
@@ -213,31 +192,16 @@ def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -
     """
     if model not in WAIT_MODELS:
         raise DomainError(f"wait model must be one of {list(WAIT_MODELS)}, got {model!r}")
-    rho = _stable_load(analysis, station)
-    if model == "theorem1":
-        moments = admitted_interarrival_moments(analysis, station)
-        return mean_wait_theorem1(analysis, moments, station)
+    rho = analysis.rho
+    if rho >= 1.0:
+        raise DomainError(f"unstable charging queue: rho = {rho:.4f} >= 1")
     m = station.m
-    if analysis.n <= m:
+    if model == "allen_cunneen" and analysis.n <= m:
         return 0.0
-    moments = admitted_interarrival_moments(analysis, station)
+    mean_x, second_x = admitted_interarrival_moments(analysis)
+    mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
     s = analysis.service_time
-    ca2 = m * moments.var_y / moments.mu_y**2
+    if model == "theorem1":
+        return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+    ca2 = m * var_y / mu_y**2
     return erlang_c(m, m * rho) * s / (m * (1.0 - rho)) * ca2 / 2.0
-
-
-def mean_wait_theorem1(
-    analysis: AdmissionAnalysis, moments: ArrivalMoments, station: StationParams
-) -> float:
-    """The published closed-form mean-wait index, mean_wait's "theorem1" model.
-
-    Evaluates rho*s/(2(1-rho)) * [s^2 + 2 s mu_Y + sigma_Y^2] with s the
-    service time in minutes. The bracket carries squared-minute units, so
-    the value is a wait index in min^3 rather than a calibrated wait, and it
-    is positive even at n <= m, where no EV ever waits. A $/min penalty is
-    meant for the "allen_cunneen" model, whose value is in minutes.
-    """
-    rho = _stable_load(analysis, station)
-    s = analysis.service_time
-    return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * moments.mu_y + moments.var_y)
-

@@ -8,14 +8,13 @@ profits are not censored. Simultaneous departure/arrival ties are resolved
 departures-first (a completion at exactly the arrival instant has left the
 system).
 
-One event loop serves both entry points. `run_simulation` is the trace
-path: it also returns an `EvRecord` per EV. `replicate` keeps no per-EV
-records, only the waits and profits of the admitted EVs, from which the
-same metrics follow.
+One event loop serves both entry points. `run_simulation` also returns an
+`EvRecord` per EV, for inspecting a single run. `replicate` keeps no
+per-EV records, only the waits and profits of the admitted EVs, from which
+the same metrics follow.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import deque
@@ -51,9 +50,6 @@ class SimMetrics:
     profit_per_hour: float
     replication_count: int
     half_width_95: dict = field(default_factory=dict)
-
-
-TRACE_COLUMNS = ["arrival_time", "demand", "admitted", "sub_process", "service_start", "wait", "profit"]
 
 
 def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -121,7 +117,7 @@ class JoapAdmission:
     def reset(self):
         self.free_at = [0.0] * self.n
 
-    def decide(self, t: float, in_system: int, server_free: list, service: float) -> int | None:
+    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
         """Return the assigned slot index, or None on rejection."""
         for i, free in enumerate(self.free_at):
             if free <= t:
@@ -144,7 +140,7 @@ class QbaAdmission:
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, server_free: list, service: float) -> int | None:
+    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
         return 0 if in_system < self.threshold else None
 
 
@@ -161,7 +157,7 @@ class GreedyAdmission:
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, server_free: list, service: float) -> int | None:
+    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
         wait = max(0.0, min(server_free) - t)
         return 0 if self._margin - self.econ.c * wait > 0 else None
 
@@ -201,7 +197,7 @@ def _replication(policy, econ, station, horizon, rng, records: list | None = Non
         while completions and completions[0] <= t:
             heapq.heappop(completions)
         in_system = len(completions)
-        slot = policy.decide(t, in_system, server_free, service)
+        slot = policy.decide(t, in_system, server_free)
         if slot is None or in_system >= station.parking_capacity:  # a full lot rejects
             if records is not None:
                 records.append(EvRecord(t, d, False))
@@ -263,21 +259,3 @@ def replicate(
         },
     )
 
-
-def write_trace_csv(records: list, path) -> None:
-    """One row per EV in arrival order, fixed column order, header included."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    f"{r.arrival_time:.10g}",
-                    f"{r.demand:.10g}",
-                    int(r.admitted),
-                    "" if r.sub_process is None else r.sub_process,
-                    "" if r.service_start is None else f"{r.service_start:.10g}",
-                    f"{r.wait:.10g}",
-                    f"{r.profit:.10g}",
-                ]
-            )

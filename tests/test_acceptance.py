@@ -15,13 +15,10 @@ import pytest
 from evstation import (
     EconomicParams,
     StationParams,
-    admitted_interarrival_moments,
     analyze_admission,
     brute_force_oracle,
     build_generator,
     erlang_steady_state,
-    load_density,
-    mean_wait_theorem1,
     occupancy_marginal,
     optimize_joap,
 )
@@ -33,6 +30,7 @@ from evstation.experiments import (
     run_wait_validation,
 )
 from evstation.optimizer import UNSTABLE, demand_region_bound, profit_s
+from evstation.queueing import mean_wait
 
 SEED = 20240521
 
@@ -142,9 +140,8 @@ def test_criterion_04_structural_shape():
             if val == UNSTABLE:
                 break
             analysis = analyze_admission(n, float(d), station)
-            moments = admitted_interarrival_moments(analysis, station)
             profits.append(val)
-            waits.append(mean_wait_theorem1(analysis, moments, station))
+            waits.append(mean_wait(analysis, station, "theorem1"))
         else:
             profits = np.array(profits)
             waits = np.array(waits)

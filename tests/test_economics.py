@@ -105,6 +105,15 @@ def test_param_validation():
             StationParams(**fields)
 
 
+def test_station_counts_are_integers():
+    # A fractional port count or lot size would construct and then crash the
+    # simulator, which sizes its port list with m; a bool is no count either.
+    base = {"m": 4, "alpha": 11.5, "parking_capacity": 40, "lam": 0.3, "tau": 1.01}
+    for bad in ({"m": 4.5}, {"m": 4.0}, {"parking_capacity": 40.5}, {"m": True}):
+        with pytest.raises(DomainError, match="integer"):
+            StationParams(**{**base, **bad})
+
+
 def test_service_time_units():
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     # 11.5 kW delivers 11.5 kWh in 60 minutes.

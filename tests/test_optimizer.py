@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evstation import (
     DomainError,
@@ -13,19 +14,20 @@ from evstation import (
     analyze_admission,
     brute_force_oracle,
     demand_region_bound,
-    mean_wait_theorem1,
     optimize_joap,
     optimize_tau,
+    per_ev_profit,
     price_for_demand,
 )
+from evstation.economics import WAIT_MODELS
 from evstation.optimizer import (
     N_CAP,
     UNSTABLE,
     inner_demand_opt,
     objective,
     profit_s,
-    revenue_term,
 )
+from evstation.queueing import mean_wait
 
 
 def random_params(rng):
@@ -64,20 +66,25 @@ def test_profit_unstable_sentinel():
     assert profit_s(8, 50.0, econ, station) == UNSTABLE
 
 
+def theorem1_wait(analysis, station):
+    """The published index rho s/(2(1-rho)) [s^2 + 2 s mu_Y + sigma_Y^2], built from parts."""
+    mean_x, second_x = admitted_interarrival_moments(analysis)
+    mu_y, var_y = station.m * mean_x, station.m * (second_x - mean_x**2)
+    s = analysis.service_time
+    rho = station.lam * analysis.p_admit * s / station.m
+    return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+
+
 def test_profit_compositional_recomputation(econ_default, station_default):
     # The objective must equal P * (r - p_e) d - c * omega built from parts.
     n, d = 4, 35.0
     analysis = analyze_admission(n, d, station_default)
-    moments = admitted_interarrival_moments(analysis, station_default)
-    omega = mean_wait_theorem1(analysis, moments, station_default)
+    omega = theorem1_wait(analysis, station_default)
     expected = (
         analysis.p_admit * (price_for_demand(d, econ_default) - econ_default.p_e) * d
         - econ_default.c * omega
     )
     assert profit_s(n, d, econ_default, station_default) == pytest.approx(expected, abs=1e-9)
-    assert revenue_term(d, econ_default) == pytest.approx(
-        (price_for_demand(d, econ_default) - econ_default.p_e) * d, rel=1e-12
-    )
 
 
 def test_objective_matches_profit_s(econ_default, station_default, table1):
@@ -108,6 +115,49 @@ def test_objective_matches_profit_s(econ_default, station_default, table1):
     np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=0.0)
     with pytest.raises(DomainError):
         objective(counts, [econ_default.phi + 1.0], econ_default, station_default)
+
+
+@st.composite
+def operating_points(draw):
+    """A count, a demand in [0, phi], and random station and economics."""
+    econ = EconomicParams(
+        beta=draw(st.floats(0.02, 0.1)),
+        phi=draw(st.floats(30.0, 100.0)),
+        u_phi=draw(st.floats(50.0, 150.0)),
+        p_e=draw(st.floats(0.01, 0.12)),
+        c=draw(st.floats(0.1, 1.0)),
+        wait_model=draw(st.sampled_from(WAIT_MODELS)),
+    )
+    station = StationParams(
+        m=draw(st.integers(1, 8)),
+        alpha=draw(st.floats(3.0, 22.0)),
+        parking_capacity=60,
+        lam=draw(st.floats(0.05, 0.5)),
+        tau=draw(st.floats(1.01, 1.5)),
+    )
+    n = draw(st.integers(1, N_CAP))
+    # Below about 1e-13 kWh the occupancy has no busy mass in floating point:
+    # profit_s raises DomainError there and objective returns NaN.
+    d = draw(st.one_of(st.just(0.0), st.floats(1e-9, econ.phi)))
+    return n, d, econ, station
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(operating_points())
+def test_objective_matches_profit_s_property(point):
+    # The two paths share no arithmetic. The margin and wait terms can cancel,
+    # so the tolerance is set by their sizes, not by the difference.
+    n, d, econ, station = point
+    got = float(objective(np.array([n]), np.array([d]), econ, station)[0, 0])
+    want = profit_s(n, d, econ, station)
+    assert (got == UNSTABLE) == (want == UNSTABLE)
+    if want == UNSTABLE or d == 0:
+        assert got == want
+        return
+    analysis = analyze_admission(n, d, station)
+    revenue = abs(analysis.p_admit * per_ev_profit(d, 0.0, econ))
+    penalty = abs(econ.c * mean_wait(analysis, station, econ.wait_model))
+    assert abs(got - want) <= 1e-12 * (revenue + penalty)
 
 
 def test_demand_region_bound(econ_default):
@@ -144,12 +194,9 @@ def test_policy_fields_self_consistent(econ_default, station_default):
     assert policy.n_star >= 1
     assert 0 <= policy.d_star <= econ_default.phi
     analysis = analyze_admission(policy.n_star, policy.d_star, station_default)
-    moments = admitted_interarrival_moments(analysis, station_default)
     assert policy.t_v == pytest.approx(analysis.t_v, abs=1e-9)
     assert policy.predicted_admit == pytest.approx(analysis.p_admit, abs=1e-9)
-    assert policy.predicted_wait == pytest.approx(
-        mean_wait_theorem1(analysis, moments, station_default), abs=1e-9
-    )
+    assert policy.predicted_wait == pytest.approx(theorem1_wait(analysis, station_default), abs=1e-9)
     assert policy.r_star == pytest.approx(price_for_demand(policy.d_star, econ_default), abs=1e-12)
     assert policy.predicted_profit == pytest.approx(
         profit_s(policy.n_star, policy.d_star, econ_default, station_default), abs=1e-9

@@ -12,8 +12,6 @@ from evstation import (
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    load_density,
-    mean_wait_theorem1,
     threshold_t_v,
 )
 from evstation.queueing import (
@@ -97,27 +95,29 @@ def test_analysis_invariants(station_default):
     assert analysis.p_admit == pytest.approx(1.0 - float(analysis.state_probs[-1]), abs=1e-15)
     assert analysis.t_v == pytest.approx(threshold_t_v(5, 30.0, station_default))
     assert analysis.offered_load == pytest.approx(station_default.lam * analysis.t_v)
+    assert analysis.rho == pytest.approx(
+        station_default.lam * analysis.p_admit * analysis.service_time / station_default.m,
+        rel=1e-15,
+    )
 
 
 def test_moments_single_slot(station_default):
     # With one slot the conditional gap is uniform on [0, T_v].
     analysis = analyze_admission(1, 20.0, station_default)
-    m = admitted_interarrival_moments(analysis, station_default)
-    assert m.mean_x == pytest.approx(analysis.t_v / 2.0, rel=1e-12)
-    assert m.second_x == pytest.approx(analysis.t_v**2 / 3.0, rel=1e-12)
-    assert m.mu_y == pytest.approx(station_default.m * m.mean_x, rel=1e-12)
+    mean_x, second_x = admitted_interarrival_moments(analysis)
+    assert mean_x == pytest.approx(analysis.t_v / 2.0, rel=1e-12)
+    assert second_x == pytest.approx(analysis.t_v**2 / 3.0, rel=1e-12)
 
 
 def test_moments_two_state_hand_value(station_default):
     # If the renormalized weights were (1/2, 1/2) the mean would be
     # T_v (1/2 * 1/2 + 1/2 * 1/3); check the formula with actual weights.
     analysis = analyze_admission(2, 25.0, station_default)
-    m = admitted_interarrival_moments(analysis, station_default)
+    mean_x, second_x = admitted_interarrival_moments(analysis)
     p = analysis.state_probs
     w1, w2 = p[1] / (1 - p[0]), p[2] / (1 - p[0])
-    assert m.mean_x == pytest.approx(analysis.t_v * (w1 / 2 + w2 / 3), rel=1e-12)
-    assert m.second_x >= m.mean_x**2
-    assert m.var_y >= 0
+    assert mean_x == pytest.approx(analysis.t_v * (w1 / 2 + w2 / 3), rel=1e-12)
+    assert second_x >= mean_x**2
 
 
 def test_moments_match_quadrature(station_default):
@@ -129,9 +129,9 @@ def test_moments_match_quadrature(station_default):
         second_num = quad(
             lambda x: x**2 * interarrival_pdf(x, analysis) / busy, 0, analysis.t_v
         )[0]
-        m = admitted_interarrival_moments(analysis, station_default)
-        assert m.mean_x == pytest.approx(mean_num, abs=1e-8)
-        assert m.second_x == pytest.approx(second_num, abs=1e-8)
+        mean_x, second_x = admitted_interarrival_moments(analysis)
+        assert mean_x == pytest.approx(mean_num, abs=1e-8)
+        assert second_x == pytest.approx(second_num, abs=1e-8)
 
 
 def test_cdf_defective_mass(station_default):
@@ -149,7 +149,7 @@ def test_cdf_defective_mass(station_default):
 def test_moments_error_without_departures(station_default):
     analysis = analyze_admission(3, 1e-18, station_default)
     with pytest.raises(DomainError):
-        admitted_interarrival_moments(analysis, station_default)
+        admitted_interarrival_moments(analysis)
 
 
 def test_mean_wait_zero_load(station_default):
@@ -157,8 +157,7 @@ def test_mean_wait_zero_load(station_default):
 
     quiet = replace(station_default, lam=1e-12)
     analysis = analyze_admission(4, 20.0, quiet)
-    m = admitted_interarrival_moments(analysis, quiet)
-    assert mean_wait_theorem1(analysis, m, quiet) == pytest.approx(0.0, abs=1e-3)
+    assert mean_wait(analysis, quiet, "theorem1") == pytest.approx(0.0, abs=1e-3)
 
 
 def test_mean_wait_increasing_convex_in_demand(station_default):
@@ -168,10 +167,8 @@ def test_mean_wait_increasing_convex_in_demand(station_default):
     waits = []
     for d in demands:
         analysis = analyze_admission(n, float(d), station_default)
-        rho = load_density(analysis.p_admit, analysis.service_time, station_default)
-        assert rho < 1.0
-        m = admitted_interarrival_moments(analysis, station_default)
-        waits.append(mean_wait_theorem1(analysis, m, station_default))
+        assert analysis.rho < 1.0
+        waits.append(mean_wait(analysis, station_default, "theorem1"))
     waits = np.array(waits)
     first = np.diff(waits)
     second = np.diff(first)
@@ -183,10 +180,9 @@ def test_mean_wait_increasing_convex_in_demand(station_default):
 def test_mean_wait_unstable_raises():
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.4, tau=1.01)
     analysis = analyze_admission(8, 50.0, station)
-    m = admitted_interarrival_moments(analysis, station)
-    assert load_density(analysis.p_admit, analysis.service_time, station) >= 1.0
-    with pytest.raises(DomainError):
-        mean_wait_theorem1(analysis, m, station)
+    assert analysis.rho >= 1.0
+    with pytest.raises(DomainError, match="unstable"):
+        mean_wait(analysis, station, "theorem1")
 
 
 def test_erlang_c_hand_value():
@@ -228,20 +224,16 @@ def test_allen_cunneen_hand_value(station_default):
     analysis = analyze_admission(n, d, station_default)
     m = station_default.m
     s = analysis.service_time
-    rho = load_density(analysis.p_admit, s, station_default)
+    rho = analysis.rho
     a = m * rho
     tail = a**m / math.factorial(m) / (1.0 - rho)
     wait_prob = tail / (sum(a**k / math.factorial(k) for k in range(m)) + tail)
-    mom = admitted_interarrival_moments(analysis, station_default)
-    ca2 = mom.second_x / mom.mean_x**2 - 1.0
+    mean_x, second_x = admitted_interarrival_moments(analysis)
+    ca2 = second_x / mean_x**2 - 1.0
     expected = wait_prob * s / (m * (1.0 - rho)) * ca2 / 2.0
     got = mean_wait(analysis, station_default, "allen_cunneen")
     assert got > 0.0
     assert got == pytest.approx(expected, rel=1e-10)
-    # The theorem-1 model is the published index, unchanged.
-    assert mean_wait(analysis, station_default, "theorem1") == mean_wait_theorem1(
-        analysis, mom, station_default
-    )
 
 
 def test_mean_wait_guards(station_default):

@@ -23,7 +23,6 @@ from evstation import (
     run_loss_admission,
     run_simulation,
     threshold_t_v,
-    write_trace_csv,
 )
 from evstation.config import with_penalty
 from evstation.experiments import build_policy
@@ -58,7 +57,7 @@ def slot_admitter(n, t_v):
     """The slot rule of JoapAdmission as a function of the arrival time alone."""
     policy = JoapAdmission(n, t_v, 10.0)
     policy.reset()
-    return lambda t: policy.decide(t, 0, [0.0], 0.0)
+    return lambda t: policy.decide(t, 0, [0.0])
 
 
 def test_subprocess_admitter_example_pattern():
@@ -97,10 +96,10 @@ def test_joap_admission_spacing_domain():
 
 def test_qba_threshold_strict():
     policy = QbaAdmission(threshold=3, demand=10.0)
-    assert policy.decide(0.0, 2, [], 0.0) is not None
-    assert policy.decide(0.0, 3, [], 0.0) is None
+    assert policy.decide(0.0, 2, []) is not None
+    assert policy.decide(0.0, 3, []) is None
     empty = QbaAdmission(threshold=1, demand=10.0)
-    assert empty.decide(0.0, 0, [], 0.0) is not None
+    assert empty.decide(0.0, 0, []) is not None
 
 
 def test_greedy_wait_tradeoff():
@@ -109,12 +108,12 @@ def test_greedy_wait_tradeoff():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
     policy = GreedyAdmission(d, econ)
-    assert policy.decide(0.0, 1, [30.0], 5.0) is None
-    assert policy.decide(0.0, 1, [20.0], 5.0) is not None
+    assert policy.decide(0.0, 1, [30.0]) is None
+    assert policy.decide(0.0, 1, [20.0]) is not None
     # Negative margin rejects even an empty system.
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     broke = GreedyAdmission(d, dear)
-    assert broke.decide(0.0, 0, [0.0], 5.0) is None
+    assert broke.decide(0.0, 0, [0.0]) is None
 
 
 def _fixed_arrival_run(monkeypatch, times, policy, econ, station, horizon=1000.0):
@@ -214,20 +213,6 @@ def test_half_width_shrinks():
     assert 0.5 * (1 / 2) < ratio < 1.2 * (1 / 2) + 0.3  # ~1/2 with sampling slack
 
 
-def test_trace_csv_format(tmp_path):
-    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
-    station = StationParams(m=2, alpha=11.5, parking_capacity=4, lam=0.5, tau=1.01)
-    policy = QbaAdmission(threshold=2, demand=20.0)
-    records, _ = run_simulation(policy, econ, station, 400.0, rng_for_stream(2, 0))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "arrival_time,demand,admitted,sub_process,service_start,wait,profit"
-    assert len(lines) == len(records) + 1
-    rejected = [line for line, r in zip(lines[1:], records) if not r.admitted]
-    assert rejected and all(",0," in line for line in rejected)
-
-
 def test_drain_out_completes_all(monkeypatch):
     # Arrivals near the horizon still get served (waits counted, not censored).
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
@@ -285,7 +270,7 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
         while completions and completions[0] <= t:
             heapq.heappop(completions)
         in_system = len(completions)
-        slot = policy.decide(t, in_system, server_free, service)
+        slot = policy.decide(t, in_system, server_free)
         if slot is not None and in_system >= station.parking_capacity:
             slot = None
         if slot is None:
