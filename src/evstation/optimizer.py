@@ -3,12 +3,17 @@
 optimize_joap evaluates the profit of every slot count 1..N_CAP on a
 demand grid in one vectorised call (objective), refines the best demand of
 every count at once by golden-section search, and keeps the first best
-count. The scalar path (profit_s, inner_demand_opt, brute_force_oracle)
-computes the same optimum count by count through the queueing module; it
-shares no arithmetic with objective and is kept as the independent oracle.
+count. objective holds the Erlang occupancy terms of every count, demand
+and occupancy index i in one array with i leading, built a block of counts
+at a time so that no block exceeds _BLOCK elements; a golden-section probe
+(every count, one demand each) is a single block. The scalar path
+(profit_s, inner_demand_opt, brute_force_oracle) computes the same optimum
+count by count through the queueing module; it shares no arithmetic with
+objective and is kept as the independent oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +28,7 @@ N_CAP = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 160  # coarse demand grid that brackets each golden-section search
 _DEMAND_TOL = 1e-8  # bracket width (kWh) at which the golden-section searches stop
+_BLOCK = 2**16  # elements in one (i, count, demand) block of objective
 
 
 @dataclass(frozen=True)
@@ -57,19 +63,47 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
 
 
+@functools.lru_cache(maxsize=4)
+def _index_terms(n_max: int) -> tuple[np.ndarray, ...]:
+    """i = 1..n_max with log i and the gap-moment weights i + 1 and 2/((i+1)(i+2)).
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    i = np.arange(1, n_max + 1)
+    log_i = np.array([math.log(k) for k in range(1, n_max + 1)])
+    terms = (i, log_i, (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None])
+    for x in terms:
+        x.setflags(write=False)
+    return terms
+
+
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sum along the leading axis, adding in index order as a running sum does.
+
+    numpy adds rows in order along an outer axis, but sums a single
+    contiguous run pairwise; that case is accumulated instead.
+    """
+    return x.sum(axis=0) if x[0].size > 1 else np.cumsum(x, axis=0)[-1]
+
+
 def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarray:
     """profit_s for every count in ns against demands ds, as one array.
 
     ns is a 1-D array of counts; ds is either one demand vector shared by
     every count or one row of demands per count. Returns an array with a
     row per count, -inf where the charging-queue load is at or above 1 and
-    0 at zero demand.
+    0 at zero demand. Where 1 - P_0 rounds to 0 the charging queue is empty
+    to float precision, so the wait is 0 and the profit is P times the margin.
 
-    The Erlang occupancy terms a^i/i! are summed over the occupancy index i
-    together with the two gap-moment sums, each term scaled by the largest
-    one (at i = min(n, floor(a))), so no array grows with i.
+    The Erlang occupancy terms a^i/i!, each scaled by the largest one (at
+    i = min(n, floor(a))), are one cumulative sum of logs along the leading
+    axis i of an (i, count, demand) array; the normalising sum and the two
+    gap-moment sums add along i in order. The array is built for a block of
+    counts at a time, with i running up to the block's largest count, so a
+    block holds at most _BLOCK elements unless a single count's row is larger.
     """
-    n, d = np.broadcast_arrays(np.asarray(ns, dtype=float)[:, None], np.asarray(ds, dtype=float))
+    counts = np.asarray(ns, dtype=float)
+    n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
     if np.any(n < 1) or np.any(d < 0) or np.any(d > econ.phi):
         raise DomainError(f"counts must be >= 1 and demands within [0, {econ.phi}]")
     m = station.m
@@ -77,25 +111,36 @@ def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarra
     s = d_pos / station.alpha_per_min
     t_v = station.tau * m * s / n
     a = station.lam * t_v
-    log_a = np.log(a)
+    # Below the smallest normal float (t_v can underflow to 0) every term past
+    # i = 0 vanishes against 1 either way; the floor keeps log a finite.
+    log_a = np.log(np.maximum(a, np.finfo(float).tiny))
     top = np.minimum(n, np.floor(a))
-    log_q = -(top * log_a - special.gammaln(top + 1.0))  # i = 0, scaled by the largest term
-    q0 = total = np.exp(log_q)
-    q_n = s1 = s2 = np.zeros_like(q0)
-    for i in range(1, int(n.max()) + 1):
-        log_q = np.where(n >= i, log_q + (log_a - math.log(i)), -np.inf)
-        term = np.exp(log_q)
-        total = total + term
-        s1 = s1 + term / (i + 1)
-        s2 = s2 + term * (2.0 / ((i + 1) * (i + 2)))
-        q_n = np.where(n == i, term, q_n)
+    log_q0 = -(top * log_a - special.gammaln(top + 1.0))  # i = 0, scaled by the largest term
+    n_max = int(counts.max())
+    i, log_i, w1, w2 = _index_terms(n_max)
+    q0, q_n, total, s1, s2 = (np.empty(n.shape) for _ in range(5))
+    rows = max(1, _BLOCK // ((n_max + 1) * max(1, n.shape[1])))
+    for lo in range(0, len(counts), rows):
+        blk = slice(lo, lo + rows)
+        top_i = int(counts[blk].max())
+        # log_a - inf = -inf: a count's terms past i = n are exactly 0.
+        cut = np.where(i[:top_i, None] <= counts[blk], log_i[:top_i, None], np.inf)
+        log_q = np.empty((top_i + 1,) + n[blk].shape)
+        log_q[0] = log_q0[blk]
+        np.subtract(log_a[blk], cut[:, :, None], out=log_q[1:])
+        term = np.exp(np.cumsum(log_q, axis=0, out=log_q), out=log_q)
+        q0[blk] = term[0]
+        q_n[blk] = term[counts[blk].astype(int), np.arange(term.shape[1])]
+        total[blk] = _sum_in_order(term)
+        s1[blk] = _sum_in_order(term[1:] / w1[:top_i])
+        s2[blk] = _sum_in_order(term[1:] * w2[:top_i])
     p_admit = 1.0 - q_n / total
     busy = 1.0 - q0 / total
-    mean_x = t_v * (s1 / total) / busy
-    second_x = t_v**2 * (s2 / total) / busy
-    mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
     rho = station.lam * p_admit * s / m
     with np.errstate(divide="ignore", invalid="ignore"):
+        mean_x = t_v * (s1 / total) / busy
+        second_x = t_v**2 * (s2 / total) / busy
+        mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
         if econ.wait_model == "allen_cunneen":
             b = np.ones_like(rho)  # queueing.erlang_c: Erlang B over m ports at load m*rho
             for k in range(1, m + 1):
@@ -105,6 +150,7 @@ def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarra
             wait = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
         else:
             wait = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+        wait = np.where(busy > 0.0, wait, 0.0)  # 1 - P_0 rounds to 0: no EV waits
         revenue = d_pos * np.exp(-econ.beta * d_pos) / econ.xi - d_pos * econ.p_e
         value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - econ.c * wait)
     return np.where(d > 0, value, 0.0)

@@ -188,6 +188,10 @@ def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -
     = m sigma_Y^2 / mu_Y^2 is taken from the slot-release gap moments as a
     shape factor only.
 
+    Both models give 0 when 1 - P_0 rounds to 0 (a demand so small that
+    the admission queue is idle to float precision): no EV then waits, and
+    the gap moments, conditioned on a busy slot, are undefined.
+
     Raises DomainError when the admitted load rho is at or above 1.
     """
     if model not in WAIT_MODELS:
@@ -197,6 +201,8 @@ def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -
         raise DomainError(f"unstable charging queue: rho = {rho:.4f} >= 1")
     m = station.m
     if model == "allen_cunneen" and analysis.n <= m:
+        return 0.0
+    if 1.0 - analysis.state_probs[0] <= 0.0:  # the charging queue is empty to float precision
         return 0.0
     mean_x, second_x = admitted_interarrival_moments(analysis)
     mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)

@@ -6,7 +6,15 @@ admitted EVs are served FIFO on m ports with deterministic service. Queued
 EVs drain to completion after the arrival horizon so their waits and
 profits are not censored. Simultaneous departure/arrival ties are resolved
 departures-first (a completion at exactly the arrival instant has left the
-system).
+system). A full lot turns an arrival away before the policy sees it; a
+policy's decide(t, in_system, first_free) sees the arrival time, the
+number of EVs in the system and the time the earliest port frees up.
+
+Every EV needs the same service time and takes the earliest free port in
+turn, so EVs complete in the order they were admitted, and the earliest
+free port is the one the m-th most recent admission took. The loop keeps
+one list of completion times in admission order and a count of the EVs
+that have left.
 
 One event loop serves both entry points. `run_simulation` also returns an
 `EvRecord` per EV, for inspecting a single run. `replicate` keeps no
@@ -15,7 +23,6 @@ the same metrics follow.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -117,7 +124,7 @@ class JoapAdmission:
     def reset(self):
         self.free_at = [0.0] * self.n
 
-    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
+    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
         """Return the assigned slot index, or None on rejection."""
         for i, free in enumerate(self.free_at):
             if free <= t:
@@ -140,7 +147,7 @@ class QbaAdmission:
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
+    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
         return 0 if in_system < self.threshold else None
 
 
@@ -157,8 +164,8 @@ class GreedyAdmission:
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, server_free: list) -> int | None:
-        wait = max(0.0, min(server_free) - t)
+    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
+        wait = max(0.0, first_free - t)
         return 0 if self._margin - self.econ.c * wait > 0 else None
 
 
@@ -190,23 +197,24 @@ def _replication(policy, econ, station, horizon, rng, records: list | None = Non
     margin = per_ev_profit(d, 0.0, econ)
     c = 0.0 if d == 0 else econ.c
     joap = isinstance(policy, JoapAdmission)
-    server_free = [0.0] * station.m
-    completions: list = []  # heap of in-system completion times
+    decide = policy.decide
+    m, lot = station.m, station.parking_capacity
+    done: list = []  # completion times of the admitted EVs, in admission (and time) order
+    departed = 0  # done[:departed] have left the system
     waits, profits = [], []  # of the admitted EVs, in arrival order
     for t in arrivals:
-        while completions and completions[0] <= t:
-            heapq.heappop(completions)
-        in_system = len(completions)
-        slot = policy.decide(t, in_system, server_free)
-        if slot is None or in_system >= station.parking_capacity:  # a full lot rejects
+        k = len(done)
+        while departed < k and done[departed] <= t:
+            departed += 1
+        in_system = k - departed
+        first = done[k - m] if k >= m else 0.0  # when the earliest port frees up
+        slot = None if in_system >= lot else decide(t, in_system, first)
+        if slot is None:
             if records is not None:
                 records.append(EvRecord(t, d, False))
             continue
-        first = min(server_free)
-        j = server_free.index(first)
-        start = max(t, first)
-        server_free[j] = start + service
-        heapq.heappush(completions, start + service)
+        start = first if first > t else t
+        done.append(start + service)
         wait = start - t
         profit = margin - c * wait
         waits.append(wait)

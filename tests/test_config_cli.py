@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evstation
 from evstation.cli import cli_dispatch
 from evstation.config import (
     ConfigError,
@@ -255,6 +260,22 @@ def test_cli_missing_config(capsys):
 
 def test_cli_unknown_subcommand(capsys):
     assert cli_dispatch(["frobnicate"]) == 1
+
+
+def test_cli_runs_as_module():
+    # python -m evstation.cli from a source checkout, with the package on PYTHONPATH.
+    src = str(Path(evstation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "evstation.cli", *args], capture_output=True, text=True, env=env
+        )
+
+    ok = run("optimize", "--config", "table1")
+    assert ok.returncode == 0, ok.stderr
+    assert "n_star" in json.loads(ok.stdout)
+    assert run("optimize", "--config", "table1", "--no-such-flag").returncode == 1
 
 
 def test_cli_scenario_out_of_range(capsys):

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from evstation import (
     DomainError,
@@ -21,6 +23,7 @@ from evstation import (
 )
 from evstation.economics import WAIT_MODELS
 from evstation.optimizer import (
+    _GRID_POINTS,
     N_CAP,
     UNSTABLE,
     inner_demand_opt,
@@ -118,9 +121,9 @@ def test_objective_matches_profit_s(econ_default, station_default, table1):
 
 
 @st.composite
-def operating_points(draw):
-    """A count, a demand in [0, phi], and random station and economics."""
-    econ = EconomicParams(
+def economics(draw):
+    """Random stable economics under either wait model."""
+    return EconomicParams(
         beta=draw(st.floats(0.02, 0.1)),
         phi=draw(st.floats(30.0, 100.0)),
         u_phi=draw(st.floats(50.0, 150.0)),
@@ -128,17 +131,132 @@ def operating_points(draw):
         c=draw(st.floats(0.1, 1.0)),
         wait_model=draw(st.sampled_from(WAIT_MODELS)),
     )
-    station = StationParams(
+
+
+@st.composite
+def stations(draw):
+    """A random station of 1 to 8 ports."""
+    return StationParams(
         m=draw(st.integers(1, 8)),
         alpha=draw(st.floats(3.0, 22.0)),
         parking_capacity=60,
         lam=draw(st.floats(0.05, 0.5)),
         tau=draw(st.floats(1.01, 1.5)),
     )
+
+
+def reference_objective(ns, ds, econ, station):
+    """objective as it was when it looped over the occupancy index i.
+
+    Each step masks the counts below i and adds one term to the running
+    sums. It returns NaN where 1 - P_0 rounds to 0; the tests below hold the
+    current objective to it bit for bit wherever it is finite.
+    """
+    n, d = np.broadcast_arrays(np.asarray(ns, dtype=float)[:, None], np.asarray(ds, dtype=float))
+    m = station.m
+    d_pos = np.where(d > 0, d, 1.0)
+    s = d_pos / station.alpha_per_min
+    t_v = station.tau * m * s / n
+    a = station.lam * t_v
+    log_a = np.log(a)
+    top = np.minimum(n, np.floor(a))
+    log_q = -(top * log_a - special.gammaln(top + 1.0))
+    q0 = total = np.exp(log_q)
+    q_n = s1 = s2 = np.zeros_like(q0)
+    for i in range(1, int(n.max()) + 1):
+        log_q = np.where(n >= i, log_q + (log_a - math.log(i)), -np.inf)
+        term = np.exp(log_q)
+        total = total + term
+        s1 = s1 + term / (i + 1)
+        s2 = s2 + term * (2.0 / ((i + 1) * (i + 2)))
+        q_n = np.where(n == i, term, q_n)
+    p_admit = 1.0 - q_n / total
+    busy = 1.0 - q0 / total
+    mean_x = t_v * (s1 / total) / busy
+    second_x = t_v**2 * (s2 / total) / busy
+    mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
+    rho = station.lam * p_admit * s / m
+    if econ.wait_model == "allen_cunneen":
+        b = np.ones_like(rho)
+        for k in range(1, m + 1):
+            b = m * rho * b / (k + m * rho * b)
+        erlang_c = b / (1.0 - rho * (1.0 - b))
+        ca2 = m * var_y / mu_y**2
+        wait = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
+    else:
+        wait = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+    revenue = d_pos * np.exp(-econ.beta * d_pos) / econ.xi - d_pos * econ.p_e
+    value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - econ.c * wait)
+    return np.where(d > 0, value, 0.0)
+
+
+def assert_matches_reference(ns, ds, econ, station):
+    """objective equals reference_objective bit for bit wherever the reference is finite."""
+    got = objective(ns, ds, econ, station)
+    with np.errstate(all="ignore"):
+        want = reference_objective(ns, ds, econ, station)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got == UNSTABLE, want == UNSTABLE)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite], want[finite])
+    assert np.isfinite(got[~(want == UNSTABLE)]).all()
+
+
+def test_objective_matches_reference_bitwise(econ_default, station_default, table1):
+    scenarios, _ = table1
+    counts = np.arange(1, N_CAP + 1)
+    cases = [(econ_default, station_default), (scenarios[1].econ, scenarios[1].station)]
+    for base, station in cases:
+        for model in WAIT_MODELS:
+            econ = replace(base, wait_model=model)
+            # The test grid, the optimizer's grid, and one demand per count.
+            for demands in (
+                np.linspace(0.0, econ.phi, 26),
+                np.linspace(0.0, demand_region_bound(econ), _GRID_POINTS),
+                np.linspace(0.5, 10.0, N_CAP)[:, None],
+            ):
+                assert_matches_reference(counts, demands, econ, station)
+            for d in np.linspace(0.5, 10.0, 8):  # a lone (count, demand) pair
+                assert_matches_reference(np.array([N_CAP]), np.array([d]), econ, station)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    economics(),
+    stations(),
+    st.lists(st.integers(1, N_CAP), min_size=1, max_size=N_CAP),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_objective_matches_reference_property(econ, station, counts, fractions):
+    # Any counts in any order, against demands anywhere in [0, phi].
+    assert_matches_reference(np.array(counts), econ.phi * np.array(fractions), econ, station)
+
+
+def test_tiny_demand_has_no_wait(econ_default):
+    # At d = 1e-14 kWh, 1 - P_0 rounds to 0: the charging queue is empty to
+    # float precision, so both paths charge no wait and earn P times the margin.
+    station = StationParams(m=1, alpha=22.0, parking_capacity=60, lam=0.05, tau=1.01)
+    d = 1e-14
+    for model in WAIT_MODELS:
+        econ = replace(econ_default, wait_model=model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis = analyze_admission(64, d, station)
+            assert analysis.state_probs[0] == 1.0
+            assert mean_wait(analysis, station, model) == 0.0
+            want = profit_s(64, d, econ, station)
+            got = float(objective([64], [d], econ, station)[0, 0])
+        assert want == analysis.p_admit * per_ev_profit(d, 0.0, econ)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def operating_points(draw):
+    """A count, a demand in [0, phi], and random station and economics."""
+    econ = draw(economics())
+    station = draw(stations())
     n = draw(st.integers(1, N_CAP))
-    # Below about 1e-13 kWh the occupancy has no busy mass in floating point:
-    # profit_s raises DomainError there and objective returns NaN.
-    d = draw(st.one_of(st.just(0.0), st.floats(1e-9, econ.phi)))
+    d = draw(st.one_of(st.just(0.0), st.floats(0.0, econ.phi, exclude_min=True)))
     return n, d, econ, station
 
 
@@ -204,8 +322,10 @@ def test_policy_fields_self_consistent(econ_default, station_default):
 
 
 def test_optimize_joap_memory_bounded(table1):
-    # The (count, demand) working set is about 80 KiB per array; an array
-    # that also spanned the occupancy index would be tens of MiB.
+    # objective works on (i, count, demand) blocks of at most 2**16 elements,
+    # 512 KiB per array, beside (count, demand) arrays of about 80 KiB. One
+    # array over every count's whole index range would take 5 MiB, and the
+    # few such arrays alive at once would pass the bound.
     scenarios, _ = table1
     for scenario in scenarios:
         tracemalloc.start()

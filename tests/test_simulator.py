@@ -1,6 +1,7 @@
 import heapq
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def slot_admitter(n, t_v):
     """The slot rule of JoapAdmission as a function of the arrival time alone."""
     policy = JoapAdmission(n, t_v, 10.0)
     policy.reset()
-    return lambda t: policy.decide(t, 0, [0.0])
+    return lambda t: policy.decide(t, 0, 0.0)
 
 
 def test_subprocess_admitter_example_pattern():
@@ -96,10 +97,10 @@ def test_joap_admission_spacing_domain():
 
 def test_qba_threshold_strict():
     policy = QbaAdmission(threshold=3, demand=10.0)
-    assert policy.decide(0.0, 2, []) is not None
-    assert policy.decide(0.0, 3, []) is None
+    assert policy.decide(0.0, 2, 0.0) is not None
+    assert policy.decide(0.0, 3, 0.0) is None
     empty = QbaAdmission(threshold=1, demand=10.0)
-    assert empty.decide(0.0, 0, []) is not None
+    assert empty.decide(0.0, 0, 0.0) is not None
 
 
 def test_greedy_wait_tradeoff():
@@ -108,12 +109,12 @@ def test_greedy_wait_tradeoff():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
     policy = GreedyAdmission(d, econ)
-    assert policy.decide(0.0, 1, [30.0]) is None
-    assert policy.decide(0.0, 1, [20.0]) is not None
+    assert policy.decide(0.0, 1, 30.0) is None
+    assert policy.decide(0.0, 1, 20.0) is not None
     # Negative margin rejects even an empty system.
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     broke = GreedyAdmission(d, dear)
-    assert broke.decide(0.0, 0, [0.0]) is None
+    assert broke.decide(0.0, 0, 0.0) is None
 
 
 def _fixed_arrival_run(monkeypatch, times, policy, econ, station, horizon=1000.0):
@@ -157,6 +158,20 @@ def test_parking_capacity_converts_to_rejection(monkeypatch):
     times = [0.0, 0.1, 0.2, 0.3]
     records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
     assert [r.admitted for r in records] == [True, True, False, False]
+
+
+def test_full_lot_leaves_joap_slot_free(monkeypatch):
+    # The lot holds 2 EVs. The third arrival finds it full and is turned away
+    # without taking a slot, so the fourth, after the first EV has left,
+    # gets slot 2: the slot the third arrival would otherwise hold for t_v.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
+    station = StationParams(m=1, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
+    policy = JoapAdmission(4, 50.0, 1.0)  # service 10 min
+    times = [0.0, 0.1, 0.2, 10.0]
+    records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
+    assert [r.admitted for r in records] == [True, True, False, True]
+    assert [r.sub_process for r in records] == [0, 1, None, 2]
+    assert policy.free_at == [50.0, 50.1, 60.0, 0.0]
 
 
 def test_joap_trace_spacing():
@@ -226,7 +241,9 @@ def test_drain_out_completes_all(monkeypatch):
 
 
 # Reference copies of the simulator loops as they were before arrivals were
-# generated by cumsum and the event loop ran on plain floats. The tests below
+# generated by cumsum and the event loop ran on plain floats, with a heap of
+# completions and a list of port free times. The reference event loop checks
+# the lot before it asks the policy, as the simulator does. The tests below
 # hold the current code to them bit for bit.
 
 
@@ -270,9 +287,9 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
         while completions and completions[0] <= t:
             heapq.heappop(completions)
         in_system = len(completions)
-        slot = policy.decide(t, in_system, server_free)
-        if slot is not None and in_system >= station.parking_capacity:
-            slot = None
+        slot = None
+        if in_system < station.parking_capacity:  # a full lot rejects before the policy
+            slot = policy.decide(t, in_system, min(server_free))
         if slot is None:
             records.append(EvRecord(arrival_time=t, demand=d, admitted=False))
             continue
@@ -390,13 +407,17 @@ def test_loss_mode_matches_admitter_and_reference():
 
 @pytest.mark.parametrize("c", [0.4, 1.0])
 def test_replicate_matches_reference_on_table1(table1, c):
+    # Each scenario also runs on a lot of m spaces, where a full lot turns
+    # arrivals away under every policy.
     scenarios, run = table1
     for scenario in scenarios:
         scenario = with_penalty(scenario, c)
-        for name in ("joap", "qba", "greedy"):
-            policy, _, _ = build_policy(name, scenario)
-            args = (policy, scenario.econ, scenario.station, scenario.duration, 20, run.seed)
-            assert replicate(*args) == reference_replicate(*args), (scenario.name, name)
+        small = replace(scenario.station, parking_capacity=scenario.station.m)
+        for station in (scenario.station, small):
+            for name in ("joap", "qba", "greedy"):
+                policy, _, _ = build_policy(name, replace(scenario, station=station))
+                args = (policy, scenario.econ, station, scenario.duration, 20, run.seed)
+                assert replicate(*args) == reference_replicate(*args), (scenario.name, name)
 
 
 def test_trace_matches_reference(table1):
