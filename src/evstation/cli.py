@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunOptions, bundled_config_path, load_config, with_penalty
+from .config import ConfigError, RunOptions, _whole, bundled_config_path, load_config, with_penalty
 from .ctmc import blocking_probability, build_generator, occupancy_marginal, steady_state
 from .economics import DomainError
 from .experiments import (
@@ -56,10 +56,13 @@ def _load(args) -> tuple[list, RunOptions]:
         if bundled.exists():
             path = bundled
     scenarios, run = load_config(path)
+    problems: list = []  # --seed and --reps follow the config's run-block rules
     if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
+        run = dataclasses.replace(run, seed=_whole(args.seed, "seed", 0, problems, "--seed"))
     if args.reps is not None:
-        run = dataclasses.replace(run, reps=args.reps)
+        run = dataclasses.replace(run, reps=_whole(args.reps, "reps", 1, problems, "--reps"))
+    if problems:
+        raise ConfigError("; ".join(problems))
     if args.penalty is not None:
         scenarios = [with_penalty(s, args.penalty) for s in scenarios]
     return scenarios, run
@@ -104,7 +107,7 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.which == "daily":
-        report = run_daily_experiment(scenarios, run, POLICY_NAMES, out)
+        report = run_daily_experiment(scenarios, run, out)
         _emit({"daily_profit": report.daily_profit, "ratios": report.ratios})
     elif args.which == "admission":
         rows = run_admission_validation(

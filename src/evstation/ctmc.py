@@ -10,6 +10,7 @@ distribution, which is what this module is used to check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,10 @@ def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
     """Assemble the (n+1)(n+2)/2-state rate matrix for n virtual servers."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if t_v <= 0:
-        raise DomainError(f"t_v must be positive, got {t_v}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lam must be finite and positive, got {lam}")
+    if not (math.isfinite(t_v) and t_v > 0):
+        raise DomainError(f"t_v must be finite and positive, got {t_v}")
     kappa = 2.0 / t_v
     states = tuple((s1, s2) for s2 in range(n + 1) for s1 in range(s2 + 1))
     idx = {st: k for k, st in enumerate(states)}

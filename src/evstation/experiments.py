@@ -84,32 +84,24 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
         return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
     d_b = demand_region_bound(econ)
     if name == "qba":
-        return QbaAdmission(station.parking_capacity, d_b), None, d_b
+        return QbaAdmission(d_b), None, d_b
     if name == "greedy":
         return GreedyAdmission(d_b, econ), None, d_b
     raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 
 
-def run_daily_experiment(
-    scenarios: list,
-    run: RunOptions,
-    policies: tuple = POLICY_NAMES,
-    out_dir=None,
-) -> ExperimentReport:
-    """Benchmark the requested policies across all scenarios of one day.
+def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> ExperimentReport:
+    """Benchmark JoAP against both benchmark policies across all scenarios of one day.
 
     Every policy is replicated with the same seed streams, so arrival
     traces match pairwise. Writes daily_scenarios.csv, daily_aggregate.csv
     and daily_summary.json when out_dir is given.
     """
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     rows: list[ScenarioResult] = []
     policy_specs: dict = {}
     for scenario in scenarios:
         horizon = run.horizon if run.horizon is not None else scenario.duration
-        for name in policies:
+        for name in POLICY_NAMES:
             policy, n, demand = build_policy(name, scenario)
             metrics = replicate(
                 policy, scenario.econ, scenario.station, horizon, run.reps, run.seed
@@ -129,16 +121,16 @@ def run_daily_experiment(
             policy_specs[(scenario.name, name)] = {"n": n, "demand": demand, "price": price}
     total_time = sum(s.duration for s in scenarios)
     daily_profit, admission_rate, mean_wait = {}, {}, {}
-    for name in policies:
+    for name in POLICY_NAMES:
         mine = [r for r in rows if r.policy == name]
         daily_profit[name] = sum(r.metrics.profit_per_hour * r.duration / 60.0 for r in mine)
         admission_rate[name] = sum(r.metrics.admission_rate * r.duration for r in mine) / total_time
         mean_wait[name] = sum(r.metrics.mean_wait * r.duration for r in mine) / total_time
-    ratios = {}
-    if "joap" in policies:
-        for other in policies:
-            if other != "joap" and daily_profit[other] != 0:
-                ratios[f"joap_vs_{other}"] = daily_profit["joap"] / daily_profit[other]
+    ratios = {
+        f"joap_vs_{other}": daily_profit["joap"] / daily_profit[other]
+        for other in POLICY_NAMES
+        if other != "joap" and daily_profit[other] != 0
+    }
     report = ExperimentReport(
         rows=rows,
         daily_profit=daily_profit,
@@ -148,7 +140,7 @@ def run_daily_experiment(
         policies_by_scenario=policy_specs,
     )
     if out_dir is not None:
-        _write_daily_outputs(report, policies, Path(out_dir))
+        _write_daily_outputs(report, Path(out_dir))
     return report
 
 
@@ -168,7 +160,7 @@ def _write_csv(path: Path, columns: list, rows: list) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_daily_outputs(report: ExperimentReport, policies: tuple, out_dir: Path) -> None:
+def _write_daily_outputs(report: ExperimentReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "daily_scenarios.csv",
@@ -193,7 +185,7 @@ def _write_daily_outputs(report: ExperimentReport, policies: tuple, out_dir: Pat
         AGGREGATE_COLUMNS,
         [
             [name, report.daily_profit[name], report.admission_rate[name], report.mean_wait[name]]
-            for name in policies
+            for name in POLICY_NAMES
         ],
     )
     summary = {

@@ -6,9 +6,14 @@ admitted EVs are served FIFO on m ports with deterministic service. Queued
 EVs drain to completion after the arrival horizon so their waits and
 profits are not censored. Simultaneous departure/arrival ties are resolved
 departures-first (a completion at exactly the arrival instant has left the
-system). A full lot turns an arrival away before the policy sees it; a
-policy's decide(t, in_system, first_free) sees the arrival time, the
-number of EVs in the system and the time the earliest port frees up.
+system).
+
+Each arrival asks one question. A full lot turns the EV away; otherwise
+the policy's decide(t, wait) -> bool sees the arrival time and the exact
+FIFO wait the EV would have, and answers whether to admit it. JoAP admits
+while fewer than n admissions fell in the last t_v, the same sliding
+window `run_loss_admission` counts; QBA admits whatever the lot has room
+for; greedy admits when the EV's margin beats its wait penalty.
 
 Every EV needs the same service time and takes the earliest free port in
 turn, so EVs complete in the order they were admitted, and the earliest
@@ -39,7 +44,6 @@ class EvRecord:
     arrival_time: float
     demand: float
     admitted: bool
-    sub_process: int | None = None
     service_start: float | None = None
     wait: float = 0.0
     profit: float = 0.0
@@ -83,10 +87,11 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
 
 
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
-    """Fast count of admissions under the slot rule with no charging queue.
+    """Fast count of admissions under the JoAP rule with no charging queue.
 
-    Equivalent to JoapAdmission for counting purposes: an arrival is
-    admitted iff fewer than n admissions occurred in the window (t - t_v, t].
+    An arrival is admitted iff fewer than n admissions occurred in the window
+    (t - t_v, t], as in JoapAdmission. The loop is inlined rather than calling
+    JoapAdmission.decide per arrival, which takes about twice as long.
     """
     window: deque = deque()
     admitted = 0
@@ -100,16 +105,14 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
 
 
 class JoapAdmission:
-    """Slot-based admission at a fixed demand (the optimized operating point).
+    """Sliding-window admission at a fixed demand (the optimized operating point).
 
-    n slots, each enforcing spacing t_v. An arrival at exactly a slot's
-    free time is admissible (inclusive boundary); among free slots the
-    lowest index is used so traces are reproducible. With t_v == 0, the
-    operating point of a station that sells nothing, every arrival is
-    admitted.
+    The paper's n sub-processes each admit at most one EV per t_v, so an
+    arrival at t is admitted iff fewer than n admissions fell in
+    (t - t_v, t]: one that came exactly t_v earlier no longer counts. With
+    t_v == 0, the operating point of a station that sells nothing, every
+    arrival is admitted.
     """
-
-    name = "joap"
 
     def __init__(self, n: int, t_v: float, demand: float):
         if n < 1:
@@ -119,54 +122,47 @@ class JoapAdmission:
         self.n = n
         self.t_v = t_v
         self.demand = demand
-        self.free_at: list | None = None
+        self.window: deque = deque()  # admission times in (t - t_v, t]
 
     def reset(self):
-        self.free_at = [0.0] * self.n
+        self.window.clear()
 
-    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
-        """Return the assigned slot index, or None on rejection."""
-        for i, free in enumerate(self.free_at):
-            if free <= t:
-                self.free_at[i] = t + self.t_v
-                return i
-        return None
+    def decide(self, t: float, wait: float) -> bool:
+        window = self.window
+        while window and window[0] + self.t_v <= t:
+            window.popleft()
+        if len(window) < self.n:
+            window.append(t)
+            return True
+        return False
 
 
 class QbaAdmission:
-    """Admit while the in-system count is below a fixed threshold."""
+    """Admit every EV the lot has room for: the lot size is the threshold."""
 
-    name = "qba"
-
-    def __init__(self, threshold: int, demand: float):
-        if threshold < 0:
-            raise DomainError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = threshold
+    def __init__(self, demand: float):
         self.demand = demand
 
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
-        return 0 if in_system < self.threshold else None
+    def decide(self, t: float, wait: float) -> bool:
+        return True
 
 
 class GreedyAdmission:
     """Admit iff the EV's own margin beats its exactly-known FIFO wait penalty."""
 
-    name = "greedy"
-
     def __init__(self, demand: float, econ: EconomicParams):
         self.demand = demand
-        self.econ = econ
         self._margin = per_ev_profit(demand, 0.0, econ)
+        self._c = econ.c
 
     def reset(self):
         pass
 
-    def decide(self, t: float, in_system: int, first_free: float) -> int | None:
-        wait = max(0.0, first_free - t)
-        return 0 if self._margin - self.econ.c * wait > 0 else None
+    def decide(self, t: float, wait: float) -> bool:
+        return self._margin - self._c * wait > 0
 
 
 def run_simulation(
@@ -196,7 +192,6 @@ def _replication(policy, econ, station, horizon, rng, records: list | None = Non
     # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
     margin = per_ev_profit(d, 0.0, econ)
     c = 0.0 if d == 0 else econ.c
-    joap = isinstance(policy, JoapAdmission)
     decide = policy.decide
     m, lot = station.m, station.parking_capacity
     done: list = []  # completion times of the admitted EVs, in admission (and time) order
@@ -206,21 +201,19 @@ def _replication(policy, econ, station, horizon, rng, records: list | None = Non
         k = len(done)
         while departed < k and done[departed] <= t:
             departed += 1
-        in_system = k - departed
         first = done[k - m] if k >= m else 0.0  # when the earliest port frees up
-        slot = None if in_system >= lot else decide(t, in_system, first)
-        if slot is None:
+        start = first if first > t else t
+        wait = start - t
+        if k - departed >= lot or not decide(t, wait):
             if records is not None:
                 records.append(EvRecord(t, d, False))
             continue
-        start = first if first > t else t
         done.append(start + service)
-        wait = start - t
         profit = margin - c * wait
         waits.append(wait)
         profits.append(profit)
         if records is not None:
-            records.append(EvRecord(t, d, True, slot if joap else None, start, wait, profit))
+            records.append(EvRecord(t, d, True, start, wait, profit))
     return SimMetrics(
         admission_rate=len(waits) / len(arrivals) if arrivals else 1.0,  # none: full admission
         mean_wait=float(np.mean(waits)) if waits else 0.0,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import evstation
+import evstation.cli as cli
 from evstation.cli import cli_dispatch
 from evstation.config import (
     ConfigError,
@@ -142,6 +143,17 @@ def test_cli_invalid_run_block(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         assert cli_dispatch(["simulate", "--config", str(path), "--policy", "qba"]) == 1
         assert f"run: {key}" in capsys.readouterr().err
+
+
+def test_cli_seed_and_reps_follow_run_block_rules(monkeypatch, capsys):
+    # The flags obey the run block's rules and fail as a ConfigError (exit 1)
+    # before any policy is built or optimised.
+    built = []
+    monkeypatch.setattr(cli, "build_policy", lambda *args: built.append(args))
+    for flag, bad in (("--seed", "-1"), ("--reps", "0")):
+        assert cli_dispatch(["simulate", "--config", "table1", flag, bad]) == 1
+        assert f"{flag}: {flag[2:]} must be a whole number" in capsys.readouterr().err
+    assert built == []
 
 
 def test_cli_non_whole_station_count(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,13 @@ def test_build_generator_domain():
         build_generator(2, -1.0, 1.0)
     with pytest.raises(DomainError):
         build_generator(2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_build_generator_rejects_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(DomainError, match="lam"):
+            build_generator(2, bad, 1.0)
+        with pytest.raises(DomainError, match="t_v"):
+            build_generator(2, 1.0, bad)

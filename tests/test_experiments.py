@@ -62,14 +62,6 @@ def test_daily_aggregate_recombines(table1):
         assert report.daily_profit[name] == pytest.approx(recombined, abs=1e-9)
 
 
-def test_daily_policies_subset_omits_benchmarks(table1):
-    scenarios, _ = table1
-    report = run_daily_experiment(scenarios[:1], small_run(), policies=("joap",))
-    assert set(report.daily_profit) == {"joap"}
-    assert report.ratios == {}
-    assert {r.policy for r in report.rows} == {"joap"}
-
-
 def test_common_random_numbers_across_policies(table1):
     # Policies must see identical arrival traces in each replication.
     scenarios, _ = table1

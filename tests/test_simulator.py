@@ -1,10 +1,12 @@
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import evstation.simulator as sim
@@ -26,7 +28,7 @@ from evstation import (
     threshold_t_v,
 )
 from evstation.config import with_penalty
-from evstation.experiments import build_policy
+from evstation.experiments import POLICY_NAMES, build_policy
 from evstation.simulator import EvRecord, SimMetrics
 
 
@@ -54,40 +56,32 @@ def test_poisson_empty_and_sorted():
     assert a[-1] <= 500.0
 
 
-def slot_admitter(n, t_v):
-    """The slot rule of JoapAdmission as a function of the arrival time alone."""
+def joap_admitter(n, t_v):
+    """JoapAdmission's rule as a function of the arrival time alone."""
     policy = JoapAdmission(n, t_v, 10.0)
     policy.reset()
-    return lambda t: policy.decide(t, 0, 0.0)
+    return lambda t: policy.decide(t, 0.0)
 
 
 def test_subprocess_admitter_example_pattern():
-    # Two slots with 10-minute spacing: the fourth arrival finds both slots
-    # recently used and is the only rejection.
-    admit = slot_admitter(2, 10.0)
+    # Two admissions per 10 minutes: the fourth arrival finds two admissions
+    # in its last 10 minutes (2.0 and 11.0) and is the only rejection.
+    admit = joap_admitter(2, 10.0)
     decisions = [admit(t) for t in (0.0, 2.0, 11.0, 11.5, 13.0)]
-    assert [d is not None for d in decisions] == [True, True, True, False, True]
+    assert decisions == [True, True, True, False, True]
 
 
 def test_subprocess_boundary_inclusive():
-    admit = slot_admitter(1, 10.0)
-    assert admit(0.0) == 0
-    assert admit(10.0) == 0  # exactly at the free time: admitted
-    assert admit(19.999) is None
-
-
-def test_subprocess_lowest_index():
-    admit = slot_admitter(3, 5.0)
-    assert admit(0.0) == 0
-    assert admit(0.1) == 1
-    assert admit(0.2) == 2
-    assert admit(5.1) == 0
+    admit = joap_admitter(1, 10.0)
+    assert admit(0.0) is True
+    assert admit(10.0) is True  # exactly t_v after the last admission: admitted
+    assert admit(19.999) is False
 
 
 def test_joap_admission_spacing_domain():
     # t_v = 0 is the operating point of a station that sells nothing: all admitted.
-    admit = slot_admitter(1, 0.0)
-    assert [admit(t) for t in (0.0, 0.0, 1e-9, 3.0)] == [0, 0, 0, 0]
+    admit = joap_admitter(1, 0.0)
+    assert [admit(t) for t in (0.0, 0.0, 1e-9, 3.0)] == [True] * 4
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="t_v"):
             JoapAdmission(2, bad, 10.0)
@@ -95,12 +89,17 @@ def test_joap_admission_spacing_domain():
         JoapAdmission(0, 1.0, 10.0)
 
 
-def test_qba_threshold_strict():
-    policy = QbaAdmission(threshold=3, demand=10.0)
-    assert policy.decide(0.0, 2, 0.0) is not None
-    assert policy.decide(0.0, 3, 0.0) is None
-    empty = QbaAdmission(threshold=1, demand=10.0)
-    assert empty.decide(0.0, 0, 0.0) is not None
+def test_qba_threshold_strict(monkeypatch):
+    # QBA admits every EV it is asked about, whatever its wait; the lot is its
+    # threshold. With 3 spaces the fourth EV in the system is turned away, and
+    # admission resumes once the first EV leaves at t = 10.
+    policy = QbaAdmission(demand=1.0)  # service 10 min
+    assert policy.decide(0.0, 1e6) is True
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
+    station = StationParams(m=1, alpha=6.0, parking_capacity=3, lam=0.1, tau=1.01)
+    times = [0.0, 0.1, 0.2, 0.3, 10.0]
+    records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
+    assert [r.admitted for r in records] == [True, True, True, False, True]
 
 
 def test_greedy_wait_tradeoff():
@@ -109,12 +108,12 @@ def test_greedy_wait_tradeoff():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
     policy = GreedyAdmission(d, econ)
-    assert policy.decide(0.0, 1, 30.0) is None
-    assert policy.decide(0.0, 1, 20.0) is not None
+    assert policy.decide(0.0, 30.0) is False
+    assert policy.decide(0.0, 20.0) is True
     # Negative margin rejects even an empty system.
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     broke = GreedyAdmission(d, dear)
-    assert broke.decide(0.0, 0, 0.0) is None
+    assert broke.decide(0.0, 0.0) is False
 
 
 def _fixed_arrival_run(monkeypatch, times, policy, econ, station, horizon=1000.0):
@@ -128,7 +127,7 @@ def test_fifo_single_server_waits(monkeypatch):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     d = 1.0  # service 10 min
-    policy = QbaAdmission(threshold=10, demand=d)
+    policy = QbaAdmission(demand=d)
     records, _ = _fixed_arrival_run(monkeypatch, [0.0, 1.0], policy, econ, station)
     assert [r.wait for r in records] == pytest.approx([0.0, 9.0])
 
@@ -136,7 +135,7 @@ def test_fifo_single_server_waits(monkeypatch):
 def test_fifo_two_servers_waits(monkeypatch):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
-    policy = QbaAdmission(threshold=10, demand=1.0)
+    policy = QbaAdmission(demand=1.0)
     records, _ = _fixed_arrival_run(monkeypatch, [0.0, 1e-9, 2e-9], policy, econ, station)
     assert [round(r.wait, 6) for r in records] == pytest.approx([0.0, 0.0, 10.0])
 
@@ -145,7 +144,7 @@ def test_departure_processed_before_arrival(monkeypatch):
     # An EV arriving exactly at a completion instant sees the server free.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=1, lam=0.1, tau=1.01)
-    policy = QbaAdmission(threshold=10, demand=1.0)
+    policy = QbaAdmission(demand=1.0)
     records, _ = _fixed_arrival_run(monkeypatch, [0.0, 10.0], policy, econ, station)
     assert all(r.admitted for r in records)
     assert records[1].wait == pytest.approx(0.0)
@@ -154,24 +153,24 @@ def test_departure_processed_before_arrival(monkeypatch):
 def test_parking_capacity_converts_to_rejection(monkeypatch):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
-    policy = QbaAdmission(threshold=50, demand=1.0)  # never limits by itself
+    policy = QbaAdmission(demand=1.0)  # admits whatever the lot has room for
     times = [0.0, 0.1, 0.2, 0.3]
     records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
     assert [r.admitted for r in records] == [True, True, False, False]
 
 
 def test_full_lot_leaves_joap_slot_free(monkeypatch):
-    # The lot holds 2 EVs. The third arrival finds it full and is turned away
-    # without taking a slot, so the fourth, after the first EV has left,
-    # gets slot 2: the slot the third arrival would otherwise hold for t_v.
+    # The lot holds 2 EVs and JoAP admits 3 per 50 minutes. The third arrival
+    # finds the lot full and is turned away without counting in JoAP's window,
+    # so the fourth, after the first EV has left, is the window's third
+    # admission. Had the third arrival counted, the fourth would be rejected.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
-    policy = JoapAdmission(4, 50.0, 1.0)  # service 10 min
+    policy = JoapAdmission(3, 50.0, 1.0)  # service 10 min
     times = [0.0, 0.1, 0.2, 10.0]
     records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
     assert [r.admitted for r in records] == [True, True, False, True]
-    assert [r.sub_process for r in records] == [0, 1, None, 2]
-    assert policy.free_at == [50.0, 50.1, 60.0, 0.0]
+    assert list(policy.window) == [0.0, 0.1, 10.0]
 
 
 def test_joap_trace_spacing():
@@ -183,14 +182,11 @@ def test_joap_trace_spacing():
     records, _ = run_simulation(
         JoapAdmission(n, t_v, d), econ, station, 2000.0, rng_for_stream(5, 0)
     )
-    by_slot = {}
-    for r in records:
-        if r.admitted:
-            by_slot.setdefault(r.sub_process, []).append(r.arrival_time)
-    assert by_slot
-    for times in by_slot.values():
-        gaps = np.diff(times)
-        assert np.all(gaps >= t_v - 1e-9)
+    admitted = [r.arrival_time for r in records if r.admitted]
+    assert n < len(admitted) < len(records)
+    # At most n admissions in any t_v: each comes no sooner than t_v after
+    # the one n admissions before it.
+    assert all(a + t_v <= b for a, b in zip(admitted, admitted[n:]))
 
 
 def test_loss_mode_matches_blocking():
@@ -205,7 +201,7 @@ def test_loss_mode_matches_blocking():
 def test_replicate_deterministic_and_reps1():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = QbaAdmission(threshold=40, demand=15.0)
+    policy = QbaAdmission(demand=15.0)
     a = replicate(policy, econ, station, 240.0, 5, 123)
     b = replicate(policy, econ, station, 240.0, 5, 123)
     assert a == b
@@ -221,7 +217,7 @@ def test_replicate_deterministic_and_reps1():
 def test_half_width_shrinks():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = QbaAdmission(threshold=40, demand=15.0)
+    policy = QbaAdmission(demand=15.0)
     small = replicate(policy, econ, station, 240.0, 50, 77)
     large = replicate(policy, econ, station, 240.0, 200, 77)
     ratio = large.half_width_95["profit_per_hour"] / small.half_width_95["profit_per_hour"]
@@ -232,7 +228,7 @@ def test_drain_out_completes_all(monkeypatch):
     # Arrivals near the horizon still get served (waits counted, not censored).
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
-    policy = QbaAdmission(threshold=10, demand=1.0)
+    policy = QbaAdmission(demand=1.0)
     records, _ = _fixed_arrival_run(
         monkeypatch, [99.0, 99.5], policy, econ, station, horizon=100.0
     )
@@ -243,8 +239,9 @@ def test_drain_out_completes_all(monkeypatch):
 # Reference copies of the simulator loops as they were before arrivals were
 # generated by cumsum and the event loop ran on plain floats, with a heap of
 # completions and a list of port free times. The reference event loop checks
-# the lot before it asks the policy, as the simulator does. The tests below
-# hold the current code to them bit for bit.
+# the lot before it asks the policy, and gives the policy the wait at the
+# earliest free port, as the simulator does. The tests below hold the current
+# code to them bit for bit.
 
 
 def reference_gen_poisson_arrivals(lam, horizon, rng):
@@ -287,10 +284,11 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
         while completions and completions[0] <= t:
             heapq.heappop(completions)
         in_system = len(completions)
-        slot = None
-        if in_system < station.parking_capacity:  # a full lot rejects before the policy
-            slot = policy.decide(t, in_system, min(server_free))
-        if slot is None:
+        # A full lot rejects before the policy is asked.
+        admitted = in_system < station.parking_capacity and policy.decide(
+            t, max(0.0, min(server_free) - t)
+        )
+        if not admitted:
             records.append(EvRecord(arrival_time=t, demand=d, admitted=False))
             continue
         j = min(range(station.m), key=lambda k: server_free[k])
@@ -303,7 +301,6 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
                 arrival_time=t,
                 demand=d,
                 admitted=True,
-                sub_process=slot if isinstance(policy, JoapAdmission) else None,
                 service_start=start,
                 wait=wait,
                 profit=per_ev_profit(d, wait, econ),
@@ -398,8 +395,8 @@ def test_loss_mode_matches_admitter_and_reference():
     for seed, (n, t_v, lam) in enumerate([(1, 5.0, 0.3), (3, 8.0, 0.4), (6, 2.5, 2.0)]):
         streams.append((gen_poisson_arrivals(lam, 5000.0, rng_for_stream(seed, 0)), n, t_v))
     for arrivals, n, t_v in streams:
-        admit = slot_admitter(n, t_v)
-        expected = sum(admit(t) is not None for t in arrivals)
+        admit = joap_admitter(n, t_v)
+        expected = sum(admit(t) for t in arrivals)
         assert run_loss_admission(arrivals, n, t_v) == expected
         assert reference_run_loss_admission(arrivals, n, t_v) == expected
     assert run_loss_admission(streams[0][0], 1, 10.0) == 3
@@ -429,3 +426,62 @@ def test_trace_matches_reference(table1):
         ref_records, ref_metrics = reference_run_simulation(*args, rng_for_stream(run.seed, 4))
         assert records == ref_records
         assert metrics == ref_metrics
+
+
+@st.composite
+def simulated_runs(draw):
+    """A small random station, one of the three policies and a seed for its arrivals."""
+    m = draw(st.integers(1, 4))
+    station = StationParams(
+        m=m,
+        alpha=draw(st.floats(3.0, 22.0)),
+        parking_capacity=draw(st.integers(m, 3 * m)),
+        lam=draw(st.floats(0.05, 1.0)),
+        tau=1.01,
+    )
+    p_e, c = draw(st.floats(0.01, 0.12)), draw(st.floats(0.0, 1.0))
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=p_e, c=c)
+    d = draw(st.floats(1.0, 40.0))
+    name = draw(st.sampled_from(POLICY_NAMES))
+    if name == "joap":
+        policy = JoapAdmission(draw(st.integers(1, 6)), draw(st.floats(0.0, 120.0)), d)
+    elif name == "qba":
+        policy = QbaAdmission(d)
+    else:
+        policy = GreedyAdmission(d, econ)
+    return name, policy, econ, station, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(simulated_runs())
+def test_simulator_invariants_property(point):
+    name, policy, econ, station, seed = point
+    records, _ = run_simulation(policy, econ, station, 240.0, rng_for_stream(seed, 0))
+    admitted = [r for r in records if r.admitted]
+    assert all(r.wait >= 0 for r in admitted)
+    starts = [r.service_start for r in admitted]
+    assert starts == sorted(starts)  # FIFO
+    # Completion times in admission order; FIFO starts keep them sorted.
+    service = station.service_time(policy.demand)
+    done = [start + service for start in starts]
+    k = 0  # EVs admitted before the current arrival
+    for r in records:
+        # An EV that completes at exactly the arrival instant has left.
+        in_system = k - bisect_right(done, r.arrival_time, 0, k)
+        if r.admitted:
+            assert in_system < station.parking_capacity
+            k += 1
+        elif name == "qba":
+            assert in_system == station.parking_capacity  # only a full lot turns an EV away
+    if name == "greedy":
+        assert all(r.profit > 0 for r in admitted)
+    if name == "joap":
+        n, t_v = policy.n, policy.t_v
+        times = [r.arrival_time for r in admitted]
+        # Any n + 1 consecutive admissions span at least t_v.
+        assert all(a + t_v <= b for a, b in zip(times, times[n:]))
+        # With a lot that never binds, JoAP is the loss-mode count.
+        free = replace(station, parking_capacity=10**6)
+        records, _ = run_simulation(policy, econ, free, 240.0, rng_for_stream(seed, 0))
+        arrivals = np.array([r.arrival_time for r in records])
+        assert sum(r.admitted for r in records) == run_loss_admission(arrivals, n, t_v)
