@@ -97,7 +97,8 @@ def _cmd_simulate(args) -> int:
     scenario = _pick_scenario(scenarios, args.scenario)
     policy, n, demand = build_policy(args.policy, scenario)
     horizon = run.horizon if run.horizon is not None else scenario.duration
-    metrics = replicate(policy, scenario.econ, scenario.station, horizon, run.reps, run.seed)
+    econ, station = scenario.econ, scenario.station
+    [metrics] = replicate([policy], econ, station, horizon, run.reps, run.seed)
     _emit({"policy": args.policy, "n": n, "demand_kwh": demand, "metrics": metrics})
     return 0
 

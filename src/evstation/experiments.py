@@ -3,8 +3,10 @@
 Each runner returns plain Python data and optionally writes plot-ready CSV
 files with fixed column orders. All randomness flows through per-replication
 seed streams, so identical (config, seed, reps) inputs give byte-identical
-output files. Within one daily experiment every policy sees the same
-arrival trace per replication (common random numbers), which makes the
+output files. The policies compared on one scenario, the three of the
+daily experiment or the JoAP plans of the spacing study, are replicated in
+one `replicate` call, which runs them all on one arrival trace per
+replication: common random numbers by construction, which makes the
 profit comparisons paired rather than independent.
 """
 from __future__ import annotations
@@ -93,19 +95,18 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
 def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> ExperimentReport:
     """Benchmark JoAP against both benchmark policies across all scenarios of one day.
 
-    Every policy is replicated with the same seed streams, so arrival
-    traces match pairwise. Writes daily_scenarios.csv, daily_aggregate.csv
-    and daily_summary.json when out_dir is given.
+    A scenario's three policies are replicated in one call, on the same
+    arrival trace per replication. Writes daily_scenarios.csv,
+    daily_aggregate.csv and daily_summary.json when out_dir is given.
     """
     rows: list[ScenarioResult] = []
     policy_specs: dict = {}
     for scenario in scenarios:
         horizon = run.horizon if run.horizon is not None else scenario.duration
-        for name in POLICY_NAMES:
-            policy, n, demand = build_policy(name, scenario)
-            metrics = replicate(
-                policy, scenario.econ, scenario.station, horizon, run.reps, run.seed
-            )
+        built = [build_policy(name, scenario) for name in POLICY_NAMES]
+        policies = [policy for policy, _, _ in built]
+        results = replicate(policies, scenario.econ, scenario.station, horizon, run.reps, run.seed)
+        for name, (_, n, demand), metrics in zip(POLICY_NAMES, built, results):
             price = price_for_demand(demand, scenario.econ) if demand > 0 else 0.0
             rows.append(
                 ScenarioResult(
@@ -276,7 +277,7 @@ def run_wait_validation(
             continue
         analytic = mean_wait(analysis, station, econ.wait_model)
         policy = JoapAdmission(n, analysis.t_v, d)
-        metrics = replicate(policy, econ, station, horizon, reps, seed)
+        [metrics] = replicate([policy], econ, station, horizon, reps, seed)
         simulated = metrics.mean_wait
         denom = max(simulated, 1e-12)
         rows.append([n, lam, d, rho, analytic, simulated, abs(analytic - simulated) / denom, "ok"])
@@ -294,10 +295,13 @@ def run_tau_study(
     """Simulated profit at the fixed spacing factor vs the per-scenario best.
 
     For each scenario the operating point is re-optimized at every τ on the
-    grid and simulated on common random numbers; the best τ is the one with
-    the highest simulated profit. The fixed spacing is always part of the
-    grid, so per-scenario gain is a maximum over a superset and never
-    negative. Returns per-scenario rows and the aggregate relative gain.
+    grid, and all the plans are replicated in one call on the scenario's
+    station: the event loop reads no τ, so they share one arrival trace per
+    replication. The best τ is the one with the highest simulated profit;
+    the fixed spacing goes first and a later τ must strictly beat it. The
+    fixed spacing is always part of the grid, so per-scenario gain is a
+    maximum over a superset and never negative. Returns per-scenario rows
+    and the aggregate relative gain.
     """
     grid = tuple(tau_grid) if tau_grid is not None else DEFAULT_TAU_GRID
     rows = []
@@ -305,21 +309,17 @@ def run_tau_study(
     best_total = 0.0
     for scenario in scenarios:
         horizon = run.horizon if run.horizon is not None else scenario.duration
-
-        def simulate(tau: float) -> float:
-            station = replace(scenario.station, tau=tau)
-            plan = optimize_joap(scenario.econ, station)
-            policy = JoapAdmission(plan.n_star, plan.t_v, plan.d_star)
-            metrics = replicate(policy, scenario.econ, station, horizon, run.reps, run.seed)
-            return metrics.profit_per_hour * scenario.duration / 60.0
-
         tau_fixed = scenario.station.tau
-        profit_fixed = simulate(tau_fixed)
+        taus = [tau_fixed] + [tau for tau in grid if tau != tau_fixed]
+        policies = []
+        for tau in taus:
+            plan = optimize_joap(scenario.econ, replace(scenario.station, tau=tau))
+            policies.append(JoapAdmission(plan.n_star, plan.t_v, plan.d_star))
+        results = replicate(policies, scenario.econ, scenario.station, horizon, run.reps, run.seed)
+        profits = [metrics.profit_per_hour * scenario.duration / 60.0 for metrics in results]
+        profit_fixed = profits[0]
         tau_best, profit_best = tau_fixed, profit_fixed
-        for tau in grid:
-            if tau == tau_fixed:
-                continue
-            profit = simulate(tau)
+        for tau, profit in zip(taus[1:], profits[1:]):
             if profit > profit_best:
                 tau_best, profit_best = tau, profit
         fixed_total += profit_fixed

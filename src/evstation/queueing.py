@@ -88,10 +88,12 @@ def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnal
     """Full loss-system analysis of the admission queue at (n, d)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if d <= 0:
-        raise DomainError(f"demand must be positive, got {d}")
+    if not (math.isfinite(d) and d > 0):
+        raise DomainError(f"demand must be finite and positive, got {d}")
     t_v = threshold_t_v(n, d, station)
     a = station.lam * t_v
+    if not math.isfinite(a):
+        raise DomainError(f"demand {d} is too large: the offered load lam * t_v overflows")
     probs = erlang_steady_state(n, a)
     p_admit = 1.0 - probs[n]
     service = station.service_time(d)

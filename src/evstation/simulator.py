@@ -21,15 +21,19 @@ free port is the one the m-th most recent admission took. The loop keeps
 one list of completion times in admission order and a count of the EVs
 that have left.
 
-One event loop serves both entry points. `run_simulation` also returns an
-`EvRecord` per EV, for inspecting a single run. `replicate` keeps no
-per-EV records, only the waits and profits of the admitted EVs, from which
-the same metrics follow.
+One event loop, over a given list of arrival times, serves both entry
+points. `run_simulation` draws one trace and also returns an `EvRecord` per
+EV, for inspecting a single run. `replicate` takes a sequence of policies:
+each replication draws one trace and runs every policy's loop on it, so the
+policies of one call are compared on common random numbers by
+construction. It keeps no per-EV records, only the waits and profits of
+the admitted EVs, from which the same metrics follow.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,15 +181,24 @@ def run_simulation(
     Returns the per-EV records and single-run metrics. Deterministic given
     the generator state.
     """
+    _check_horizon(horizon)
+    arrivals = gen_poisson_arrivals(station.lam, horizon, rng).tolist()
     records: list = []
-    return records, _replication(policy, econ, station, horizon, rng, records)
+    rate, wait, profit = _replication(policy, econ, station, horizon, arrivals, records)
+    return records, SimMetrics(rate, wait, profit, replication_count=1)
 
 
-def _replication(policy, econ, station, horizon, rng, records: list | None = None) -> SimMetrics:
-    """The event loop of one replication; appends an EvRecord per EV to `records` if given."""
+def _check_horizon(horizon: float) -> None:
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    arrivals = gen_poisson_arrivals(station.lam, horizon, rng).tolist()
+
+
+def _replication(policy, econ, station, horizon, arrivals: list, records: list | None = None):
+    """The event loop of one replication over the given arrival times.
+
+    Returns (admission rate, mean wait, profit per hour) and appends an
+    EvRecord per EV to `records` if given.
+    """
     policy.reset()
     d = policy.demand
     service = station.service_time(d)
@@ -214,11 +227,11 @@ def _replication(policy, econ, station, horizon, rng, records: list | None = Non
         profits.append(profit)
         if records is not None:
             records.append(EvRecord(t, d, True, start, wait, profit))
-    return SimMetrics(
-        admission_rate=len(waits) / len(arrivals) if arrivals else 1.0,  # none: full admission
-        mean_wait=float(np.mean(waits)) if waits else 0.0,
-        profit_per_hour=sum(profits) / (horizon / 60.0),
-        replication_count=1,
+    return (
+        len(waits) / len(arrivals) if arrivals else 1.0,  # no arrivals: full admission
+        # np.mean bit for bit (the same pairwise sum and division) at about half the cost
+        float(np.add.reduce(np.array(waits))) / len(waits) if waits else 0.0,
+        sum(profits) / (horizon / 60.0),
     )
 
 
@@ -228,35 +241,49 @@ def rng_for_stream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def replicate(
-    policy,
+    policies: Sequence,
     econ: EconomicParams,
     station: StationParams,
     horizon: float,
     reps: int,
     seed: int,
-) -> SimMetrics:
-    """Independent replications with 95% confidence half-widths per metric."""
+) -> list[SimMetrics]:
+    """Independent replications of each policy, with 95% confidence half-widths per metric.
+
+    Replication `rep` draws one arrival trace from stream (seed, rep) and
+    runs every policy's event loop on it, so the policies are compared on
+    common random numbers by construction. Returns one SimMetrics per
+    policy, in the order given; a policy's result does not depend on the
+    others it is listed with.
+    """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    rates, waits, profits = [], [], []
+    _check_horizon(horizon)
+    samples = [([], [], []) for _ in policies]  # rates, waits, profits per policy
     for rep in range(reps):
-        metrics = _replication(policy, econ, station, horizon, rng_for_stream(seed, rep))
-        rates.append(metrics.admission_rate)
-        waits.append(metrics.mean_wait)
-        profits.append(metrics.profit_per_hour)
+        arrivals = gen_poisson_arrivals(station.lam, horizon, rng_for_stream(seed, rep)).tolist()
+        for policy, (rates, waits, profits) in zip(policies, samples):
+            rate, wait, profit = _replication(policy, econ, station, horizon, arrivals)
+            rates.append(rate)
+            waits.append(wait)
+            profits.append(profit)
+
     def half_width(xs):
         if len(xs) < 2:
             return None
         return 1.96 * float(np.std(xs, ddof=1)) / math.sqrt(len(xs))
-    return SimMetrics(
-        admission_rate=float(np.mean(rates)),
-        mean_wait=float(np.mean(waits)),
-        profit_per_hour=float(np.mean(profits)),
-        replication_count=reps,
-        half_width_95={
-            "admission_rate": half_width(rates),
-            "mean_wait": half_width(waits),
-            "profit_per_hour": half_width(profits),
-        },
-    )
 
+    return [
+        SimMetrics(
+            admission_rate=float(np.mean(rates)),
+            mean_wait=float(np.mean(waits)),
+            profit_per_hour=float(np.mean(profits)),
+            replication_count=reps,
+            half_width_95={
+                "admission_rate": half_width(rates),
+                "mean_wait": half_width(waits),
+                "profit_per_hour": half_width(profits),
+            },
+        )
+        for rates, waits, profits in samples
+    ]

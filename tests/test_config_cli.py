@@ -234,6 +234,12 @@ def test_cli_analyze(capsys):
     assert 0 < out["p_admit"] <= 1
 
 
+def test_cli_analyze_rejects_non_finite_demand(capsys):
+    for demand in ("nan", "inf", "1e308"):
+        assert cli_dispatch(["analyze", "--n", "3", "--demand", demand]) == 1
+        assert capsys.readouterr().err.startswith("error: demand")
+
+
 def test_cli_simulate(capsys):
     code = cli_dispatch(
         ["simulate", "--config", "table1", "--policy", "qba", "--reps", "3", "--seed", "1"]

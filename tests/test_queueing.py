@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from evstation import (
@@ -64,6 +65,21 @@ def test_erlang_blocking_recursion_consistent():
             )
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 500.0), st.floats(0.0, 500.0))
+def test_erlang_blocking_property(n, a, a2):
+    # The log-space state vector and the B-recursion share no arithmetic.
+    # Below 1e-300 the state vector's last entry nears underflow, so only
+    # the ordering is checked there.
+    b = erlang_blocking(n, a)
+    if b > 1e-300:
+        assert float(erlang_steady_state(n, a)[n]) == pytest.approx(b, rel=1e-12, abs=0.0)
+    # B never increases with the server count, and never decreases with the load.
+    assert erlang_blocking(n + 1, a) <= b
+    lo, hi = sorted((a, a2))
+    assert erlang_blocking(n, lo) <= erlang_blocking(n, hi)
+
+
 def test_threshold_spacing(station_default):
     # T_v = tau * m * (d / alpha) / n in minutes.
     d = 11.5
@@ -87,6 +103,13 @@ def test_admission_probability_hand_value():
     a = station.lam * threshold_t_v(n, d, station)
     assert a == pytest.approx(3.0, rel=1e-12)
     assert analyze_admission(n, d, station).p_admit == pytest.approx(1.0 - 4.5 / 13.0, rel=1e-12)
+
+
+def test_analysis_rejects_non_finite_demand(station_default):
+    # The error names the caller's argument, not the offered load it implies.
+    for bad in (math.nan, math.inf, 1e308):
+        with pytest.raises(DomainError, match="^demand"):
+            analyze_admission(3, bad, station_default)
 
 
 def test_analysis_invariants(station_default):
@@ -212,7 +235,8 @@ def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default, monke
                 assert mean_wait(analysis, station, "allen_cunneen") == 0.0
     analysis = analyze_admission(station.m, 20.0, station)
     econ = replace(econ_default, wait_model="allen_cunneen")
-    metrics = replicate(JoapAdmission(station.m, analysis.t_v, 20.0), econ, station, 600.0, 5, 3)
+    policy = JoapAdmission(station.m, analysis.t_v, 20.0)
+    [metrics] = replicate([policy], econ, station, 600.0, 5, 3)
     assert metrics.admission_rate < 1.0  # the slots do bind
     assert metrics.mean_wait == 0.0
 

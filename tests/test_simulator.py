@@ -202,11 +202,11 @@ def test_replicate_deterministic_and_reps1():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = QbaAdmission(demand=15.0)
-    a = replicate(policy, econ, station, 240.0, 5, 123)
-    b = replicate(policy, econ, station, 240.0, 5, 123)
+    [a] = replicate([policy], econ, station, 240.0, 5, 123)
+    [b] = replicate([policy], econ, station, 240.0, 5, 123)
     assert a == b
     _, single = run_simulation(policy, econ, station, 240.0, rng_for_stream(123, 0))
-    one = replicate(policy, econ, station, 240.0, 1, 123)
+    [one] = replicate([policy], econ, station, 240.0, 1, 123)
     # One event loop serves both, so a single replication reproduces the run exactly.
     assert one.profit_per_hour == single.profit_per_hour
     assert one.admission_rate == single.admission_rate
@@ -214,12 +214,39 @@ def test_replicate_deterministic_and_reps1():
     assert set(one.half_width_95.values()) == {None}  # undefined for one replication
 
 
+def test_replicate_resets_a_policy_between_runs():
+    # One JoapAdmission listed twice: its window is cleared before each run,
+    # so the second run on the same trace sees none of the first's admissions.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
+    policy = JoapAdmission(3, 12.0, 15.0)
+    first, second = replicate([policy, policy], econ, station, 240.0, 20, 5)
+    assert first == second
+    [alone] = replicate([policy], econ, station, 240.0, 20, 5)
+    assert first == alone
+    assert first.admission_rate < 1.0  # the window binds, so a stale one would show
+
+
+def test_replicate_rejects_bad_reps_and_horizon():
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
+    policy = QbaAdmission(demand=15.0)
+    for reps in (0, -1):
+        with pytest.raises(DomainError, match="reps"):
+            replicate([policy], econ, station, 240.0, reps, 1)
+    for horizon in (0.0, -5.0):
+        with pytest.raises(DomainError, match="horizon"):
+            replicate([policy], econ, station, horizon, 3, 1)
+        with pytest.raises(DomainError, match="horizon"):
+            run_simulation(policy, econ, station, horizon, rng_for_stream(1, 0))
+
+
 def test_half_width_shrinks():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = QbaAdmission(demand=15.0)
-    small = replicate(policy, econ, station, 240.0, 50, 77)
-    large = replicate(policy, econ, station, 240.0, 200, 77)
+    [small] = replicate([policy], econ, station, 240.0, 50, 77)
+    [large] = replicate([policy], econ, station, 240.0, 200, 77)
     ratio = large.half_width_95["profit_per_hour"] / small.half_width_95["profit_per_hour"]
     assert 0.5 * (1 / 2) < ratio < 1.2 * (1 / 2) + 0.3  # ~1/2 with sampling slack
 
@@ -411,10 +438,15 @@ def test_replicate_matches_reference_on_table1(table1, c):
         scenario = with_penalty(scenario, c)
         small = replace(scenario.station, parking_capacity=scenario.station.m)
         for station in (scenario.station, small):
-            for name in ("joap", "qba", "greedy"):
-                policy, _, _ = build_policy(name, replace(scenario, station=station))
-                args = (policy, scenario.econ, station, scenario.duration, 20, run.seed)
-                assert replicate(*args) == reference_replicate(*args), (scenario.name, name)
+            policies = [
+                build_policy(name, replace(scenario, station=station))[0]
+                for name in ("joap", "qba", "greedy")
+            ]
+            args = (scenario.econ, station, scenario.duration, 20, run.seed)
+            results = replicate(policies, *args)
+            assert len(results) == 3
+            for name, policy, metrics in zip(("joap", "qba", "greedy"), policies, results):
+                assert metrics == reference_replicate(policy, *args), (scenario.name, name)
 
 
 def test_trace_matches_reference(table1):
