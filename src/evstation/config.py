@@ -67,6 +67,8 @@ _BLOCK_KEYS = {
 
 
 def _check_keys(obj: dict, block: str, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object, got {obj!r}")
     unknown = set(obj) - _BLOCK_KEYS[block]
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -135,11 +137,14 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
             )
         except KeyError as exc:
             raise ConfigError(f"{ctx}: missing field {exc}") from exc
-        except (TypeError, ValueError, DomainError) as exc:
+        except (TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
-        duration = float(sc.get("duration_min", 240.0))
+        raw_duration = sc.get("duration_min", 240.0)
+        duration = _number(raw_duration)
         if not (math.isfinite(duration) and duration > 0):
-            problems.append(f"{ctx}: duration_min must be finite and positive")
+            problems.append(
+                f"scenarios[{i}]: duration_min must be finite and positive, got {raw_duration!r}"
+            )
         scenarios.append(
             Scenario(
                 name=str(sc.get("name", f"scenario-{i}")),

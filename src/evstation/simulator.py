@@ -1,44 +1,48 @@
 """Discrete-event simulation of the charging station.
 
-A single replication is strictly event-ordered: arrivals are generated up
-front, admission decisions are made online by the chosen policy, and
-admitted EVs are served FIFO on m ports with deterministic service. Queued
-EVs drain to completion after the arrival horizon so their waits and
-profits are not censored. Simultaneous departure/arrival ties are resolved
-departures-first (a completion at exactly the arrival instant has left the
-system).
+A replication is strictly event-ordered: arrivals are generated up front,
+admission decisions are made online by the chosen policy, and admitted EVs
+are served FIFO on m ports with deterministic service. Queued EVs drain to
+completion after the arrival horizon so their waits and profits are not
+censored. Simultaneous departure/arrival ties are resolved departures-first
+(a completion at exactly the arrival instant has left the system).
 
 Each arrival asks one question. A full lot turns the EV away; otherwise
-the policy's decide(t, wait) -> bool sees the arrival time and the exact
-FIFO wait the EV would have, and answers whether to admit it. JoAP admits
-while fewer than n admissions fell in the last t_v, the same sliding
+the policy answers whether to admit it. Its decide(t, wait, admitted) gets
+the arrival time, the exact FIFO wait the EV would have and admitted(i),
+the arrival time of the policy's i-th most recent admission (-inf before
+there were i), and answers for a vector of rows at once. JoAP admits where
+its n-th most recent admission is at least t_v old, the same sliding
 window `run_loss_admission` counts; QBA admits whatever the lot has room
-for; greedy admits when the EV's margin beats its wait penalty.
+for; greedy admits where the EV's margin beats its wait penalty. No policy
+keeps state between calls.
 
 Every EV needs the same service time and takes the earliest free port in
-turn, so EVs complete in the order they were admitted, and the earliest
-free port is the one the m-th most recent admission took. The loop keeps
-one list of completion times in admission order and a count of the EVs
-that have left.
+turn, so EVs complete in the order they were admitted: the earliest free
+port is the one the m-th most recent admission took, and the lot has room
+iff its lot-th most recent admission has left. A run's state is its count
+of admissions and each admission's service start and arrival time.
 
-One event loop, over a given list of arrival times, serves both entry
-points. `run_simulation` draws one trace and also returns an `EvRecord` per
-EV, for inspecting a single run. `replicate` takes a sequence of policies:
-each replication draws one trace and runs every policy's loop on it, so the
+One event loop serves both entry points. It steps the arrival index across
+many rows at once, a row being one policy on one arrival trace, with numpy
+arrays of shape (admission slot, row). `run_simulation` runs one row and
+builds an `EvRecord` per EV from it afterwards, for inspecting a single
+run. `replicate` runs every policy on each replication's trace, so the
 policies of one call are compared on common random numbers by
-construction. It keeps no per-EV records, only the waits and profits of
-the admitted EVs, from which the same metrics follow.
+construction; it runs the replications in chunks that bound the arrays'
+size, and since rows are independent, chunking changes no result.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .economics import DomainError, EconomicParams, StationParams, per_ev_profit
+
+_BLOCK = 2**18  # expected arrivals over all rows of one chunk of replications
 
 
 @dataclass
@@ -93,19 +97,16 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """Fast count of admissions under the JoAP rule with no charging queue.
 
-    An arrival is admitted iff fewer than n admissions occurred in the window
-    (t - t_v, t], as in JoapAdmission. The loop is inlined rather than calling
-    JoapAdmission.decide per arrival, which takes about twice as long.
+    An arrival at t is admitted iff the n-th most recent admission came at
+    or before t - t_v, as in JoapAdmission. The loop is inlined rather than
+    calling the vectorised JoapAdmission.decide per arrival, which takes
+    about twice as long.
     """
-    window: deque = deque()
-    admitted = 0
+    admitted = [-math.inf] * n  # the first n arrivals find no n-th admission
     for t in arrivals.tolist():
-        while window and window[0] + t_v <= t:
-            window.popleft()
-        if len(window) < n:
-            window.append(t)
-            admitted += 1
-    return admitted
+        if admitted[-n] + t_v <= t:
+            admitted.append(t)
+    return len(admitted) - n
 
 
 class JoapAdmission:
@@ -113,9 +114,11 @@ class JoapAdmission:
 
     The paper's n sub-processes each admit at most one EV per t_v, so an
     arrival at t is admitted iff fewer than n admissions fell in
-    (t - t_v, t]: one that came exactly t_v earlier no longer counts. With
+    (t - t_v, t], that is iff the n-th most recent admission came at or
+    before t - t_v: one that came exactly t_v earlier no longer counts. With
     t_v == 0, the operating point of a station that sells nothing, every
-    arrival is admitted.
+    arrival is admitted. decide answers for a vector of rows at once, each
+    from its own admissions.
     """
 
     def __init__(self, n: int, t_v: float, demand: float):
@@ -126,46 +129,36 @@ class JoapAdmission:
         self.n = n
         self.t_v = t_v
         self.demand = demand
-        self.window: deque = deque()  # admission times in (t - t_v, t]
 
-    def reset(self):
-        self.window.clear()
-
-    def decide(self, t: float, wait: float) -> bool:
-        window = self.window
-        while window and window[0] + self.t_v <= t:
-            window.popleft()
-        if len(window) < self.n:
-            window.append(t)
-            return True
-        return False
+    def decide(self, t, wait, admitted):
+        return admitted(self.n) + self.t_v <= t
 
 
 class QbaAdmission:
-    """Admit every EV the lot has room for: the lot size is the threshold."""
+    """Admit every EV the lot has room for: the lot size is the threshold.
+
+    decide answers True for every row at once.
+    """
 
     def __init__(self, demand: float):
         self.demand = demand
 
-    def reset(self):
-        pass
-
-    def decide(self, t: float, wait: float) -> bool:
+    def decide(self, t, wait, admitted):
         return True
 
 
 class GreedyAdmission:
-    """Admit iff the EV's own margin beats its exactly-known FIFO wait penalty."""
+    """Admit iff the EV's own margin beats its exactly-known FIFO wait penalty.
+
+    decide answers for a vector of rows at once, each from its EV's wait.
+    """
 
     def __init__(self, demand: float, econ: EconomicParams):
         self.demand = demand
         self._margin = per_ev_profit(demand, 0.0, econ)
         self._c = econ.c
 
-    def reset(self):
-        pass
-
-    def decide(self, t: float, wait: float) -> bool:
+    def decide(self, t, wait, admitted):
         return self._margin - self._c * wait > 0
 
 
@@ -178,13 +171,33 @@ def run_simulation(
 ) -> tuple[list, SimMetrics]:
     """One replication: Poisson arrivals, online admission, FIFO charging.
 
-    Returns the per-EV records and single-run metrics. Deterministic given
-    the generator state.
+    The event loop runs over this one trace as a single row; the per-EV
+    records are built from that row's admissions afterwards. Returns the
+    records and single-run metrics. Deterministic given the generator
+    state.
     """
     _check_horizon(horizon)
-    arrivals = gen_poisson_arrivals(station.lam, horizon, rng).tolist()
-    records: list = []
-    rate, wait, profit = _replication(policy, econ, station, horizon, arrivals, records)
+    arrivals = gen_poisson_arrivals(station.lam, horizon, rng)
+    per_policy = _per_policy([policy], econ, station)
+    loop = _event_loop([policy], per_policy[0], station, [arrivals])
+    (count,), starts, arrived = loop
+    d = policy.demand
+    margin, c = float(per_policy[1][0]), float(per_policy[2][0])
+    # Admissions are in arrival order, and of equal arrival times only a
+    # first run can be admitted, so one pointer matches them to arrivals.
+    # The records are read before _metrics overwrites the loop's arrays.
+    admissions = zip(arrived[:count, 0].tolist(), starts[:count, 0].tolist())
+    upcoming = next(admissions, None)
+    records = []
+    for t in arrivals.tolist():
+        if upcoming is not None and upcoming[0] == t:
+            start = upcoming[1]
+            wait = start - t
+            records.append(EvRecord(t, d, True, start, wait, margin - c * wait))
+            upcoming = next(admissions, None)
+        else:
+            records.append(EvRecord(t, d, False))
+    (rate,), (wait,), (profit,) = _metrics(*loop, [arrivals], per_policy, horizon).tolist()
     return records, SimMetrics(rate, wait, profit, replication_count=1)
 
 
@@ -193,46 +206,85 @@ def _check_horizon(horizon: float) -> None:
         raise DomainError(f"horizon must be positive, got {horizon}")
 
 
-def _replication(policy, econ, station, horizon, arrivals: list, records: list | None = None):
-    """The event loop of one replication over the given arrival times.
-
-    Returns (admission rate, mean wait, profit per hour) and appends an
-    EvRecord per EV to `records` if given.
-    """
-    policy.reset()
-    d = policy.demand
-    service = station.service_time(d)
-    # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
-    margin = per_ev_profit(d, 0.0, econ)
-    c = 0.0 if d == 0 else econ.c
-    decide = policy.decide
-    m, lot = station.m, station.parking_capacity
-    done: list = []  # completion times of the admitted EVs, in admission (and time) order
-    departed = 0  # done[:departed] have left the system
-    waits, profits = [], []  # of the admitted EVs, in arrival order
-    for t in arrivals:
-        k = len(done)
-        while departed < k and done[departed] <= t:
-            departed += 1
-        first = done[k - m] if k >= m else 0.0  # when the earliest port frees up
-        start = first if first > t else t
-        wait = start - t
-        if k - departed >= lot or not decide(t, wait):
-            if records is not None:
-                records.append(EvRecord(t, d, False))
-            continue
-        done.append(start + service)
-        profit = margin - c * wait
-        waits.append(wait)
-        profits.append(profit)
-        if records is not None:
-            records.append(EvRecord(t, d, True, start, wait, profit))
+def _per_policy(policies, econ, station):
+    """Each policy's service time, margin and wait penalty rate, as arrays."""
+    demands = [policy.demand for policy in policies]
     return (
-        len(waits) / len(arrivals) if arrivals else 1.0,  # no arrivals: full admission
-        # np.mean bit for bit (the same pairwise sum and division) at about half the cost
-        float(np.add.reduce(np.array(waits))) / len(waits) if waits else 0.0,
-        sum(profits) / (horizon / 60.0),
+        np.array([station.service_time(d) for d in demands]),
+        # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
+        np.array([per_ev_profit(d, 0.0, econ) for d in demands]),
+        np.array([0.0 if d == 0 else econ.c for d in demands]),
     )
+
+
+def _event_loop(policies, service, station, traces):
+    """Run every policy on every trace, stepping the arrival index across all rows at once.
+
+    Row p * len(traces) + i is policy p on trace i, at service time
+    service[p]. Returns each row's admission count and the service starts
+    and arrival times of its admissions, as (slot, row) arrays in admission
+    order; a row's slots at and past its count hold no admission.
+    """
+    reps = len(traces)
+    rows = len(policies) * reps
+    width = max(map(len, traces))
+    times = np.full((width, reps), np.nan)  # a finished trace reads NaN, which no lot admits
+    for i, trace in enumerate(traces):
+        times[: len(trace), i] = trace
+    service = np.asarray(service)[:, None]
+    # Flat index s * rows + r is slot s of row r, and slot 0 is -inf, "no
+    # admission". A lookup before a row's first admission clips to index 0,
+    # so a row with fewer than m, lot or n admissions reads -inf there: its
+    # port, lot space or window is free.
+    starts = np.zeros((width + 1) * rows)
+    starts[:rows] = -np.inf
+    arrived = starts.copy()
+    at = np.arange(rows, 2 * rows).reshape(len(policies), reps)  # each row's next slot
+    # Where the m-th and the lot-th most recent admission are, as flat offsets.
+    back = np.reshape([station.m * rows, station.parking_capacity * rows], (2, 1, 1))
+    wait, admit = np.empty(at.shape), np.empty(at.shape, dtype=bool)
+    # Each policy answers for its own rows: views that the loop refills in place.
+    by_policy = list(zip(policies, at, wait, admit))
+    for t in times:
+        # When each row's earliest port frees up, and when its lot has room.
+        port, room = starts.take(at - back, mode="clip") + service
+        start = np.maximum(port, t)
+        np.less_equal(room, t, out=admit)
+        np.subtract(start, t, out=wait)
+        for policy, mine, its_wait, its_admit in by_policy:
+            decision = policy.decide(
+                t, its_wait, lambda i: arrived.take(mine - i * rows, mode="clip")
+            )
+            np.logical_and(its_admit, decision, out=its_admit)
+        starts[at] = start
+        arrived[at] = t
+        np.add(at, rows, out=at, where=admit)
+    slots = (width + 1, rows)
+    return at.ravel() // rows - 1, starts.reshape(slots)[1:], arrived.reshape(slots)[1:]
+
+
+def _metrics(count, starts, arrived, traces, per_policy, horizon):
+    """Each row's admission rate, mean wait and profit per hour, as a (3, rows) array.
+
+    Takes what _event_loop returned, and overwrites its starts and arrival times.
+    """
+    reps = len(traces)
+    lengths = np.tile([len(trace) for trace in traces], len(per_policy[0]))
+    rate = np.where(lengths > 0, count / np.maximum(lengths, 1), 1.0)  # no arrivals: full admission
+    waits = np.subtract(starts, arrived, out=arrived)
+    # np.add.reduce over a row's admitted waits is np.mean's pairwise sum.
+    mean_wait = [
+        float(np.add.reduce(w[:k])) / k if k else 0.0 for w, k in zip(waits.T, count.tolist())
+    ]
+    # Each row's profits summed in admission order, as sum() adds them;
+    # adding +0.0 gives sum()'s +0.0 for a zero total.
+    _, margin, c = (np.repeat(x, reps) for x in per_policy)
+    profits = np.subtract(margin, np.multiply(c, waits, out=starts), out=starts)
+    np.cumsum(profits, axis=0, out=profits)
+    total = np.zeros(len(count))
+    admitting = np.flatnonzero(count)
+    total[admitting] = profits[count[admitting] - 1, admitting]
+    return np.array([rate, mean_wait, (total + 0.0) / (horizon / 60.0)])
 
 
 def rng_for_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -250,23 +302,31 @@ def replicate(
 ) -> list[SimMetrics]:
     """Independent replications of each policy, with 95% confidence half-widths per metric.
 
-    Replication `rep` draws one arrival trace from stream (seed, rep) and
-    runs every policy's event loop on it, so the policies are compared on
-    common random numbers by construction. Returns one SimMetrics per
-    policy, in the order given; a policy's result does not depend on the
-    others it is listed with.
+    Replication `rep` draws one arrival trace from stream (seed, rep), and
+    every policy runs on it, so the policies are compared on common random
+    numbers by construction. One event loop steps all (policy, replication)
+    rows of a chunk of replications at once; a chunk holds about _BLOCK
+    expected arrivals over all its rows, so memory stays bounded on long
+    horizons. Returns one SimMetrics per policy, in the order given; a
+    policy's result does not depend on the others it is listed with or on
+    the chunking.
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     _check_horizon(horizon)
-    samples = [([], [], []) for _ in policies]  # rates, waits, profits per policy
-    for rep in range(reps):
-        arrivals = gen_poisson_arrivals(station.lam, horizon, rng_for_stream(seed, rep)).tolist()
-        for policy, (rates, waits, profits) in zip(policies, samples):
-            rate, wait, profit = _replication(policy, econ, station, horizon, arrivals)
-            rates.append(rate)
-            waits.append(wait)
-            profits.append(profit)
+    per_policy = _per_policy(policies, econ, station)
+    per_chunk = max(1, _BLOCK // (max(1, len(policies)) * (int(station.lam * horizon) + 1)))
+    chunks = []  # (rates, waits, profits) of each chunk, shaped (3, policies, its reps)
+    for first in range(0, reps, per_chunk):
+        traces = [
+            gen_poisson_arrivals(station.lam, horizon, rng_for_stream(seed, rep))
+            for rep in range(first, min(first + per_chunk, reps))
+        ]
+        metrics = _metrics(
+            *_event_loop(policies, per_policy[0], station, traces), traces, per_policy, horizon
+        )
+        chunks.append(metrics.reshape(3, len(policies), len(traces)))
+    samples = np.concatenate(chunks, axis=2)
 
     def half_width(xs):
         if len(xs) < 2:
@@ -285,5 +345,5 @@ def replicate(
                 "profit_per_hour": half_width(profits),
             },
         )
-        for rates, waits, profits in samples
+        for rates, waits, profits in samples.transpose(1, 0, 2)
     ]

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evstation
 import evstation.cli as cli
@@ -29,6 +30,16 @@ def valid_raw():
             {"name": "a", "lambda_per_min": 0.3, "p_e_mwh": 60.0, "duration_min": 240.0}
         ],
     }
+
+
+def valid_raw_with(path, value):
+    """valid_raw() with `value` put at `path`, a sequence of keys and indices."""
+    raw = valid_raw()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw
 
 
 def test_bundled_table1_scenarios(table1):
@@ -62,6 +73,33 @@ def test_empty_scenarios_rejected():
     raw["scenarios"] = []
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config(raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Where a value can go in valid_raw(): a whole block, a scenario, or one field.
+CONFIG_SLOTS = (
+    [("schema_version",), ("station",), ("economics",), ("run",), ("scenarios",), ("scenarios", 0)]
+    + [("station", key) for key in ("m", "alpha_kw", "parking_capacity", "tau")]
+    + [("economics", key) for key in ("beta", "phi_kwh", "u_phi", "penalty_rate", "wait_model")]
+    + [("run", key) for key in ("seed", "reps", "horizon_min")]
+    + [("scenarios", 0, key) for key in ("name", "lambda_per_min", "p_e_mwh", "duration_min")]
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(CONFIG_SLOTS), JSON_VALUES)
+def test_parse_config_raises_only_config_error(path, value):
+    # Any JSON value anywhere in a valid config either parses or is a
+    # ConfigError, which the CLI reports as invalid input (exit 1).
+    try:
+        parse_config(valid_raw_with(path, value))
+    except ConfigError:
+        pass
 
 
 def test_schema_version_checked():
@@ -101,6 +139,19 @@ def test_invalid_values_reported():
         raw["run"][key] = bad
         with pytest.raises(ConfigError, match=f"run: {key}"):
             parse_config(raw)
+    # A block of the wrong JSON type, or a duration that is not a number,
+    # is a ConfigError that names where it is.
+    for path, bad, named in (
+        (("station",), 5, ":station must be an object"),
+        (("station",), ["m"], ":station must be an object"),
+        (("economics",), None, ":economics must be an object"),
+        (("run",), None, ":run must be an object"),
+        (("scenarios",), [5], ":scenarios\\[0\\] must be an object"),
+        (("scenarios", 0, "duration_min"), "abc", "scenarios\\[0\\]: duration_min"),
+        (("scenarios", 0, "duration_min"), None, "scenarios\\[0\\]: duration_min"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            parse_config(valid_raw_with(path, bad))
     raw = valid_raw()
     raw["run"].update(seed=3.0, reps=2.0, horizon_min=60)
     assert parse_config(raw)[1] == RunOptions(seed=3, reps=2, horizon=60.0)

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
@@ -59,8 +60,15 @@ def test_poisson_empty_and_sorted():
 def joap_admitter(n, t_v):
     """JoapAdmission's rule as a function of the arrival time alone."""
     policy = JoapAdmission(n, t_v, 10.0)
-    policy.reset()
-    return lambda t: policy.decide(t, 0.0)
+    times = []  # the admitted arrival times
+
+    def admit(t):
+        admitted = policy.decide(t, 0.0, lambda i: times[-i] if i <= len(times) else -math.inf)
+        if admitted:
+            times.append(t)
+        return admitted
+
+    return admit
 
 
 def test_subprocess_admitter_example_pattern():
@@ -94,7 +102,7 @@ def test_qba_threshold_strict(monkeypatch):
     # threshold. With 3 spaces the fourth EV in the system is turned away, and
     # admission resumes once the first EV leaves at t = 10.
     policy = QbaAdmission(demand=1.0)  # service 10 min
-    assert policy.decide(0.0, 1e6) is True
+    assert policy.decide(0.0, 1e6, None) is True
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=3, lam=0.1, tau=1.01)
     times = [0.0, 0.1, 0.2, 0.3, 10.0]
@@ -108,12 +116,12 @@ def test_greedy_wait_tradeoff():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
     policy = GreedyAdmission(d, econ)
-    assert policy.decide(0.0, 30.0) is False
-    assert policy.decide(0.0, 20.0) is True
+    assert policy.decide(0.0, 30.0, None) is False
+    assert policy.decide(0.0, 20.0, None) is True
     # Negative margin rejects even an empty system.
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     broke = GreedyAdmission(d, dear)
-    assert broke.decide(0.0, 0.0) is False
+    assert broke.decide(0.0, 0.0, None) is False
 
 
 def _fixed_arrival_run(monkeypatch, times, policy, econ, station, horizon=1000.0):
@@ -170,7 +178,7 @@ def test_full_lot_leaves_joap_slot_free(monkeypatch):
     times = [0.0, 0.1, 0.2, 10.0]
     records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
     assert [r.admitted for r in records] == [True, True, False, True]
-    assert list(policy.window) == [0.0, 0.1, 10.0]
+    assert [r.arrival_time for r in records if r.admitted] == [0.0, 0.1, 10.0]
 
 
 def test_joap_trace_spacing():
@@ -215,8 +223,8 @@ def test_replicate_deterministic_and_reps1():
 
 
 def test_replicate_resets_a_policy_between_runs():
-    # One JoapAdmission listed twice: its window is cleared before each run,
-    # so the second run on the same trace sees none of the first's admissions.
+    # One JoapAdmission listed twice: it keeps no state between runs, so the
+    # second run on the same trace sees none of the first's admissions.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = JoapAdmission(3, 12.0, 15.0)
@@ -265,10 +273,12 @@ def test_drain_out_completes_all(monkeypatch):
 
 # Reference copies of the simulator loops as they were before arrivals were
 # generated by cumsum and the event loop ran on plain floats, with a heap of
-# completions and a list of port free times. The reference event loop checks
-# the lot before it asks the policy, and gives the policy the wait at the
-# earliest free port, as the simulator does. The tests below hold the current
-# code to them bit for bit.
+# completions and a list of port free times, one EV at a time. The reference
+# event loop checks the lot before it asks the policy, and gives the policy
+# the wait at the earliest free port, as the simulator does. It asks scalar
+# copies of the three rules, with JoAP's window kept in a deque, so it shares
+# no admission code with the simulator. The tests below hold the current code
+# to them bit for bit.
 
 
 def reference_gen_poisson_arrivals(lam, horizon, rng):
@@ -299,9 +309,30 @@ def reference_run_loss_admission(arrivals, n, t_v):
     return admitted
 
 
+def reference_rule(policy, econ):
+    """A fresh scalar copy of the policy's rule: decide(t, wait) -> bool."""
+    if isinstance(policy, JoapAdmission):
+        window = deque()
+
+        def decide(t, wait):
+            while window and window[0] + policy.t_v <= t:
+                window.popleft()
+            if len(window) < policy.n:
+                window.append(t)
+                return True
+            return False
+
+        return decide
+    if isinstance(policy, GreedyAdmission):
+        margin = per_ev_profit(policy.demand, 0.0, econ)
+        return lambda t, wait: margin - econ.c * wait > 0
+    assert isinstance(policy, QbaAdmission)
+    return lambda t, wait: True
+
+
 def reference_run_simulation(policy, econ, station, horizon, rng):
     arrivals = reference_gen_poisson_arrivals(station.lam, horizon, rng)
-    policy.reset()
+    decide = reference_rule(policy, econ)
     d = policy.demand
     service = station.service_time(d)
     server_free = [0.0] * station.m
@@ -312,7 +343,7 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
             heapq.heappop(completions)
         in_system = len(completions)
         # A full lot rejects before the policy is asked.
-        admitted = in_system < station.parking_capacity and policy.decide(
+        admitted = in_system < station.parking_capacity and decide(
             t, max(0.0, min(server_free) - t)
         )
         if not admitted:
@@ -447,6 +478,56 @@ def test_replicate_matches_reference_on_table1(table1, c):
             assert len(results) == 3
             for name, policy, metrics in zip(("joap", "qba", "greedy"), policies, results):
                 assert metrics == reference_replicate(policy, *args), (scenario.name, name)
+
+
+@st.composite
+def replicated_runs(draw):
+    """A small station, one to three policies and a short run of 1-6 replications.
+
+    Short horizons at low rates leave some replications with no arrivals, so
+    rows have unequal lengths; demands include 0, and JoAP's n may exceed the lot.
+    """
+    m = draw(st.integers(1, 4))
+    lot = draw(st.integers(m, 3 * m))
+    station = StationParams(
+        m=m, alpha=draw(st.floats(3.0, 22.0)), parking_capacity=lot,
+        lam=draw(st.floats(0.01, 1.0)), tau=1.01,
+    )
+    p_e, c = draw(st.floats(0.01, 0.12)), draw(st.floats(0.0, 1.0))
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=p_e, c=c)
+    demand = st.one_of(st.just(0.0), st.floats(1.0, 40.0))
+    policy = st.one_of(
+        st.builds(JoapAdmission, st.integers(1, 3 * lot), st.floats(0.0, 120.0), demand),
+        st.builds(QbaAdmission, demand),
+        st.builds(GreedyAdmission, demand, st.just(econ)),
+    )
+    policies = draw(st.lists(policy, min_size=1, max_size=3))
+    horizon = draw(st.floats(0.5, 120.0))
+    return policies, econ, station, horizon, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(replicated_runs())
+def test_replicate_matches_reference_property(run):
+    policies, *args = run
+    assert replicate(policies, *args) == [reference_replicate(p, *args) for p in policies]
+
+
+def test_replicate_memory_stays_bounded():
+    # Three policies over 20,000 min at 1/min and 20 replications: 60 rows of
+    # about 20,000 arrivals each, whose arrays would take about 38 MB if the
+    # loop held them all at once. Chunks of replications bound them.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=1.0, tau=1.01)
+    policies = [JoapAdmission(6, 20.0, 15.0), QbaAdmission(15.0), GreedyAdmission(15.0, econ)]
+    tracemalloc.start()
+    try:
+        results = replicate(policies, econ, station, 20_000.0, 20, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 3 and all(r.replication_count == 20 for r in results)
+    assert peak < 8 * 2**20
 
 
 def test_trace_matches_reference(table1):
