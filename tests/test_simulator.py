@@ -4,6 +4,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -510,7 +511,11 @@ def replicated_runs(draw):
 @given(replicated_runs())
 def test_replicate_matches_reference_property(run):
     policies, *args = run
-    assert replicate(policies, *args) == [reference_replicate(p, *args) for p in policies]
+    expected = [reference_replicate(p, *args) for p in policies]
+    assert replicate(policies, *args) == expected
+    # Every replication in a chunk of its own: chunk boundaries change nothing.
+    with mock.patch.object(sim, "_BLOCK", 1):
+        assert replicate(policies, *args) == expected
 
 
 def test_replicate_memory_stays_bounded():
