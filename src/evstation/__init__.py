@@ -44,7 +44,6 @@ from .queueing import (
     threshold_t_v,
 )
 from .simulator import (
-    EvRecord,
     GreedyAdmission,
     JoapAdmission,
     QbaAdmission,
@@ -53,7 +52,6 @@ from .simulator import (
     replicate,
     rng_for_stream,
     run_loss_admission,
-    run_simulation,
 )
 
 __version__ = "1.0.0"

@@ -28,7 +28,7 @@ from .experiments import (
     run_tau_study,
     run_wait_validation,
 )
-from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_tau
+from .optimizer import optimize_joap, optimize_tau
 from .queueing import analyze_admission, erlang_blocking
 from .simulator import replicate
 
@@ -85,7 +85,7 @@ def _cmd_optimize(args) -> int:
     scenarios, _ = _load(args)
     scenario = _pick_scenario(scenarios, args.scenario)
     if args.optimize_tau:
-        tau, policy = optimize_tau(scenario.econ, scenario.station, DEFAULT_TAU_GRID)
+        tau, policy = optimize_tau(scenario.econ, scenario.station)
         _emit({"tau": tau, "policy": policy})
     else:
         _emit(optimize_joap(scenario.econ, scenario.station))

@@ -289,7 +289,7 @@ def run_wait_validation(
 def run_tau_study(
     scenarios: list,
     run: RunOptions,
-    tau_grid=None,
+    tau_grid=DEFAULT_TAU_GRID,
     out_path=None,
 ) -> dict:
     """Simulated profit at the fixed spacing factor vs the per-scenario best.
@@ -303,14 +303,13 @@ def run_tau_study(
     maximum over a superset and never negative. Returns per-scenario rows
     and the aggregate relative gain.
     """
-    grid = tuple(tau_grid) if tau_grid is not None else DEFAULT_TAU_GRID
     rows = []
     fixed_total = 0.0
     best_total = 0.0
     for scenario in scenarios:
         horizon = run.horizon if run.horizon is not None else scenario.duration
         tau_fixed = scenario.station.tau
-        taus = [tau_fixed] + [tau for tau in grid if tau != tau_fixed]
+        taus = [tau_fixed] + [tau for tau in tau_grid if tau != tau_fixed]
         policies = []
         for tau in taus:
             plan = optimize_joap(scenario.econ, replace(scenario.station, tau=tau))

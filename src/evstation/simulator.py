@@ -23,17 +23,16 @@ port is the one the m-th most recent admission took, and the lot has room
 iff its lot-th most recent admission has left. A run's state is its count
 of admissions and each admission's service start and arrival time.
 
-One event loop serves both entry points. It steps the arrival index across
-many rows at once, a row being one policy on one arrival trace, with numpy
-arrays of shape (admission slot, row). `run_simulation` runs one row and
-builds an `EvRecord` per EV from it afterwards, for inspecting a single
-run. `replicate` runs every policy on each replication's trace, so the
-policies of one call are compared on common random numbers by
-construction; it runs the replications in chunks that bound the arrays'
-size, and since rows are independent, chunking changes no result. A step
-costs about the same whatever the number of rows, so the loop pays off
-with many rows per chunk: one row, or a few rows on long traces, runs
-several times slower per arrival than a scalar loop over one trace.
+`replicate` is the entry point. Its event loop steps the arrival index
+across many rows at once, a row being one policy on one arrival trace,
+with numpy arrays of shape (admission slot, row). It runs every policy on
+each replication's trace, so the policies of one call are compared on
+common random numbers by construction; it runs the replications in chunks
+that bound the arrays' size, and since rows are independent, chunking
+changes no result. A step costs about the same whatever the number of
+rows, so the loop pays off with many rows per chunk: a few rows on long
+traces run several times slower per arrival than a scalar loop over one
+trace.
 """
 from __future__ import annotations
 
@@ -46,18 +45,6 @@ import numpy as np
 from .economics import DomainError, EconomicParams, StationParams, per_ev_profit
 
 _BLOCK = 2**18  # expected arrivals over all rows of one chunk of replications
-
-
-@dataclass
-class EvRecord:
-    """One simulated EV, admitted or not."""
-
-    arrival_time: float
-    demand: float
-    admitted: bool
-    service_start: float | None = None
-    wait: float = 0.0
-    profit: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -165,50 +152,6 @@ class GreedyAdmission:
         return self._margin - self._c * wait > 0
 
 
-def run_simulation(
-    policy,
-    econ: EconomicParams,
-    station: StationParams,
-    horizon: float,
-    rng: np.random.Generator,
-) -> tuple[list, SimMetrics]:
-    """One replication: Poisson arrivals, online admission, FIFO charging.
-
-    The event loop runs over this one trace as a single row; the per-EV
-    records are built from that row's admissions afterwards. Returns the
-    records and single-run metrics. Deterministic given the generator
-    state.
-    """
-    _check_horizon(horizon)
-    arrivals = gen_poisson_arrivals(station.lam, horizon, rng)
-    per_policy = _per_policy([policy], econ, station)
-    loop = _event_loop([policy], per_policy[0], station, [arrivals])
-    (count,), starts, arrived = loop
-    d = policy.demand
-    margin, c = float(per_policy[1][0]), float(per_policy[2][0])
-    # Admissions are in arrival order, and of equal arrival times only a
-    # first run can be admitted, so one pointer matches them to arrivals.
-    # The records are read before _metrics overwrites the loop's arrays.
-    admissions = zip(arrived[:count, 0].tolist(), starts[:count, 0].tolist())
-    upcoming = next(admissions, None)
-    records = []
-    for t in arrivals.tolist():
-        if upcoming is not None and upcoming[0] == t:
-            start = upcoming[1]
-            wait = start - t
-            records.append(EvRecord(t, d, True, start, wait, margin - c * wait))
-            upcoming = next(admissions, None)
-        else:
-            records.append(EvRecord(t, d, False))
-    (rate,), (wait,), (profit,) = _metrics(*loop, [arrivals], per_policy, horizon).tolist()
-    return records, SimMetrics(rate, wait, profit, replication_count=1)
-
-
-def _check_horizon(horizon: float) -> None:
-    if horizon <= 0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
-
-
 def _per_policy(policies, econ, station):
     """Each policy's service time, margin and wait penalty rate, as arrays."""
     demands = [policy.demand for policy in policies]
@@ -313,7 +256,8 @@ def replicate(
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    _check_horizon(horizon)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
     per_policy = _per_policy(policies, econ, station)
     per_chunk = max(1, _BLOCK // (max(1, len(policies)) * (int(station.lam * horizon) + 1)))
     chunks = []  # (rates, waits, profits) of each chunk, shaped (3, policies, its reps)

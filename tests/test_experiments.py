@@ -6,9 +6,9 @@ import pytest
 from evstation import (
     EconomicParams,
     StationParams,
+    gen_poisson_arrivals,
     price_for_demand,
     rng_for_stream,
-    run_simulation,
 )
 from evstation.config import RunOptions
 from evstation.experiments import (
@@ -19,6 +19,7 @@ from evstation.experiments import (
     run_wait_validation,
 )
 from evstation.optimizer import demand_region_bound
+from test_simulator import run_one_row
 
 
 def small_run():
@@ -69,9 +70,8 @@ def test_common_random_numbers_across_policies(table1):
     traces = []
     for name in ("joap", "qba", "greedy"):
         policy, _, _ = build_policy(name, scenario)
-        records, _ = run_simulation(
-            policy, scenario.econ, scenario.station, 240.0, rng_for_stream(11, 2)
-        )
+        arrivals = gen_poisson_arrivals(scenario.station.lam, 240.0, rng_for_stream(11, 2))
+        records = run_one_row(policy, scenario.econ, scenario.station, arrivals)
         traces.append([r.arrival_time for r in records])
     assert traces[0] == traces[1] == traces[2]
 

@@ -2,7 +2,7 @@ import heapq
 import math
 import tracemalloc
 from bisect import bisect_right
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import replace
 from unittest import mock
 
@@ -26,12 +26,11 @@ from evstation import (
     replicate,
     rng_for_stream,
     run_loss_admission,
-    run_simulation,
     threshold_t_v,
 )
 from evstation.config import with_penalty
 from evstation.experiments import POLICY_NAMES, build_policy
-from evstation.simulator import EvRecord, SimMetrics
+from evstation.simulator import SimMetrics
 
 
 def test_poisson_determinism():
@@ -98,7 +97,7 @@ def test_joap_admission_spacing_domain():
         JoapAdmission(0, 1.0, 10.0)
 
 
-def test_qba_threshold_strict(monkeypatch):
+def test_qba_threshold_strict():
     # QBA admits every EV it is asked about, whatever its wait; the lot is its
     # threshold. With 3 spaces the fourth EV in the system is turned away, and
     # admission resumes once the first EV leaves at t = 10.
@@ -107,7 +106,7 @@ def test_qba_threshold_strict(monkeypatch):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=3, lam=0.1, tau=1.01)
     times = [0.0, 0.1, 0.2, 0.3, 10.0]
-    records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
+    records = run_one_row(policy, econ, station, times)
     assert [r.admitted for r in records] == [True, True, True, False, True]
 
 
@@ -125,50 +124,71 @@ def test_greedy_wait_tradeoff():
     assert broke.decide(0.0, 0.0, None) is False
 
 
-def _fixed_arrival_run(monkeypatch, times, policy, econ, station, horizon=1000.0):
-    monkeypatch.setattr(
-        sim, "gen_poisson_arrivals", lambda lam, h, rng: np.asarray(times, dtype=float)
-    )
-    return run_simulation(policy, econ, station, horizon, rng_for_stream(0, 0))
+Ev = namedtuple("Ev", "arrival_time admitted service_start wait profit")
 
 
-def test_fifo_single_server_waits(monkeypatch):
+def run_one_row(policy, econ, station, arrivals):
+    """One policy on one arrival trace through the simulator's event loop, as one Ev per arrival.
+
+    A rejected EV has no service start and zero wait and profit.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    per_policy = sim._per_policy([policy], econ, station)
+    (count,), starts, arrived = sim._event_loop([policy], per_policy[0], station, [arrivals])
+    margin, c = float(per_policy[1][0]), float(per_policy[2][0])
+    # Admissions are in arrival order, and of equal arrival times only a
+    # first run can be admitted, so one pointer matches them to arrivals.
+    admissions = zip(arrived[:count, 0].tolist(), starts[:count, 0].tolist())
+    upcoming = next(admissions, None)
+    records = []
+    for t in arrivals.tolist():
+        if upcoming is not None and upcoming[0] == t:
+            start = upcoming[1]
+            wait = start - t
+            records.append(Ev(t, True, start, wait, margin - c * wait))
+            upcoming = next(admissions, None)
+        else:
+            records.append(Ev(t, False, None, 0.0, 0.0))
+    return records
+
+
+def test_fifo_single_server_waits():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     d = 1.0  # service 10 min
     policy = QbaAdmission(demand=d)
-    records, _ = _fixed_arrival_run(monkeypatch, [0.0, 1.0], policy, econ, station)
+    records = run_one_row(policy, econ, station, [0.0, 1.0])
     assert [r.wait for r in records] == pytest.approx([0.0, 9.0])
 
 
-def test_fifo_two_servers_waits(monkeypatch):
+def test_fifo_two_servers_waits():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     policy = QbaAdmission(demand=1.0)
-    records, _ = _fixed_arrival_run(monkeypatch, [0.0, 1e-9, 2e-9], policy, econ, station)
+    records = run_one_row(policy, econ, station, [0.0, 1e-9, 2e-9])
     assert [round(r.wait, 6) for r in records] == pytest.approx([0.0, 0.0, 10.0])
 
 
-def test_departure_processed_before_arrival(monkeypatch):
+def test_departure_processed_before_arrival():
     # An EV arriving exactly at a completion instant sees the server free.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=1, lam=0.1, tau=1.01)
     policy = QbaAdmission(demand=1.0)
-    records, _ = _fixed_arrival_run(monkeypatch, [0.0, 10.0], policy, econ, station)
+    records = run_one_row(policy, econ, station, [0.0, 10.0])
     assert all(r.admitted for r in records)
     assert records[1].wait == pytest.approx(0.0)
 
 
-def test_parking_capacity_converts_to_rejection(monkeypatch):
+def test_parking_capacity_converts_to_rejection():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
     policy = QbaAdmission(demand=1.0)  # admits whatever the lot has room for
     times = [0.0, 0.1, 0.2, 0.3]
-    records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
+    records = run_one_row(policy, econ, station, times)
     assert [r.admitted for r in records] == [True, True, False, False]
 
 
-def test_full_lot_leaves_joap_slot_free(monkeypatch):
+def test_full_lot_leaves_joap_slot_free():
     # The lot holds 2 EVs and JoAP admits 3 per 50 minutes. The third arrival
     # finds the lot full and is turned away without counting in JoAP's window,
     # so the fourth, after the first EV has left, is the window's third
@@ -177,7 +197,7 @@ def test_full_lot_leaves_joap_slot_free(monkeypatch):
     station = StationParams(m=1, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
     policy = JoapAdmission(3, 50.0, 1.0)  # service 10 min
     times = [0.0, 0.1, 0.2, 10.0]
-    records, _ = _fixed_arrival_run(monkeypatch, times, policy, econ, station)
+    records = run_one_row(policy, econ, station, times)
     assert [r.admitted for r in records] == [True, True, False, True]
     assert [r.arrival_time for r in records if r.admitted] == [0.0, 0.1, 10.0]
 
@@ -188,9 +208,8 @@ def test_joap_trace_spacing():
     d = 20.0
     n = 4
     t_v = threshold_t_v(n, d, station)
-    records, _ = run_simulation(
-        JoapAdmission(n, t_v, d), econ, station, 2000.0, rng_for_stream(5, 0)
-    )
+    arrivals = gen_poisson_arrivals(station.lam, 2000.0, rng_for_stream(5, 0))
+    records = run_one_row(JoapAdmission(n, t_v, d), econ, station, arrivals)
     admitted = [r.arrival_time for r in records if r.admitted]
     assert n < len(admitted) < len(records)
     # At most n admissions in any t_v: each comes no sooner than t_v after
@@ -214,12 +233,16 @@ def test_replicate_deterministic_and_reps1():
     [a] = replicate([policy], econ, station, 240.0, 5, 123)
     [b] = replicate([policy], econ, station, 240.0, 5, 123)
     assert a == b
-    _, single = run_simulation(policy, econ, station, 240.0, rng_for_stream(123, 0))
+    _, single = reference_run_simulation(policy, econ, station, 240.0, rng_for_stream(123, 0))
     [one] = replicate([policy], econ, station, 240.0, 1, 123)
-    # One event loop serves both, so a single replication reproduces the run exactly.
+    # A single replication reproduces the reference run exactly.
     assert one.profit_per_hour == single.profit_per_hour
     assert one.admission_rate == single.admission_rate
     assert one.mean_wait == single.mean_wait
+    # And its profit is the sum of the loop's per-EV profits.
+    arrivals = gen_poisson_arrivals(station.lam, 240.0, rng_for_stream(123, 0))
+    records = run_one_row(policy, econ, station, arrivals)
+    assert sum(r.profit for r in records if r.admitted) / (240.0 / 60.0) == one.profit_per_hour
     assert set(one.half_width_95.values()) == {None}  # undefined for one replication
 
 
@@ -243,11 +266,9 @@ def test_replicate_rejects_bad_reps_and_horizon():
     for reps in (0, -1):
         with pytest.raises(DomainError, match="reps"):
             replicate([policy], econ, station, 240.0, reps, 1)
-    for horizon in (0.0, -5.0):
+    for horizon in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="horizon"):
             replicate([policy], econ, station, horizon, 3, 1)
-        with pytest.raises(DomainError, match="horizon"):
-            run_simulation(policy, econ, station, horizon, rng_for_stream(1, 0))
 
 
 def test_half_width_shrinks():
@@ -260,14 +281,12 @@ def test_half_width_shrinks():
     assert 0.5 * (1 / 2) < ratio < 1.2 * (1 / 2) + 0.3  # ~1/2 with sampling slack
 
 
-def test_drain_out_completes_all(monkeypatch):
+def test_drain_out_completes_all():
     # Arrivals near the horizon still get served (waits counted, not censored).
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     policy = QbaAdmission(demand=1.0)
-    records, _ = _fixed_arrival_run(
-        monkeypatch, [99.0, 99.5], policy, econ, station, horizon=100.0
-    )
+    records = run_one_row(policy, econ, station, [99.0, 99.5])
     assert all(r.admitted and r.service_start is not None for r in records)
     assert records[1].wait == pytest.approx(9.5)
 
@@ -348,23 +367,14 @@ def reference_run_simulation(policy, econ, station, horizon, rng):
             t, max(0.0, min(server_free) - t)
         )
         if not admitted:
-            records.append(EvRecord(arrival_time=t, demand=d, admitted=False))
+            records.append(Ev(t, False, None, 0.0, 0.0))
             continue
         j = min(range(station.m), key=lambda k: server_free[k])
         start = max(t, server_free[j])
         server_free[j] = start + service
         heapq.heappush(completions, start + service)
         wait = start - t
-        records.append(
-            EvRecord(
-                arrival_time=t,
-                demand=d,
-                admitted=True,
-                service_start=start,
-                wait=wait,
-                profit=per_ev_profit(d, wait, econ),
-            )
-        )
+        records.append(Ev(t, True, start, wait, per_ev_profit(d, wait, econ)))
     total = len(records)
     admitted = [r for r in records if r.admitted]
     metrics = SimMetrics(
@@ -539,11 +549,15 @@ def test_trace_matches_reference(table1):
     scenarios, run = table1
     for name in ("joap", "qba", "greedy"):
         policy, _, _ = build_policy(name, scenarios[0])
-        args = (policy, scenarios[0].econ, scenarios[0].station, scenarios[0].duration)
-        records, metrics = run_simulation(*args, rng_for_stream(run.seed, 4))
-        ref_records, ref_metrics = reference_run_simulation(*args, rng_for_stream(run.seed, 4))
+        econ, station, horizon = scenarios[0].econ, scenarios[0].station, scenarios[0].duration
+        arrivals = gen_poisson_arrivals(station.lam, horizon, rng_for_stream(run.seed, 0))
+        records = run_one_row(policy, econ, station, arrivals)
+        ref_records, ref_metrics = reference_run_simulation(
+            policy, econ, station, horizon, rng_for_stream(run.seed, 0)
+        )
         assert records == ref_records
-        assert metrics == ref_metrics
+        [metrics] = replicate([policy], econ, station, horizon, 1, run.seed)
+        assert replace(metrics, half_width_95={}) == ref_metrics
 
 
 @st.composite
@@ -574,7 +588,8 @@ def simulated_runs(draw):
 @given(simulated_runs())
 def test_simulator_invariants_property(point):
     name, policy, econ, station, seed = point
-    records, _ = run_simulation(policy, econ, station, 240.0, rng_for_stream(seed, 0))
+    arrivals = gen_poisson_arrivals(station.lam, 240.0, rng_for_stream(seed, 0))
+    records = run_one_row(policy, econ, station, arrivals)
     admitted = [r for r in records if r.admitted]
     assert all(r.wait >= 0 for r in admitted)
     starts = [r.service_start for r in admitted]
@@ -600,6 +615,5 @@ def test_simulator_invariants_property(point):
         assert all(a + t_v <= b for a, b in zip(times, times[n:]))
         # With a lot that never binds, JoAP is the loss-mode count.
         free = replace(station, parking_capacity=10**6)
-        records, _ = run_simulation(policy, econ, free, 240.0, rng_for_stream(seed, 0))
-        arrivals = np.array([r.arrival_time for r in records])
+        records = run_one_row(policy, econ, free, arrivals)
         assert sum(r.admitted for r in records) == run_loss_admission(arrivals, n, t_v)
