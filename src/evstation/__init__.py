@@ -32,6 +32,7 @@ from .optimizer import (
     brute_force_oracle,
     demand_region_bound,
     optimize_joap,
+    optimize_joap_many,
     optimize_tau,
     profit_s,
 )

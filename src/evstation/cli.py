@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
     policy, n, demand = build_policy(args.policy, scenario)
     horizon = run.horizon if run.horizon is not None else scenario.duration
     econ, station = scenario.econ, scenario.station
-    [metrics] = replicate([policy], econ, station, horizon, run.reps, run.seed)
+    [[metrics]] = replicate([([policy], econ, station, horizon)], run.reps, run.seed)
     _emit({"policy": args.policy, "n": n, "demand_kwh": demand, "metrics": metrics})
     return 0
 

@@ -3,10 +3,12 @@
 Each runner returns plain Python data and optionally writes plot-ready CSV
 files with fixed column orders. All randomness flows through per-replication
 seed streams, so identical (config, seed, reps) inputs give byte-identical
-output files. The policies compared on one scenario, the three of the
-daily experiment or the JoAP plans of the spacing study, are replicated in
-one `replicate` call, which runs them all on one arrival trace per
-replication: common random numbers by construction, which makes the
+output files. The daily experiment and the spacing study each make one
+optimize_joap_many search for every operating point of the run and one
+`replicate` call for every scenario. That call builds each replication's
+stream once and runs a scenario's policies, the three of the daily
+experiment or the JoAP plans of the spacing study, on one arrival trace
+drawn from it: common random numbers by construction, which makes the
 profit comparisons paired rather than independent.
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from .config import RunOptions, Scenario
 from .economics import EconomicParams, StationParams, price_for_demand
-from .optimizer import DEFAULT_TAU_GRID, demand_region_bound, optimize_joap
+from .optimizer import DEFAULT_TAU_GRID, demand_region_bound, optimize_joap, optimize_joap_many
 from .queueing import analyze_admission, mean_wait
 from .simulator import (
     GreedyAdmission,
@@ -82,9 +84,17 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
     """
     econ, station = scenario.econ, scenario.station
     if name == "joap":
-        plan = optimize_joap(econ, station)
-        return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
-    d_b = demand_region_bound(econ)
+        return _joap(optimize_joap(econ, station))
+    return _benchmark(name, demand_region_bound(econ), econ)
+
+
+def _joap(plan) -> tuple[object, int, float]:
+    """build_policy's answer for JoAP at an optimized operating point."""
+    return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
+
+
+def _benchmark(name: str, d_b: float, econ: EconomicParams) -> tuple[object, None, float]:
+    """build_policy's answer for a benchmark policy at the margin-maximizing demand d_b."""
     if name == "qba":
         return QbaAdmission(d_b), None, d_b
     if name == "greedy":
@@ -95,18 +105,30 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
 def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> ExperimentReport:
     """Benchmark JoAP against both benchmark policies across all scenarios of one day.
 
-    A scenario's three policies are replicated in one call, on the same
-    arrival trace per replication. Writes daily_scenarios.csv,
-    daily_aggregate.csv and daily_summary.json when out_dir is given.
+    Every scenario's JoAP point comes from one optimize_joap_many search, and
+    all scenarios are replicated in one `replicate` call: a scenario's three
+    policies run on the same arrival trace per replication. Writes
+    daily_scenarios.csv, daily_aggregate.csv and daily_summary.json when
+    out_dir is given.
     """
+    plans = optimize_joap_many([(s.econ, s.station) for s in scenarios])
+    built = []
+    for scenario, plan in zip(scenarios, plans):
+        d_b = demand_region_bound(scenario.econ)
+        benchmarks = [_benchmark(name, d_b, scenario.econ) for name in POLICY_NAMES[1:]]
+        built.append([_joap(plan), *benchmarks])
+    results = replicate(
+        [
+            ([policy for policy, _, _ in policies], s.econ, s.station, _horizon(run, s))
+            for s, policies in zip(scenarios, built)
+        ],
+        run.reps,
+        run.seed,
+    )
     rows: list[ScenarioResult] = []
     policy_specs: dict = {}
-    for scenario in scenarios:
-        horizon = run.horizon if run.horizon is not None else scenario.duration
-        built = [build_policy(name, scenario) for name in POLICY_NAMES]
-        policies = [policy for policy, _, _ in built]
-        results = replicate(policies, scenario.econ, scenario.station, horizon, run.reps, run.seed)
-        for name, (_, n, demand), metrics in zip(POLICY_NAMES, built, results):
+    for scenario, policies, scenario_results in zip(scenarios, built, results):
+        for name, (_, n, demand), metrics in zip(POLICY_NAMES, policies, scenario_results):
             price = price_for_demand(demand, scenario.econ) if demand > 0 else 0.0
             rows.append(
                 ScenarioResult(
@@ -143,6 +165,11 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     if out_dir is not None:
         _write_daily_outputs(report, Path(out_dir))
     return report
+
+
+def _horizon(run: RunOptions, scenario: Scenario) -> float:
+    """The run's horizon, or the scenario's duration when the run sets none."""
+    return run.horizon if run.horizon is not None else scenario.duration
 
 
 def _fmt(x) -> str:
@@ -277,7 +304,7 @@ def run_wait_validation(
             continue
         analytic = mean_wait(analysis, station, econ.wait_model)
         policy = JoapAdmission(n, analysis.t_v, d)
-        [metrics] = replicate([policy], econ, station, horizon, reps, seed)
+        [[metrics]] = replicate([([policy], econ, station, horizon)], reps, seed)
         simulated = metrics.mean_wait
         denom = max(simulated, 1e-12)
         rows.append([n, lam, d, rho, analytic, simulated, abs(analytic - simulated) / denom, "ok"])
@@ -294,30 +321,38 @@ def run_tau_study(
 ) -> dict:
     """Simulated profit at the fixed spacing factor vs the per-scenario best.
 
-    For each scenario the operating point is re-optimized at every τ on the
-    grid, and all the plans are replicated in one call on the scenario's
-    station: the event loop reads no τ, so they share one arrival trace per
-    replication. The best τ is the one with the highest simulated profit;
+    Every scenario's operating point is re-optimized at every τ on the grid
+    in one optimize_joap_many search, and every scenario's plans are
+    replicated in one `replicate` call, each scenario's on its own station:
+    the event loop reads no τ, so a scenario's plans share one arrival trace
+    per replication. The best τ is the one with the highest simulated profit;
     the fixed spacing goes first and a later τ must strictly beat it. The
     fixed spacing is always part of the grid, so per-scenario gain is a
     maximum over a superset and never negative. Returns per-scenario rows
     and the aggregate relative gain.
     """
+    taus_of = [
+        [s.station.tau] + [tau for tau in tau_grid if tau != s.station.tau] for s in scenarios
+    ]
+    plans = optimize_joap_many(
+        [
+            (s.econ, replace(s.station, tau=tau))
+            for s, taus in zip(scenarios, taus_of)
+            for tau in taus
+        ]
+    )
+    cases = []
+    for scenario, taus in zip(scenarios, taus_of):
+        mine, plans = plans[: len(taus)], plans[len(taus) :]
+        policies = [JoapAdmission(plan.n_star, plan.t_v, plan.d_star) for plan in mine]
+        cases.append((policies, scenario.econ, scenario.station, _horizon(run, scenario)))
     rows = []
     fixed_total = 0.0
     best_total = 0.0
-    for scenario in scenarios:
-        horizon = run.horizon if run.horizon is not None else scenario.duration
-        tau_fixed = scenario.station.tau
-        taus = [tau_fixed] + [tau for tau in tau_grid if tau != tau_fixed]
-        policies = []
-        for tau in taus:
-            plan = optimize_joap(scenario.econ, replace(scenario.station, tau=tau))
-            policies.append(JoapAdmission(plan.n_star, plan.t_v, plan.d_star))
-        results = replicate(policies, scenario.econ, scenario.station, horizon, run.reps, run.seed)
+    for scenario, taus, results in zip(scenarios, taus_of, replicate(cases, run.reps, run.seed)):
         profits = [metrics.profit_per_hour * scenario.duration / 60.0 for metrics in results]
         profit_fixed = profits[0]
-        tau_best, profit_best = tau_fixed, profit_fixed
+        tau_best, profit_best = taus[0], profit_fixed
         for tau, profit in zip(taus[1:], profits[1:]):
             if profit > profit_best:
                 tau_best, profit_best = tau, profit

@@ -23,16 +23,20 @@ port is the one the m-th most recent admission took, and the lot has room
 iff its lot-th most recent admission has left. A run's state is its count
 of admissions and each admission's service start and arrival time.
 
-`replicate` is the entry point. Its event loop steps the arrival index
-across many rows at once, a row being one policy on one arrival trace,
-with numpy arrays of shape (admission slot, row). It runs every policy on
-each replication's trace, so the policies of one call are compared on
-common random numbers by construction; it runs the replications in chunks
-that bound the arrays' size, and since rows are independent, chunking
-changes no result. A step costs about the same whatever the number of
-rows, so the loop pays off with many rows per chunk: a few rows on long
-traces run several times slower per arrival than a scalar loop over one
-trace.
+`replicate` is the entry point. It takes cases, each a set of policies
+on one station and horizon. Each replication builds its random stream
+once and draws every case's arrival trace from it: the running sum of the
+stream's exponential gaps scaled by 1/lam, cut at the case's horizon,
+which is what gen_poisson_arrivals draws from that stream, bit for bit.
+The event loop of a case steps the arrival index across many rows at
+once, a row being one policy on one arrival trace, with numpy arrays of
+shape (admission slot, row). It runs every policy of the case on each
+replication's trace, so they are compared on common random numbers by
+construction. Replications run in chunks that bound the arrays' size, and
+since rows are independent, chunking changes no result. A step costs
+about the same whatever the number of rows, so the loop pays off with
+many rows per chunk: a few rows on long traces run several times slower
+per arrival than a scalar loop over one trace.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ import numpy as np
 
 from .economics import DomainError, EconomicParams, StationParams, per_ev_profit
 
-_BLOCK = 2**18  # expected arrivals over all rows of one chunk of replications
+_BLOCK = 2**18  # expected arrivals in one chunk's traces, and over one case's rows in it
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,36 @@ class SimMetrics:
     half_width_95: dict = field(default_factory=dict)
 
 
+def _poisson_traces(rng: np.random.Generator, rates: Sequence) -> list:
+    """One arrival trace per (lam, horizon) in rates, all from rng's one stream of draws.
+
+    Each trace is the in-order cumulative sum of the stream's exponential
+    draws, scaled by 1/lam and cut at its horizon, so every trace reads the
+    stream from its start. The draws come in blocks of the largest expected
+    count plus slack until every horizon is covered. A block's first gap
+    carries the last time drawn and cumsum adds in sequence, so each time is
+    bitwise the running sum t += gap. exponential(scale) is scale times
+    standard_exponential() bit for bit: one rate draws its gaps at its scale,
+    several draw standard gaps once and scale them per rate.
+    """
+    scales = [1.0 / lam for lam, _ in rates]
+    ends = [0.0] * len(rates)
+    blocks: list = [[] for _ in rates]
+    size = max((max(16, int(lam * horizon * 1.2) + 16) for lam, horizon in rates), default=0)
+    one = len(rates) == 1
+    while live := [k for k, (end, (_, horizon)) in enumerate(zip(ends, rates)) if end <= horizon]:
+        draws = rng.exponential(scales[0], size=size) if one else rng.standard_exponential(size)
+        for k in live:
+            # The last rate to read a block of standard gaps scales it in place.
+            out = draws if k == live[-1] else None
+            times = draws if one else np.multiply(draws, scales[k], out=out)
+            times[0] += ends[k]
+            np.cumsum(times, out=times)
+            blocks[k].append(times[: np.searchsorted(times, rates[k][1], side="right")])
+            ends[k] = times[-1]
+    return [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
+
+
 def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing Poisson arrival times on (0, horizon]."""
     if not (math.isfinite(lam) and lam > 0):
@@ -69,19 +103,7 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
         raise DomainError(f"horizon must be finite and non-negative, got {horizon}")
     if horizon == 0:
         return np.empty(0)
-    # Draw in blocks of the expected count plus slack until the horizon is
-    # covered. The first gap carries the last time drawn and cumsum adds in
-    # sequence, so each time is bitwise the running sum t += gap.
-    blocks = []
-    t = 0.0
-    block = max(16, int(lam * horizon * 1.2) + 16)
-    while t <= horizon:
-        times = rng.exponential(1.0 / lam, size=block)
-        times[0] += t
-        np.cumsum(times, out=times)
-        blocks.append(times[: np.searchsorted(times, horizon, side="right")])
-        t = times[-1]
-    return np.concatenate(blocks)
+    return _poisson_traces(rng, [(lam, horizon)])[0]
 
 
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
@@ -235,42 +257,58 @@ def rng_for_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(stream_id))))
 
 
-def replicate(
-    policies: Sequence,
-    econ: EconomicParams,
-    station: StationParams,
-    horizon: float,
-    reps: int,
-    seed: int,
-) -> list[SimMetrics]:
-    """Independent replications of each policy, with 95% confidence half-widths per metric.
+def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
+    """Independent replications of every case's policies, with 95% confidence half-widths.
 
-    Replication `rep` draws one arrival trace from stream (seed, rep), and
-    every policy runs on it, so the policies are compared on common random
-    numbers by construction. One event loop steps all (policy, replication)
-    rows of a chunk of replications at once; a chunk holds about _BLOCK
-    expected arrivals over all its rows, so memory stays bounded on long
-    horizons. Returns one SimMetrics per policy, in the order given; a
-    policy's result does not depend on the others it is listed with or on
-    the chunking.
+    A case is (policies, econ, station, horizon). Replication `rep` builds
+    stream (seed, rep) once and draws every case's arrival trace from it, as
+    gen_poisson_arrivals draws one rate's trace; cases with the same rate and
+    horizon share one trace. Every policy of a case runs on its trace, so the
+    policies are compared on common random numbers by construction. One event
+    loop per case steps all its (policy, replication) rows of a chunk of
+    replications at once. A chunk's traces hold about _BLOCK expected
+    arrivals at most, and so do the rows of any one case's loop, so memory
+    stays bounded on long horizons and over many cases. Returns, for each
+    case in the order given, one SimMetrics per policy in the order given; a
+    policy's result does not depend on the policies or cases it is listed
+    with or on the chunking.
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise DomainError(f"horizon must be finite and positive, got {horizon}")
-    per_policy = _per_policy(policies, econ, station)
-    per_chunk = max(1, _BLOCK // (max(1, len(policies)) * (int(station.lam * horizon) + 1)))
-    chunks = []  # (rates, waits, profits) of each chunk, shaped (3, policies, its reps)
+    for _, _, _, horizon in cases:
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise DomainError(f"horizon must be finite and positive, got {horizon}")
+    per_case = [_per_policy(policies, econ, station) for policies, econ, station, _ in cases]
+    rates = list(dict.fromkeys((station.lam, horizon) for _, _, station, horizon in cases))
+    trace_of = [rates.index((station.lam, horizon)) for _, _, station, horizon in cases]
+    # Expected arrivals per replication: in each distinct trace, and over the
+    # rows of each case's event loop. A chunk holds about _BLOCK of either,
+    # since the traces are held while one case's loop runs at a time.
+    arrivals = [int(lam * horizon) + 1 for lam, horizon in rates]
+    held = [sum(arrivals)] + [
+        max(1, len(policies)) * arrivals[k] for (policies, *_), k in zip(cases, trace_of)
+    ]
+    per_chunk = max(1, _BLOCK // max(1, *held))
+    # Per case, each chunk's (rates, waits, profits), shaped (3, policies, its reps).
+    chunks: list = [[] for _ in cases]
     for first in range(0, reps, per_chunk):
-        traces = [
-            gen_poisson_arrivals(station.lam, horizon, rng_for_stream(seed, rep))
+        drawn = [
+            _poisson_traces(rng_for_stream(seed, rep), rates)
             for rep in range(first, min(first + per_chunk, reps))
         ]
-        metrics = _metrics(
-            *_event_loop(policies, per_policy[0], station, traces), traces, per_policy, horizon
-        )
-        chunks.append(metrics.reshape(3, len(policies), len(traces)))
-    samples = np.concatenate(chunks, axis=2)
+        for (policies, _, station, horizon), per_policy, k, out in zip(
+            cases, per_case, trace_of, chunks
+        ):
+            traces = [rep_traces[k] for rep_traces in drawn]
+            metrics = _metrics(
+                *_event_loop(policies, per_policy[0], station, traces), traces, per_policy, horizon
+            )
+            out.append(metrics.reshape(3, len(policies), len(traces)))
+    return [_summaries(np.concatenate(out, axis=2), reps) for out in chunks]
+
+
+def _summaries(samples: np.ndarray, reps: int) -> list[SimMetrics]:
+    """One SimMetrics per policy from its (3, policies, reps) samples."""
 
     def half_width(xs):
         if len(xs) < 2:

@@ -17,6 +17,7 @@ from evstation import (
     brute_force_oracle,
     demand_region_bound,
     optimize_joap,
+    optimize_joap_many,
     optimize_tau,
     per_ev_profit,
     price_for_demand,
@@ -24,6 +25,7 @@ from evstation import (
 from evstation.economics import WAIT_MODELS
 from evstation.optimizer import (
     _GRID_POINTS,
+    DEFAULT_TAU_GRID,
     N_CAP,
     UNSTABLE,
     inner_demand_opt,
@@ -296,6 +298,50 @@ def test_demand_region_bound(econ_default):
     assert demand_region_bound(dear) == 0.0
 
 
+def full_bisection(econ):
+    """demand_region_bound as it was, with all 200 bisection steps."""
+
+    def g(d):
+        return math.exp(-econ.beta * d) * (1.0 - econ.beta * d) / econ.xi - econ.p_e
+
+    if g(0.0) <= 0:
+        return 0.0
+    lo, hi = 0.0, econ.phi
+    if g(hi) >= 0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def priced_economics(draw):
+    """Random economics whose electricity price is anywhere up to the choke price,
+    at it or just below it, or at and above it."""
+    econ = draw(economics())
+    choke = econ.choke_price
+    p_e = draw(
+        st.one_of(
+            st.floats(0.0, choke),
+            st.sampled_from([choke, math.nextafter(choke, 0.0), choke * (1 - 1e-12), 0.0]),
+            st.floats(choke, 2.0 * choke),
+        )
+    )
+    return replace(econ, p_e=p_e)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(priced_economics())
+def test_demand_region_bound_matches_full_bisection(econ):
+    # The bisection stops once its ends are adjacent floats; the bound is
+    # the one all 200 steps reach.
+    assert demand_region_bound(econ) == full_bisection(econ)
+
+
 def test_choke_price_gives_zero_demand(station_default):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     assert econ.p_e >= econ.choke_price
@@ -332,15 +378,19 @@ def test_optimize_joap_memory_bounded(table1):
     # 512 KiB per array, beside (count, demand) arrays of about 80 KiB. One
     # array over every count's whole index range would take 5 MiB, and the
     # few such arrays alive at once would pass the bound.
+    # The batch of every (scenario, tau) point holds one point's grid at a
+    # time, and its golden-section probes are (i, row) blocks of the same bound.
     scenarios, _ = table1
-    for scenario in scenarios:
+    batch = [(s.econ, replace(s.station, tau=tau)) for s in scenarios for tau in DEFAULT_TAU_GRID]
+    runs = [(s.name, lambda s=s: optimize_joap(s.econ, s.station)) for s in scenarios]
+    for name, run in runs + [("tau grid", lambda: optimize_joap_many(batch))]:
         tracemalloc.start()
         try:
-            optimize_joap(scenario.econ, scenario.station)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, f"{scenario.name}: peak {peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_inner_demand_opt_beats_grid(econ_default, station_default):
@@ -361,6 +411,65 @@ def test_optimize_tau_prefers_higher_profit(econ_default, station_default):
     assert tau in (1.01, 1.3)
     with pytest.raises(DomainError):
         optimize_tau(econ_default, station_default, (1.0,))
+
+
+def test_optimize_joap_many_matches_one_point_calls(table1):
+    # The six table1 scenarios at both penalty rates in one batch, then the
+    # 6 x 6 (scenario, tau) grid of the spacing study.
+    from evstation.config import with_penalty
+
+    scenarios, _ = table1
+    points = [(with_penalty(s, c).econ, s.station) for c in (0.4, 1.0) for s in scenarios]
+    assert optimize_joap_many(points) == [optimize_joap(*p) for p in points]
+    points = [
+        (s.econ, replace(s.station, tau=tau)) for s in scenarios for tau in DEFAULT_TAU_GRID
+    ]
+    assert optimize_joap_many(points) == [optimize_joap(*p) for p in points]
+    assert optimize_joap_many([]) == []
+
+
+@st.composite
+def criterion3_points(draw):
+    """Two to four points of criterion 3's distribution, of any port count
+    and either wait model, and sometimes one that sells nothing."""
+    points = draw(st.lists(st.tuples(economics(), stations()), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        econ, station = points[0]
+        broke = (replace(econ, p_e=econ.choke_price), station)
+        points.insert(draw(st.integers(0, len(points))), broke)
+    return points
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(criterion3_points())
+def test_optimize_joap_many_matches_one_point_property(points):
+    assert optimize_joap_many(points) == [optimize_joap(*p) for p in points]
+
+
+def reference_optimize_tau(econ, station, tau_grid):
+    """optimize_tau as it was: one optimize_joap per tau, ties keeping the earlier tau."""
+    best_tau = None
+    best_policy = None
+    for tau in tau_grid:
+        policy = optimize_joap(econ, replace(station, tau=tau))
+        if best_policy is None or policy.predicted_profit > best_policy.predicted_profit:
+            best_tau, best_policy = tau, policy
+    return best_tau, best_policy
+
+
+def test_optimize_tau_matches_per_tau_loop(econ_default, station_default, table1):
+    scenarios, _ = table1
+    points = [(econ_default, station_default)] + [(s.econ, s.station) for s in scenarios]
+    for econ, station in points:
+        for grid in (DEFAULT_TAU_GRID, DEFAULT_TAU_GRID[::-1], (1.3,)):
+            assert optimize_tau(econ, station, grid) == reference_optimize_tau(econ, station, grid)
+    # A station that sells nothing earns 0 at every tau: the first tau wins the tie.
+    broke = replace(econ_default, p_e=econ_default.choke_price)
+    grid = (1.5, 1.01, 1.2)
+    assert optimize_tau(broke, station_default, grid) == reference_optimize_tau(
+        broke, station_default, grid
+    )
+    assert optimize_tau(broke, station_default, grid)[0] == 1.5
 
 
 def test_optimize_matches_oracle_allen_cunneen(table1):

@@ -236,7 +236,7 @@ def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default, monke
     analysis = analyze_admission(station.m, 20.0, station)
     econ = replace(econ_default, wait_model="allen_cunneen")
     policy = JoapAdmission(station.m, analysis.t_v, 20.0)
-    [metrics] = replicate([policy], econ, station, 600.0, 5, 3)
+    [[metrics]] = replicate([([policy], econ, station, 600.0)], 5, 3)
     assert metrics.admission_rate < 1.0  # the slots do bind
     assert metrics.mean_wait == 0.0
 

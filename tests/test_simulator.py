@@ -230,11 +230,11 @@ def test_replicate_deterministic_and_reps1():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = QbaAdmission(demand=15.0)
-    [a] = replicate([policy], econ, station, 240.0, 5, 123)
-    [b] = replicate([policy], econ, station, 240.0, 5, 123)
+    [[a]] = replicate([([policy], econ, station, 240.0)], 5, 123)
+    [[b]] = replicate([([policy], econ, station, 240.0)], 5, 123)
     assert a == b
     _, single = reference_run_simulation(policy, econ, station, 240.0, rng_for_stream(123, 0))
-    [one] = replicate([policy], econ, station, 240.0, 1, 123)
+    [[one]] = replicate([([policy], econ, station, 240.0)], 1, 123)
     # A single replication reproduces the reference run exactly.
     assert one.profit_per_hour == single.profit_per_hour
     assert one.admission_rate == single.admission_rate
@@ -252,9 +252,9 @@ def test_replicate_resets_a_policy_between_runs():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = JoapAdmission(3, 12.0, 15.0)
-    first, second = replicate([policy, policy], econ, station, 240.0, 20, 5)
+    [[first, second]] = replicate([([policy, policy], econ, station, 240.0)], 20, 5)
     assert first == second
-    [alone] = replicate([policy], econ, station, 240.0, 20, 5)
+    [[alone]] = replicate([([policy], econ, station, 240.0)], 20, 5)
     assert first == alone
     assert first.admission_rate < 1.0  # the window binds, so a stale one would show
 
@@ -265,18 +265,18 @@ def test_replicate_rejects_bad_reps_and_horizon():
     policy = QbaAdmission(demand=15.0)
     for reps in (0, -1):
         with pytest.raises(DomainError, match="reps"):
-            replicate([policy], econ, station, 240.0, reps, 1)
+            replicate([([policy], econ, station, 240.0)], reps, 1)
     for horizon in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="horizon"):
-            replicate([policy], econ, station, horizon, 3, 1)
+            replicate([([policy], econ, station, horizon)], 3, 1)
 
 
 def test_half_width_shrinks():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     policy = QbaAdmission(demand=15.0)
-    [small] = replicate([policy], econ, station, 240.0, 50, 77)
-    [large] = replicate([policy], econ, station, 240.0, 200, 77)
+    [[small]] = replicate([([policy], econ, station, 240.0)], 50, 77)
+    [[large]] = replicate([([policy], econ, station, 240.0)], 200, 77)
     ratio = large.half_width_95["profit_per_hour"] / small.half_width_95["profit_per_hour"]
     assert 0.5 * (1 / 2) < ratio < 1.2 * (1 / 2) + 0.3  # ~1/2 with sampling slack
 
@@ -485,7 +485,7 @@ def test_replicate_matches_reference_on_table1(table1, c):
                 for name in ("joap", "qba", "greedy")
             ]
             args = (scenario.econ, station, scenario.duration, 20, run.seed)
-            results = replicate(policies, *args)
+            [results] = replicate([(policies, *args[:3])], *args[3:])
             assert len(results) == 3
             for name, policy, metrics in zip(("joap", "qba", "greedy"), policies, results):
                 assert metrics == reference_replicate(policy, *args), (scenario.name, name)
@@ -522,10 +522,76 @@ def replicated_runs(draw):
 def test_replicate_matches_reference_property(run):
     policies, *args = run
     expected = [reference_replicate(p, *args) for p in policies]
-    assert replicate(policies, *args) == expected
+    assert replicate([(policies, *args[:3])], *args[3:]) == [expected]
     # Every replication in a chunk of its own: chunk boundaries change nothing.
     with mock.patch.object(sim, "_BLOCK", 1):
-        assert replicate(policies, *args) == expected
+        assert replicate([(policies, *args[:3])], *args[3:]) == [expected]
+
+
+class ShortGapStream:
+    """rng_for_stream's generator with every gap an eighth of its draw, so a
+    trace reads several draw blocks of its stream."""
+
+    def __init__(self, seed, stream_id):
+        self.rng = rng_for_stream(seed, stream_id)
+        self.blocks = 0
+
+    def exponential(self, scale, size):
+        self.blocks += 1
+        return self.rng.exponential(scale, size=size) / 8.0
+
+    def standard_exponential(self, size):
+        self.blocks += 1
+        return self.rng.standard_exponential(size) / 8.0
+
+
+def test_replicate_cases_match_each_case_alone():
+    # Cases of different rates and horizons share each replication's stream;
+    # the third case has the first's rate and horizon, so it reads the same
+    # trace. Run alone, a case of one rate draws its gaps at its own scale.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
+    small = replace(station, m=2, parking_capacity=3, lam=1.0)
+    cases = [
+        ([JoapAdmission(3, 12.0, 15.0), QbaAdmission(15.0)], econ, station, 240.0),
+        ([GreedyAdmission(15.0, econ)], econ, replace(station, lam=0.1), 600.0),
+        ([QbaAdmission(5.0)], econ, station, 240.0),
+        ([JoapAdmission(2, 5.0, 8.0)], econ, small, 30.0),
+    ]
+    reps, seed = 7, 3
+    alone = [replicate([case], reps, seed)[0] for case in cases]
+    for (policies, *args), results in zip(cases, alone):
+        assert results == [reference_replicate(p, *args, reps, seed) for p in policies]
+    assert replicate(cases, reps, seed) == alone
+    # Every replication in a chunk of its own.
+    with mock.patch.object(sim, "_BLOCK", 1):
+        assert replicate(cases, reps, seed) == alone
+    # Streams that need several draw blocks, together and alone.
+    streams = []
+
+    def short_stream(seed, stream_id):
+        streams.append(ShortGapStream(seed, stream_id))
+        return streams[-1]
+
+    with mock.patch.object(sim, "rng_for_stream", short_stream):
+        short_alone = [replicate([case], reps, seed)[0] for case in cases]
+        assert replicate(cases, reps, seed) == short_alone
+    assert min(s.blocks for s in streams) >= 2
+    assert short_alone != alone
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(replicated_runs(), min_size=2, max_size=3))
+def test_replicate_cases_match_reference_property(runs):
+    # Several random cases in one call, on the first run's reps and seed.
+    reps, seed = runs[0][4:]
+    cases = [(policies, econ, station, horizon) for policies, econ, station, horizon, *_ in runs]
+    expected = [
+        [reference_replicate(p, *args, reps, seed) for p in policies] for policies, *args in cases
+    ]
+    assert replicate(cases, reps, seed) == expected
+    with mock.patch.object(sim, "_BLOCK", 1):
+        assert replicate(cases, reps, seed) == expected
 
 
 def test_replicate_memory_stays_bounded():
@@ -537,7 +603,7 @@ def test_replicate_memory_stays_bounded():
     policies = [JoapAdmission(6, 20.0, 15.0), QbaAdmission(15.0), GreedyAdmission(15.0, econ)]
     tracemalloc.start()
     try:
-        results = replicate(policies, econ, station, 20_000.0, 20, 1)
+        [results] = replicate([(policies, econ, station, 20_000.0)], 20, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,7 +622,7 @@ def test_trace_matches_reference(table1):
             policy, econ, station, horizon, rng_for_stream(run.seed, 0)
         )
         assert records == ref_records
-        [metrics] = replicate([policy], econ, station, horizon, 1, run.seed)
+        [[metrics]] = replicate([([policy], econ, station, horizon)], 1, run.seed)
         assert replace(metrics, half_width_95={}) == ref_metrics
 
 

@@ -34,7 +34,11 @@ EXPERIMENTS = [
 
 COMMANDS = (
     [["experiment", which, "--config", config, *extra] for which, config, extra in EXPERIMENTS]
-    + [["optimize", "--config", "table1", "--scenario", str(k)] for k in range(6)]
+    + [
+        ["optimize", "--config", "table1", "--scenario", str(k), *extra]
+        for extra in ([], ["--optimize-tau"])
+        for k in range(6)
+    ]
     + [
         ["simulate", "--config", "table1", "--reps", "30", "--policy", policy, *extra]
         for extra in ([], ["--scenario", "5", "--penalty", "0.4"])
