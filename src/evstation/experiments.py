@@ -5,7 +5,8 @@ files with fixed column orders. All randomness flows through per-replication
 seed streams, so identical (config, seed, reps) inputs give byte-identical
 output files. The daily experiment and the spacing study each make one
 optimize_joap_many search for every operating point of the run and one
-`replicate` call for every scenario. That call builds each replication's
+`replicate` call for every scenario, and the wait validation one for
+every stable point of its grid. That call builds each replication's
 stream once and runs a scenario's policies, the three of the daily
 experiment or the JoAP plans of the spacing study, on one arrival trace
 drawn from it: common random numbers by construction, which makes the
@@ -291,10 +292,12 @@ def run_wait_validation(
     """Closed-form mean wait vs simulated mean wait over a (n, λ, d) grid.
 
     The closed form is the one econ.wait_model selects. Unstable points
-    (ρ ≥ 1) are flagged and carry no wait values. Rows are
-    (n, lambda, d, rho, analytic, simulated, rel_gap, flag).
+    (ρ ≥ 1) are flagged and carry no wait values. Every stable point is a
+    case of one `replicate` call, so each replication's stream is built once
+    for the grid; each point reads that stream as a call of its own would.
+    Rows are (n, lambda, d, rho, analytic, simulated, rel_gap, flag).
     """
-    rows = []
+    rows, cases = [], []
     for n, lam, d in grid:
         station = replace(station_template, lam=lam)
         analysis = analyze_admission(n, d, station)
@@ -303,11 +306,12 @@ def run_wait_validation(
             rows.append([n, lam, d, rho, None, None, None, "unstable"])
             continue
         analytic = mean_wait(analysis, station, econ.wait_model)
-        policy = JoapAdmission(n, analysis.t_v, d)
-        [[metrics]] = replicate([([policy], econ, station, horizon)], reps, seed)
-        simulated = metrics.mean_wait
-        denom = max(simulated, 1e-12)
-        rows.append([n, lam, d, rho, analytic, simulated, abs(analytic - simulated) / denom, "ok"])
+        cases.append(([JoapAdmission(n, analysis.t_v, d)], econ, station, horizon))
+        rows.append([n, lam, d, rho, analytic, None, None, "ok"])
+    stable = [row for row in rows if row[-1] == "ok"]
+    for row, [metrics] in zip(stable, replicate(cases, reps, seed) if cases else []):
+        analytic, simulated = row[4], metrics.mean_wait
+        row[5:7] = simulated, abs(analytic - simulated) / max(simulated, 1e-12)
     if out_path is not None:
         _write_csv(Path(out_path), WAIT_COLUMNS, rows)
     return rows

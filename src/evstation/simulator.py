@@ -110,14 +110,26 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """Fast count of admissions under the JoAP rule with no charging queue.
 
     An arrival at t is admitted iff the n-th most recent admission came at
-    or before t - t_v, as in JoapAdmission. The loop is inlined rather than
-    calling the vectorised JoapAdmission.decide per arrival, which takes
-    about twice as long.
+    or before t - t_v, as in JoapAdmission, which also sets the domain of n
+    and t_v. The window edge admitted[-n] + t_v moves only when an arrival is
+    admitted, so the loop holds it in a local and recomputes it only then:
+    the same double the rule computes per arrival, whatever the order of the
+    arrivals. A rejected arrival, most of them at a loaded station, costs
+    one float comparison. The loop reads the arrivals off a memoryview, which yields
+    the Python floats tolist() would without building the list first, from
+    strided views too; so arrivals is a 1-D array in native byte order,
+    float64 as gen_poisson_arrivals draws it.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(t_v) and t_v >= 0):
+        raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
     admitted = [-math.inf] * n  # the first n arrivals find no n-th admission
-    for t in arrivals.tolist():
-        if admitted[-n] + t_v <= t:
+    edge = admitted[-n] + t_v
+    for t in memoryview(arrivals):
+        if edge <= t:
             admitted.append(t)
+            edge = admitted[-n] + t_v
     return len(admitted) - n
 
 

@@ -1,15 +1,20 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from evstation import (
     EconomicParams,
+    JoapAdmission,
     StationParams,
+    analyze_admission,
     gen_poisson_arrivals,
     price_for_demand,
+    replicate,
     rng_for_stream,
 )
+from evstation import experiments
 from evstation.config import RunOptions
 from evstation.experiments import (
     build_policy,
@@ -19,7 +24,8 @@ from evstation.experiments import (
     run_wait_validation,
 )
 from evstation.optimizer import demand_region_bound
-from test_simulator import run_one_row
+from evstation.queueing import mean_wait
+from test_simulator import run_one_row, tolist_run_loss_admission
 
 
 def small_run():
@@ -106,6 +112,74 @@ def test_admission_validation_low_traffic_row():
     _, _, _, analytic, simulated, _ = rows[0]
     assert analytic == pytest.approx(1.0, abs=1e-3)
     assert simulated == pytest.approx(1.0, abs=1e-3)
+
+
+def admission_rows_per_arrival_loop(
+    station_template, demand, grid, arrivals_per_point, seed, draw=gen_poisson_arrivals
+):
+    """run_admission_validation's rows, counted by a plain per-arrival loop over tolist()."""
+    rows = []
+    for idx, (n, lam) in enumerate(grid):
+        analysis = analyze_admission(n, demand, replace(station_template, lam=lam))
+        arrivals = draw(lam, arrivals_per_point / lam, rng_for_stream(seed, idx))
+        admitted = tolist_run_loss_admission(arrivals, n, analysis.t_v)
+        simulated = admitted / len(arrivals) if len(arrivals) else 1.0
+        analytic = float(analysis.p_admit)
+        rows.append([n, lam, demand, analytic, simulated, abs(analytic - simulated)])
+    return rows
+
+
+def whole_minute_arrivals(lam, horizon, rng):
+    """Poisson arrivals rounded up to whole minutes: ties, and arrivals on a window edge."""
+    return np.ceil(gen_poisson_arrivals(lam, horizon, rng))
+
+
+def test_admission_validation_matches_per_arrival_loop():
+    station = StationParams(m=4, alpha=3.3, parking_capacity=40, lam=0.3, tau=1.01)
+    grid = ((1, 0.01), (3, 0.05), (4, 0.4), (5, 2.0), (3, 1e-6))
+    for seed in (5, 6):
+        args = (station, 35.0, grid, 20_000, seed)
+        assert run_admission_validation(*args) == admission_rows_per_arrival_loop(*args)
+    # At 1 kWh/min and tau = 2, T_v = 2 * 4 * 30 / n minutes is a whole number
+    # for each n below, so whole-minute arrivals often fall exactly on a window edge.
+    station = StationParams(m=4, alpha=60.0, parking_capacity=40, lam=0.3, tau=2.0)
+    grid = ((1, 0.01), (3, 0.05), (4, 0.2), (5, 0.5), (6, 1.0))
+    args = (station, 30.0, grid, 5_000, 5)
+    with mock.patch.object(experiments, "gen_poisson_arrivals", whole_minute_arrivals):
+        rows = run_admission_validation(*args)
+    assert rows == admission_rows_per_arrival_loop(*args, draw=whole_minute_arrivals)
+
+
+def wait_rows_per_point(station_template, econ, grid, reps, horizon, seed):
+    """run_wait_validation's rows, with one replicate call per stable point."""
+    rows = []
+    for n, lam, d in grid:
+        station = replace(station_template, lam=lam)
+        analysis = analyze_admission(n, d, station)
+        if analysis.rho >= 1.0:
+            rows.append([n, lam, d, analysis.rho, None, None, None, "unstable"])
+            continue
+        analytic = mean_wait(analysis, station, econ.wait_model)
+        policy = JoapAdmission(n, analysis.t_v, d)
+        [[metrics]] = replicate([([policy], econ, station, horizon)], reps, seed)
+        simulated = metrics.mean_wait
+        rel_gap = abs(analytic - simulated) / max(simulated, 1e-12)
+        rows.append([n, lam, d, analysis.rho, analytic, simulated, rel_gap, "ok"])
+    return rows
+
+
+def test_wait_validation_matches_one_call_per_point(econ_default):
+    station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.4, tau=1.01)
+    grid = ((4, 0.2, 1.0), (8, 0.4, 50.0), (5, 0.4, 2.0), (4, 0.2, 0.5), (6, 0.1, 1.0))
+    for econ in (econ_default, replace(econ_default, wait_model="allen_cunneen")):
+        args = (station, econ, grid, 5, 300.0, 7)
+        rows = run_wait_validation(*args)
+        assert [r[7] for r in rows] == ["ok", "unstable", "ok", "ok", "ok"]
+        assert rows == wait_rows_per_point(*args)
+    unstable_only = ((8, 0.4, 50.0),)
+    assert run_wait_validation(station, econ_default, unstable_only, 0, 300.0, 7) == (
+        wait_rows_per_point(station, econ_default, unstable_only, 0, 300.0, 7)
+    )
 
 
 def test_wait_validation_flags_unstable(econ_default, tmp_path):

@@ -471,6 +471,76 @@ def test_loss_mode_matches_admitter_and_reference():
     assert run_loss_admission(streams[0][0], 1, 10.0) == 3
 
 
+def tolist_run_loss_admission(arrivals, n, t_v):
+    """The loss-mode count as a plain loop over tolist(), recomputing the edge per arrival."""
+    admitted = [-math.inf] * n
+    for t in arrivals.tolist():
+        if admitted[-n] + t_v <= t:
+            admitted.append(t)
+    return len(admitted) - n
+
+
+# Times on a coarse grid, so arrivals often fall exactly on a window edge,
+# mixed with arbitrary doubles, non-finite ones included.
+loss_times = st.one_of(
+    st.integers(-4, 40).map(lambda k: k * 0.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(loss_times, max_size=40),
+    st.integers(1, 8),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.floats(0.0, 1e300)),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_loss_mode_matches_tolist_loop_property(times, n, t_v, step, ordered):
+    # Unsorted arrivals and strided views count as the plain loop does, and
+    # sorted ones as the sliding-window deque does.
+    arrivals = np.array(sorted(times) if ordered else times, dtype=float)
+    for view in (arrivals, arrivals[::step], arrivals[1::step], arrivals[::-1]):
+        assert run_loss_admission(view, n, t_v) == tolist_run_loss_admission(view, n, t_v)
+    finite = np.sort(arrivals[np.isfinite(arrivals)])
+    for view in (finite, finite[::step]):
+        expected = reference_run_loss_admission(view.tolist(), n, t_v)
+        assert run_loss_admission(view, n, t_v) == expected
+
+
+def test_loss_mode_edge_cases():
+    arrivals = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    cases = [
+        (1, 2.0, 4),  # admissions at 0, 2, 4, 6: each exactly on the edge
+        (2, 2.0, 7),  # only the second arrival at 2.0 finds two admissions in (0, 2]
+        (1, 0.0, 8),  # t_v = 0 admits every arrival, ties included
+        (3, 0.0, 8),
+        (8, 1e9, 8),  # n >= len: every arrival finds a free slot
+        (20, 1e9, 8),
+        (1, 6.0, 2),
+    ]
+    for n, t_v, expected in cases:
+        assert run_loss_admission(arrivals, n, t_v) == expected
+        assert tolist_run_loss_admission(arrivals, n, t_v) == expected
+    assert run_loss_admission(arrivals[::2], 1, 2.0) == 3  # of 0, 2, 3, 5, 3 falls in 2's window
+    for n, t_v in ((1, 0.0), (3, 5.0)):
+        assert run_loss_admission(np.empty(0), n, t_v) == 0
+        assert run_loss_admission(arrivals[8:], n, t_v) == 0
+
+
+@pytest.mark.parametrize(
+    "n, t_v",
+    [(0, 1.0), (-1, 1.0), (1, float("nan")), (1, float("inf")), (1, -float("inf")), (2, -5.0)],
+)
+def test_loss_mode_rejects_invalid_window(n, t_v):
+    # As JoapAdmission does, and before the loop, so an empty trace is rejected too.
+    for arrivals in (np.empty(0), np.array([1.0, 2.0])):
+        with pytest.raises(DomainError):
+            run_loss_admission(arrivals, n, t_v)
+    with pytest.raises(DomainError):
+        JoapAdmission(n, t_v, 1.0)
+
+
 @pytest.mark.parametrize("c", [0.4, 1.0])
 def test_replicate_matches_reference_on_table1(table1, c):
     # Each scenario also runs on a lot of m spaces, where a full lot turns
