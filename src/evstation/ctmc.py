@@ -35,9 +35,6 @@ class TwoPhaseChain:
     states: tuple
     generator: np.ndarray
 
-    def index(self, s1: int, s2: int) -> int:
-        return self.states.index((s1, s2))
-
 
 def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
     """Assemble the (n+1)(n+2)/2-state rate matrix for n virtual servers."""

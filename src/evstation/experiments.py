@@ -86,7 +86,7 @@ def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, flo
     econ, station = scenario.econ, scenario.station
     if name == "joap":
         return _joap(optimize_joap(econ, station))
-    return _benchmark(name, demand_region_bound(econ), econ)
+    return _benchmark(name, demand_region_bound(econ))
 
 
 def _joap(plan) -> tuple[object, int, float]:
@@ -94,12 +94,12 @@ def _joap(plan) -> tuple[object, int, float]:
     return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
 
 
-def _benchmark(name: str, d_b: float, econ: EconomicParams) -> tuple[object, None, float]:
+def _benchmark(name: str, d_b: float) -> tuple[object, None, float]:
     """build_policy's answer for a benchmark policy at the margin-maximizing demand d_b."""
     if name == "qba":
         return QbaAdmission(d_b), None, d_b
     if name == "greedy":
-        return GreedyAdmission(d_b, econ), None, d_b
+        return GreedyAdmission(d_b), None, d_b
     raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 
 
@@ -116,7 +116,7 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     built = []
     for scenario, plan in zip(scenarios, plans):
         d_b = demand_region_bound(scenario.econ)
-        benchmarks = [_benchmark(name, d_b, scenario.econ) for name in POLICY_NAMES[1:]]
+        benchmarks = [_benchmark(name, d_b) for name in POLICY_NAMES[1:]]
         built.append([_joap(plan), *benchmarks])
     results = replicate(
         [
@@ -130,7 +130,8 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     policy_specs: dict = {}
     for scenario, policies, scenario_results in zip(scenarios, built, results):
         for name, (_, n, demand), metrics in zip(POLICY_NAMES, policies, scenario_results):
-            price = price_for_demand(demand, scenario.econ) if demand > 0 else 0.0
+            econ = scenario.econ  # no demand is what the choke price sells, as optimize reports
+            price = price_for_demand(demand, econ) if demand > 0 else econ.choke_price
             rows.append(
                 ScenarioResult(
                     scenario=scenario.name,

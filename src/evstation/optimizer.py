@@ -418,9 +418,6 @@ def optimize_tau(
     Every τ of the grid is searched at once, by optimize_joap_many.
     """
     taus = list(tau_grid)
-    for tau in taus:
-        if tau <= 1:
-            raise DomainError(f"tau values must exceed 1, got {tau}")
     plans = optimize_joap_many([(econ, replace(station, tau=tau)) for tau in taus])
     best_tau = None
     best_policy = None

@@ -7,15 +7,16 @@ completion after the arrival horizon so their waits and profits are not
 censored. Simultaneous departure/arrival ties are resolved departures-first
 (a completion at exactly the arrival instant has left the system).
 
-Each arrival asks one question. A full lot turns the EV away; otherwise
-the policy answers whether to admit it. Its decide(t, wait, admitted) gets
-the arrival time, the exact FIFO wait the EV would have and admitted(i),
-the arrival time of the policy's i-th most recent admission (-inf before
-there were i), and answers for a vector of rows at once. JoAP admits where
-its n-th most recent admission is at least t_v old, the same sliding
-window `run_loss_admission` counts; QBA admits whatever the lot has room
-for; greedy admits where the EV's margin beats its wait penalty. No policy
-keeps state between calls.
+The three policies are one admission rule with different parameters. An
+EV arriving at t, whose FIFO wait would be exactly `wait`, is admitted iff
+- the lot has room;
+- its policy's n-th most recent admission arrived at or before t - t_v,
+  the sliding window `run_loss_admission` counts (-inf before there were n);
+- cap - rate * wait > 0.
+JoAP sets (n, t_v). QBA and greedy set n = 1 and t_v = 0, a window that
+never binds. A greedy row's (rate, cap) is (c, margin), the very terms its
+profit is booked with; every other row's is (0, +inf). The policies are
+records of these parameters, and no run keeps state in them.
 
 Every EV needs the same service time and takes the earliest free port in
 turn, so EVs complete in the order they were admitted: the earliest free
@@ -28,9 +29,9 @@ on one station and horizon. Each replication builds its random stream
 once and draws every case's arrival trace from it: the running sum of the
 stream's exponential gaps scaled by 1/lam, cut at the case's horizon,
 which is what gen_poisson_arrivals draws from that stream, bit for bit.
-The event loop of a case steps the arrival index across many rows at
-once, a row being one policy on one arrival trace, with numpy arrays of
-shape (admission slot, row). It runs every policy of the case on each
+The event loop of a case applies the rule to many rows at once, a row
+being one policy on one arrival trace, with numpy arrays of shape
+(admission slot, row). It runs every policy of the case on each
 replication's trace, so they are compared on common random numbers by
 construction. Replications run in chunks that bound the arrays' size, and
 since rows are independent, chunking changes no result. A step costs
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economics import DomainError, EconomicParams, StationParams, per_ev_profit
+from .economics import DomainError, per_ev_profit
 
 _BLOCK = 2**18  # expected arrivals in one chunk's traces, and over one case's rows in it
 
@@ -106,6 +107,14 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
     return _poisson_traces(rng, [(lam, horizon)])[0]
 
 
+def _check_window(n: int, t_v: float) -> None:
+    """The domain of JoAP's window: n >= 1 admissions per finite t_v >= 0."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(t_v) and t_v >= 0):
+        raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
+
+
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """Fast count of admissions under the JoAP rule with no charging queue.
 
@@ -120,10 +129,7 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     strided views too; so arrivals is a 1-D array in native byte order,
     float64 as gen_poisson_arrivals draws it.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(t_v) and t_v >= 0):
-        raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
+    _check_window(n, t_v)
     admitted = [-math.inf] * n  # the first n arrivals find no n-th admission
     edge = admitted[-n] + t_v
     for t in memoryview(arrivals):
@@ -133,6 +139,7 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     return len(admitted) - n
 
 
+@dataclass(frozen=True)
 class JoapAdmission:
     """Sliding-window admission at a fixed demand (the optimized operating point).
 
@@ -141,49 +148,35 @@ class JoapAdmission:
     (t - t_v, t], that is iff the n-th most recent admission came at or
     before t - t_v: one that came exactly t_v earlier no longer counts. With
     t_v == 0, the operating point of a station that sells nothing, every
-    arrival is admitted. decide answers for a vector of rows at once, each
-    from its own admissions.
+    arrival is admitted.
     """
 
-    def __init__(self, n: int, t_v: float, demand: float):
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        if not (math.isfinite(t_v) and t_v >= 0):
-            raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
-        self.n = n
-        self.t_v = t_v
-        self.demand = demand
+    n: int
+    t_v: float
+    demand: float
+    greedy = False  # no wait test
 
-    def decide(self, t, wait, admitted):
-        return admitted(self.n) + self.t_v <= t
+    def __post_init__(self):
+        _check_window(self.n, self.t_v)
 
 
+@dataclass(frozen=True)
 class QbaAdmission:
-    """Admit every EV the lot has room for: the lot size is the threshold.
+    """Admit every EV the lot has room for: the lot size is the threshold."""
 
-    decide answers True for every row at once.
-    """
-
-    def __init__(self, demand: float):
-        self.demand = demand
-
-    def decide(self, t, wait, admitted):
-        return True
+    demand: float
+    n, t_v, greedy = 1, 0.0, False  # a window that never binds, and no wait test
 
 
+@dataclass(frozen=True)
 class GreedyAdmission:
-    """Admit iff the EV's own margin beats its exactly-known FIFO wait penalty.
+    """Admit iff the EV's margin beats the penalty of its exactly-known FIFO wait.
 
-    decide answers for a vector of rows at once, each from its EV's wait.
+    The margin and penalty rate are the case's, those its profit is booked with.
     """
 
-    def __init__(self, demand: float, econ: EconomicParams):
-        self.demand = demand
-        self._margin = per_ev_profit(demand, 0.0, econ)
-        self._c = econ.c
-
-    def decide(self, t, wait, admitted):
-        return self._margin - self._c * wait > 0
+    demand: float
+    n, t_v, greedy = 1, 0.0, True  # a window that never binds, and the wait test
 
 
 def _per_policy(policies, econ, station):
@@ -197,13 +190,14 @@ def _per_policy(policies, econ, station):
     )
 
 
-def _event_loop(policies, service, station, traces):
-    """Run every policy on every trace, stepping the arrival index across all rows at once.
+def _event_loop(policies, per_policy, station, traces):
+    """Run every policy on every trace, applying the admission rule to all rows at once.
 
-    Row p * len(traces) + i is policy p on trace i, at service time
-    service[p]. Returns each row's admission count and the service starts
-    and arrival times of its admissions, as (slot, row) arrays in admission
-    order; a row's slots at and past its count hold no admission.
+    Row p * len(traces) + i is policy p on trace i, with policy p's
+    (service, margin, c) of per_policy. Returns each row's admission count
+    and the service starts and arrival times of its admissions, as
+    (slot, row) arrays in admission order; a row's slots at and past its
+    count hold no admission.
     """
     reps = len(traces)
     rows = len(policies) * reps
@@ -211,7 +205,12 @@ def _event_loop(policies, service, station, traces):
     times = np.full((width, reps), np.nan)  # a finished trace reads NaN, which no lot admits
     for i, trace in enumerate(traces):
         times[: len(trace), i] = trace
-    service = np.asarray(service)[:, None]
+    # Per policy, as columns: its service time, window and the (rate, cap) of its wait test.
+    service, margin, c = (np.asarray(x)[:, None] for x in per_policy)
+    lookback = np.array([[policy.n * rows] for policy in policies])
+    t_v = np.array([[policy.t_v] for policy in policies], dtype=float)
+    greedy = np.array([[policy.greedy] for policy in policies])
+    rate, cap = np.where(greedy, c, 0.0), np.where(greedy, margin, np.inf)
     # Flat index s * rows + r is slot s of row r, and slot 0 is -inf, "no
     # admission". A lookup before a row's first admission clips to index 0,
     # so a row with fewer than m, lot or n admissions reads -inf there: its
@@ -223,19 +222,14 @@ def _event_loop(policies, service, station, traces):
     # Where the m-th and the lot-th most recent admission are, as flat offsets.
     back = np.reshape([station.m * rows, station.parking_capacity * rows], (2, 1, 1))
     wait, admit = np.empty(at.shape), np.empty(at.shape, dtype=bool)
-    # Each policy answers for its own rows: views that the loop refills in place.
-    by_policy = list(zip(policies, at, wait, admit))
     for t in times:
-        # When each row's earliest port frees up, and when its lot has room.
+        # When each row's earliest port frees up, its lot has room and its window opens.
         port, room = starts.take(at - back, mode="clip") + service
+        window = arrived.take(at - lookback, mode="clip") + t_v
         start = np.maximum(port, t)
-        np.less_equal(room, t, out=admit)
         np.subtract(start, t, out=wait)
-        for policy, mine, its_wait, its_admit in by_policy:
-            decision = policy.decide(
-                t, its_wait, lambda i: arrived.take(mine - i * rows, mode="clip")
-            )
-            np.logical_and(its_admit, decision, out=its_admit)
+        np.less_equal(np.maximum(room, window, out=room), t, out=admit)
+        admit &= cap - rate * wait > 0
         starts[at] = start
         arrived[at] = t
         np.add(at, rows, out=at, where=admit)
@@ -313,7 +307,7 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
         ):
             traces = [rep_traces[k] for rep_traces in drawn]
             metrics = _metrics(
-                *_event_loop(policies, per_policy[0], station, traces), traces, per_policy, horizon
+                *_event_loop(policies, per_policy, station, traces), traces, per_policy, horizon
             )
             out.append(metrics.reshape(3, len(policies), len(traces)))
     return [_summaries(np.concatenate(out, axis=2), reps) for out in chunks]

@@ -32,7 +32,8 @@ def test_n1_structure():
     assert set(chain.states) == {(0, 0), (0, 1), (1, 1)}
     kappa = 2.0 / 2.0
     # First-stage completion (1,1) -> (0,1) at rate s1 (1 - r1) kappa = 2 kappa.
-    assert chain.generator[chain.index(1, 1), chain.index(0, 1)] == pytest.approx(2.0 * kappa)
+    first, second = chain.states.index((1, 1)), chain.states.index((0, 1))
+    assert chain.generator[first, second] == pytest.approx(2.0 * kappa)
 
 
 def test_n2_hand_constructed_generator():
@@ -64,7 +65,7 @@ def test_n2_hand_constructed_generator():
     }
     got = np.zeros_like(chain.generator)
     for (src, dst), rate in expected.items():
-        got[chain.index(*src), chain.index(*dst)] = rate
+        got[chain.states.index(src), chain.states.index(dst)] = rate
     assert np.allclose(chain.generator, got, atol=1e-12)
     assert kappa == 2.0
 
@@ -79,7 +80,7 @@ def test_steady_state_normalized():
 def test_low_traffic_mass_at_empty():
     chain = build_generator(1, 1e-8, 1.0)
     pi = steady_state(chain)
-    assert pi[chain.index(0, 0)] == pytest.approx(1.0, abs=1e-6)
+    assert pi[chain.states.index((0, 0))] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_two_state_blocking():

@@ -9,7 +9,9 @@ from evstation import (
     JoapAdmission,
     StationParams,
     analyze_admission,
+    demand_response,
     gen_poisson_arrivals,
+    optimize_joap,
     price_for_demand,
     replicate,
     rng_for_stream,
@@ -52,6 +54,29 @@ def test_scenario_that_sells_nothing(table1):
     assert report.ratios == {}
     result = run_tau_study([broke], small_run())
     assert result["aggregate_gain"] == 0.0
+
+
+def test_price_of_a_row_that_sells_nothing(table1):
+    # At the choke price every policy charges 0 kWh, and a row's price is
+    # the one that sells 0 kWh, as optimize reports it: not a free charge.
+    scenarios, _ = table1
+    econ = scenarios[0].econ
+    choked = replace(scenarios[0], econ=replace(econ, p_e=econ.choke_price))
+    report = run_daily_experiment([choked], small_run())
+    assert [r.demand for r in report.rows] == [0.0, 0.0, 0.0]
+    assert all(demand_response(r.price, choked.econ) == 0 for r in report.rows)
+    [joap] = [r for r in report.rows if r.policy == "joap"]
+    assert joap.price == optimize_joap(choked.econ, choked.station).r_star
+
+
+def test_policies_by_scenario_matches_rows(table1):
+    # Each (scenario, policy) operating point is the one its row reports.
+    scenarios, _ = table1
+    report = run_daily_experiment(scenarios[:2], small_run())
+    assert len(report.policies_by_scenario) == len(report.rows) == 6
+    for r in report.rows:
+        point = report.policies_by_scenario[(r.scenario, r.policy)]
+        assert point == {"n": r.n, "demand": r.demand, "price": r.price}
 
 
 def test_build_policy_rejects_unknown(table1):

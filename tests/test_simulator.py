@@ -57,39 +57,30 @@ def test_poisson_empty_and_sorted():
     assert a[-1] <= 500.0
 
 
-def joap_admitter(n, t_v):
-    """JoapAdmission's rule as a function of the arrival time alone."""
-    policy = JoapAdmission(n, t_v, 10.0)
-    times = []  # the admitted arrival times
-
-    def admit(t):
-        admitted = policy.decide(t, 0.0, lambda i: times[-i] if i <= len(times) else -math.inf)
-        if admitted:
-            times.append(t)
-        return admitted
-
-    return admit
+def joap_decisions(n, t_v, times):
+    """JoapAdmission's decision on each arrival of a trace, at a lot that never fills."""
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=1, alpha=6.0, parking_capacity=10**6, lam=0.1, tau=1.01)
+    return [r.admitted for r in run_one_row(JoapAdmission(n, t_v, 10.0), econ, station, times)]
 
 
 def test_subprocess_admitter_example_pattern():
     # Two admissions per 10 minutes: the fourth arrival finds two admissions
     # in its last 10 minutes (2.0 and 11.0) and is the only rejection.
-    admit = joap_admitter(2, 10.0)
-    decisions = [admit(t) for t in (0.0, 2.0, 11.0, 11.5, 13.0)]
+    decisions = joap_decisions(2, 10.0, [0.0, 2.0, 11.0, 11.5, 13.0])
     assert decisions == [True, True, True, False, True]
 
 
 def test_subprocess_boundary_inclusive():
-    admit = joap_admitter(1, 10.0)
-    assert admit(0.0) is True
-    assert admit(10.0) is True  # exactly t_v after the last admission: admitted
-    assert admit(19.999) is False
+    first, second, third = joap_decisions(1, 10.0, [0.0, 10.0, 19.999])
+    assert first is True
+    assert second is True  # exactly t_v after the last admission: admitted
+    assert third is False
 
 
 def test_joap_admission_spacing_domain():
     # t_v = 0 is the operating point of a station that sells nothing: all admitted.
-    admit = joap_admitter(1, 0.0)
-    assert [admit(t) for t in (0.0, 0.0, 1e-9, 3.0)] == [True] * 4
+    assert joap_decisions(1, 0.0, [0.0, 0.0, 1e-9, 3.0]) == [True] * 4
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="t_v"):
             JoapAdmission(2, bad, 10.0)
@@ -98,12 +89,17 @@ def test_joap_admission_spacing_domain():
 
 
 def test_qba_threshold_strict():
-    # QBA admits every EV it is asked about, whatever its wait; the lot is its
-    # threshold. With 3 spaces the fourth EV in the system is turned away, and
-    # admission resumes once the first EV leaves at t = 10.
+    # QBA admits every EV the lot has room for, whatever its wait; the lot is
+    # its threshold. Ten EVs at once on one port and a $0.40/min penalty: the
+    # last waits 90 minutes, a penalty far above its margin, and is admitted.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     policy = QbaAdmission(demand=1.0)  # service 10 min
-    assert policy.decide(0.0, 1e6, None) is True
-    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
+    roomy = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
+    records = run_one_row(policy, econ, roomy, [0.0] * 10)
+    assert all(r.admitted for r in records) and records[-1].wait == pytest.approx(90.0)
+    assert records[-1].profit < 0
+    # With 3 spaces the fourth EV in the system is turned away, and admission
+    # resumes once the first EV leaves at t = 10.
     station = StationParams(m=1, alpha=6.0, parking_capacity=3, lam=0.1, tau=1.01)
     times = [0.0, 0.1, 0.2, 0.3, 10.0]
     records = run_one_row(policy, econ, station, times)
@@ -111,17 +107,21 @@ def test_qba_threshold_strict():
 
 
 def test_greedy_wait_tradeoff():
-    # Margin engineered to $10; with a 30-minute wait and c = 0.4 the penalty
-    # ($12) wins, with a 20-minute wait ($8) the margin wins.
+    # Margin engineered to $10 and service to 50 minutes on one port. The EV
+    # at 20 would wait 30 minutes, and with c = 0.4 the penalty ($12) wins;
+    # the EV at 30 would wait 20 minutes ($8), and the margin wins.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
-    policy = GreedyAdmission(d, econ)
-    assert policy.decide(0.0, 30.0, None) is False
-    assert policy.decide(0.0, 20.0, None) is True
+    station = StationParams(m=1, alpha=d * 60.0 / 50.0, parking_capacity=10, lam=0.1, tau=1.01)
+    policy = GreedyAdmission(d)
+    first, waits_30, waits_20 = run_one_row(policy, econ, station, [0.0, 20.0, 30.0])
+    assert first.admitted and first.profit == pytest.approx(10.0)
+    assert waits_30.admitted is False
+    assert waits_20.admitted is True and waits_20.wait == pytest.approx(20.0)
     # Negative margin rejects even an empty system.
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
-    broke = GreedyAdmission(d, dear)
-    assert broke.decide(0.0, 0.0, None) is False
+    [broke] = run_one_row(policy, dear, station, [0.0])
+    assert broke.admitted is False
 
 
 Ev = namedtuple("Ev", "arrival_time admitted service_start wait profit")
@@ -134,7 +134,7 @@ def run_one_row(policy, econ, station, arrivals):
     """
     arrivals = np.asarray(arrivals, dtype=float)
     per_policy = sim._per_policy([policy], econ, station)
-    (count,), starts, arrived = sim._event_loop([policy], per_policy[0], station, [arrivals])
+    (count,), starts, arrived = sim._event_loop([policy], per_policy, station, [arrivals])
     margin, c = float(per_policy[1][0]), float(per_policy[2][0])
     # Admissions are in arrival order, and of equal arrival times only a
     # first run can be admitted, so one pointer matches them to arrivals.
@@ -464,8 +464,7 @@ def test_loss_mode_matches_admitter_and_reference():
     for seed, (n, t_v, lam) in enumerate([(1, 5.0, 0.3), (3, 8.0, 0.4), (6, 2.5, 2.0)]):
         streams.append((gen_poisson_arrivals(lam, 5000.0, rng_for_stream(seed, 0)), n, t_v))
     for arrivals, n, t_v in streams:
-        admit = joap_admitter(n, t_v)
-        expected = sum(admit(t) for t in arrivals)
+        expected = sum(joap_decisions(n, t_v, arrivals))
         assert run_loss_admission(arrivals, n, t_v) == expected
         assert reference_run_loss_admission(arrivals, n, t_v) == expected
     assert run_loss_admission(streams[0][0], 1, 10.0) == 3
@@ -580,7 +579,7 @@ def replicated_runs(draw):
     policy = st.one_of(
         st.builds(JoapAdmission, st.integers(1, 3 * lot), st.floats(0.0, 120.0), demand),
         st.builds(QbaAdmission, demand),
-        st.builds(GreedyAdmission, demand, st.just(econ)),
+        st.builds(GreedyAdmission, demand),
     )
     policies = draw(st.lists(policy, min_size=1, max_size=3))
     horizon = draw(st.floats(0.5, 120.0))
@@ -624,7 +623,7 @@ def test_replicate_cases_match_each_case_alone():
     small = replace(station, m=2, parking_capacity=3, lam=1.0)
     cases = [
         ([JoapAdmission(3, 12.0, 15.0), QbaAdmission(15.0)], econ, station, 240.0),
-        ([GreedyAdmission(15.0, econ)], econ, replace(station, lam=0.1), 600.0),
+        ([GreedyAdmission(15.0)], econ, replace(station, lam=0.1), 600.0),
         ([QbaAdmission(5.0)], econ, station, 240.0),
         ([JoapAdmission(2, 5.0, 8.0)], econ, small, 30.0),
     ]
@@ -664,13 +663,64 @@ def test_replicate_cases_match_reference_property(runs):
         assert replicate(cases, reps, seed) == expected
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.floats(0.05, 2.0),
+    st.one_of(st.just(0.0), st.floats(1.0, 40.0)),
+    st.integers(1, 60),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+def test_qba_is_joap_with_no_window_property(m, extra, lam, demand, n, reps, seed):
+    # QBA is JoAP's window with t_v = 0, whatever n: both admit whatever the
+    # lot has room for. Lots of m to 3m spaces at up to 2 arrivals a minute
+    # and services of up to 200 minutes turn many arrivals away.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=m, alpha=12.0, parking_capacity=m * (1 + extra), lam=lam, tau=1.01)
+    policies = [QbaAdmission(demand), JoapAdmission(n, 0.0, demand)]
+    [[qba, joap]] = replicate([(policies, econ, station, 120.0)], reps, seed)
+    assert qba == joap
+    [[alone]] = replicate([(policies[1:], econ, station, 120.0)], reps, seed)
+    assert alone == qba
+
+
+def test_qba_is_joap_with_no_window_at_a_full_lot():
+    # The property above at a lot that binds: a third of the arrivals are turned away.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=2, alpha=12.0, parking_capacity=2, lam=1.0, tau=1.01)
+    policies = [QbaAdmission(10.0), JoapAdmission(7, 0.0, 10.0)]
+    [[qba, joap]] = replicate([(policies, econ, station, 120.0)], 3, 1)
+    assert qba == joap and qba.admission_rate < 0.7
+
+
+def test_greedy_decides_on_the_case_economics():
+    # One GreedyAdmission record runs under several economics, and decides on
+    # the margin and penalty rate of each, those its profit is booked with.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=2, alpha=11.5, parking_capacity=10, lam=0.3, tau=1.01)
+    greedy, qba = GreedyAdmission(15.0), QbaAdmission(15.0)
+    cases = [
+        ([greedy, qba], econ, station, 240.0),
+        ([greedy, qba], replace(econ, c=0.0), station, 240.0),  # no penalty: every EV pays
+        ([greedy], replace(econ, p_e=10.0), station, 240.0),  # a loss on every EV
+    ]
+    [[charged, lot], [free, free_lot], [dear]] = replicate(cases, 5, 3)
+    assert charged == reference_replicate(greedy, econ, station, 240.0, 5, 3)
+    assert charged.admission_rate < lot.admission_rate  # the wait penalty turns EVs away
+    assert charged.profit_per_hour > lot.profit_per_hour
+    assert free == free_lot
+    assert dear.admission_rate == 0.0 and dear.profit_per_hour == 0.0
+
+
 def test_replicate_memory_stays_bounded():
     # Three policies over 20,000 min at 1/min and 20 replications: 60 rows of
     # about 20,000 arrivals each, whose arrays would take about 38 MB if the
     # loop held them all at once. Chunks of replications bound them.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=1.0, tau=1.01)
-    policies = [JoapAdmission(6, 20.0, 15.0), QbaAdmission(15.0), GreedyAdmission(15.0, econ)]
+    policies = [JoapAdmission(6, 20.0, 15.0), QbaAdmission(15.0), GreedyAdmission(15.0)]
     tracemalloc.start()
     try:
         [results] = replicate([(policies, econ, station, 20_000.0)], 20, 1)
@@ -716,7 +766,7 @@ def simulated_runs(draw):
     elif name == "qba":
         policy = QbaAdmission(d)
     else:
-        policy = GreedyAdmission(d, econ)
+        policy = GreedyAdmission(d)
     return name, policy, econ, station, draw(st.integers(0, 2**16))
 
 

@@ -67,6 +67,11 @@ def digests(argv: list, src: Path) -> list:
         return [("stdout", sha256(proc.stdout))] + [(f.name, sha256(f.read_bytes())) for f in files]
 
 
+def lines(argv: list, src: Path) -> list:
+    """One command's output lines, `<sha256>  <command> :: <file or stdout>`."""
+    return [f"{digest}  {' '.join(argv)} :: {name}" for name, digest in digests(argv, src)]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_src = Path(__file__).resolve().parent.parent / "src"
@@ -75,8 +80,7 @@ def main() -> None:
     if not (src / "evstation").is_dir():
         sys.exit(f"no evstation package under {src}")
     for argv in COMMANDS:
-        for name, digest in digests(argv, src):
-            print(f"{digest}  {' '.join(argv)} :: {name}", flush=True)
+        print(*lines(argv, src), sep="\n", flush=True)
 
 
 if __name__ == "__main__":
