@@ -42,7 +42,6 @@ from .queueing import (
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    threshold_t_v,
 )
 from .simulator import (
     GreedyAdmission,

@@ -22,6 +22,7 @@ from .ctmc import blocking_probability, build_generator, occupancy_marginal, ste
 from .economics import DomainError
 from .experiments import (
     POLICY_NAMES,
+    _horizon,
     build_policy,
     run_admission_validation,
     run_daily_experiment,
@@ -33,20 +34,17 @@ from .queueing import analyze_admission, erlang_blocking
 from .simulator import replicate
 
 
-def _json_ready(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _json_ready(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return obj
+def _plain(obj):
+    """json's hook for what it cannot write: a dataclass as its fields, a
+    numpy array or scalar as its tolist(). Every dict the commands print has
+    string keys, so sort_keys orders the keys as they are printed: json
+    writes an int key as a string but sorts it as a number, 9 before 10,
+    where the strings sort "10" first."""
+    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else obj.tolist()
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False))
+    print(json.dumps(obj, default=_plain, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load(args) -> tuple[list, RunOptions]:
@@ -96,9 +94,8 @@ def _cmd_simulate(args) -> int:
     scenarios, run = _load(args)
     scenario = _pick_scenario(scenarios, args.scenario)
     policy, n, demand = build_policy(args.policy, scenario)
-    horizon = run.horizon if run.horizon is not None else scenario.duration
-    econ, station = scenario.econ, scenario.station
-    [[metrics]] = replicate([([policy], econ, station, horizon)], run.reps, run.seed)
+    case = ([policy], scenario.econ, scenario.station, _horizon(run, scenario))
+    [[metrics]] = replicate([case], run.reps, run.seed)
     _emit({"policy": args.policy, "n": n, "demand_kwh": demand, "metrics": metrics})
     return 0
 

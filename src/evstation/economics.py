@@ -148,7 +148,7 @@ def demand_response(r: float, econ: EconomicParams) -> float:
     if r == 0:
         return econ.phi
     d = -math.log(econ.xi * r) / econ.beta
-    return min(max(d, 0.0), econ.phi)
+    return 0.0 if d <= 0.0 else min(d, econ.phi)  # d is -0.0 at the choke price
 
 
 def price_for_demand(d: float, econ: EconomicParams) -> float:

@@ -413,15 +413,13 @@ DEFAULT_TAU_GRID = (1.01, 1.05, 1.1, 1.2, 1.5, 2.0)
 def optimize_tau(
     econ: EconomicParams, station: StationParams, tau_grid=DEFAULT_TAU_GRID
 ) -> tuple[float, JoapPolicy]:
-    """Best regulation slack over a grid; ties keep the earlier grid value.
+    """Best regulation slack over a non-empty grid; ties keep the earlier grid value.
 
     Every τ of the grid is searched at once, by optimize_joap_many.
     """
     taus = list(tau_grid)
+    if not taus:
+        raise DomainError("tau grid is empty")
     plans = optimize_joap_many([(econ, replace(station, tau=tau)) for tau in taus])
-    best_tau = None
-    best_policy = None
-    for tau, policy in zip(taus, plans):
-        if best_policy is None or policy.predicted_profit > best_policy.predicted_profit:
-            best_tau, best_policy = tau, policy
-    return best_tau, best_policy
+    best = max(range(len(taus)), key=lambda k: (plans[k].predicted_profit, -k))
+    return taus[best], plans[best]

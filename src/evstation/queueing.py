@@ -6,7 +6,9 @@ queue with deterministic service. analyze_admission returns one record
 of an operating point: the loss-system steady state, the admission
 probability and the charging-queue load rho. mean_wait is the one entry
 point to the mean-wait models selected by EconomicParams.wait_model; it
-draws on the moments of the gap to the next slot release.
+draws on the moments of the gap to the next slot release. The optimizer
+searches the same model on numpy rows; these scalar forms serve the
+analyze command, the validation runners and the optimizer's oracle.
 """
 from __future__ import annotations
 
@@ -18,16 +20,21 @@ import numpy as np
 from .economics import WAIT_MODELS, DomainError, StationParams
 
 
+def _check_loss_system(n: int, offered_load: float) -> None:
+    """The domain of an n-server loss system: n >= 1 and a finite load a >= 0."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(offered_load) and offered_load >= 0):
+        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
+
+
 def erlang_steady_state(n: int, offered_load: float) -> np.ndarray:
     """Occupancy distribution P_0..P_n of an n-server loss system.
 
     Uses the term recursion q_i = q_{i-1} * a / i carried in log space,
     never raw factorials, so it is stable for large n and a.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(offered_load) and offered_load >= 0):
-        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
+    _check_loss_system(n, offered_load)
     # log-space cumulative terms log(a^i / i!), shifted before exponentiation
     if offered_load == 0.0:
         out = np.zeros(n + 1)
@@ -45,10 +52,7 @@ def erlang_blocking(n: int, offered_load: float) -> float:
 
     B(k) = a B(k-1) / (k + a B(k-1)) with B(0) = 1.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(offered_load) and offered_load >= 0):
-        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
+    _check_loss_system(n, offered_load)
     b = 1.0
     for k in range(1, n + 1):
         b = offered_load * b / (k + offered_load * b)
@@ -61,7 +65,7 @@ class AdmissionAnalysis:
 
     Attributes:
         n: sub-process count.
-        t_v: per-sub-process admission spacing (min).
+        t_v: per-sub-process admission spacing T_v = tau * m * (d/alpha) / n (min).
         offered_load: a = lam * t_v.
         state_probs: occupancy probabilities P_0..P_n.
         p_admit: admission probability 1 - P_n.
@@ -79,18 +83,13 @@ class AdmissionAnalysis:
     rho: float
 
 
-def threshold_t_v(n: int, d: float, station: StationParams) -> float:
-    """Sub-process spacing T_v = tau * m * (d/alpha) / n (min)."""
-    return station.tau * station.m * station.service_time(d) / n
-
-
 def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnalysis:
     """Full loss-system analysis of the admission queue at (n, d)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (math.isfinite(d) and d > 0):
         raise DomainError(f"demand must be finite and positive, got {d}")
-    t_v = threshold_t_v(n, d, station)
+    t_v = station.tau * station.m * station.service_time(d) / n
     a = station.lam * t_v
     if not math.isfinite(a):
         raise DomainError(f"demand {d} is too large: the offered load lam * t_v overflows")
@@ -108,36 +107,16 @@ def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnal
     )
 
 
-def interarrival_pdf(x: float, analysis: AdmissionAnalysis) -> float:
-    """Density of the gap to the next slot release on [0, T_v] (defective).
-
-    With i slots busy, each busy slot's residual spacing is uniform on
-    [0, T_v], so the next release comes after the minimum of i uniforms.
-    The density mixes these over the occupancy distribution and integrates
-    to 1 - P_0: no release is pending while the system is empty. It is not
-    the density of the time between admissions, which also waits for the
-    next Poisson arrival.
-    """
-    t_v = analysis.t_v
-    if x < 0 or x > t_v:
-        return 0.0
-    probs = analysis.state_probs
-    total = 0.0
-    for i in range(1, analysis.n + 1):
-        total += (i / t_v) * ((t_v - x) / t_v) ** (i - 1) * probs[i]
-    return total
-
-
 def admitted_interarrival_moments(analysis: AdmissionAnalysis) -> tuple[float, float]:
     """Mean and second moment (mean_x, second_x) of the gap to the next slot
     release, given a busy virtual queue.
 
-    The density (interarrival_pdf) is defective (mass 1 - P_0); weights are
-    renormalized by 1 - P_0 so the moments are conditioned on at least one
-    busy slot. State i contributes a gap with mean T_v/(i+1) and second
-    moment 2 T_v^2 / ((i+1)(i+2)). The sum of m consecutive independent
-    gaps, the coordinated gap Y of the single-server reduction of the
-    charging queue, has mean mu_Y = m mean_x and variance
+    With i slots busy, each busy slot's residual spacing is uniform on
+    [0, T_v], so the next release comes after the minimum of i uniforms: a
+    gap with mean T_v/(i+1) and second moment 2 T_v^2 / ((i+1)(i+2)). States
+    are weighted by P_i / (1 - P_0), conditioning on at least one busy slot.
+    The sum of m consecutive independent gaps, the coordinated gap Y of the
+    single-server reduction of the charging queue, has mean mu_Y = m mean_x and variance
     sigma_Y^2 = m (second_x - mean_x^2).
 
     These are not the moments of the admitted inter-arrival time, whose

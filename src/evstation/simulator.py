@@ -72,23 +72,22 @@ def _poisson_traces(rng: np.random.Generator, rates: Sequence) -> list:
     Each trace is the in-order cumulative sum of the stream's exponential
     draws, scaled by 1/lam and cut at its horizon, so every trace reads the
     stream from its start. The draws come in blocks of the largest expected
-    count plus slack until every horizon is covered. A block's first gap
-    carries the last time drawn and cumsum adds in sequence, so each time is
-    bitwise the running sum t += gap. exponential(scale) is scale times
-    standard_exponential() bit for bit: one rate draws its gaps at its scale,
-    several draw standard gaps once and scale them per rate.
+    count plus slack until every horizon is covered, each drawn once as
+    standard gaps and scaled per rate: exponential(scale) is scale times
+    standard_exponential() bit for bit. A block's first gap carries the
+    last time drawn and cumsum adds in sequence, so each time is bitwise the
+    running sum t += gap.
     """
     scales = [1.0 / lam for lam, _ in rates]
     ends = [0.0] * len(rates)
     blocks: list = [[] for _ in rates]
     size = max((max(16, int(lam * horizon * 1.2) + 16) for lam, horizon in rates), default=0)
-    one = len(rates) == 1
     while live := [k for k, (end, (_, horizon)) in enumerate(zip(ends, rates)) if end <= horizon]:
-        draws = rng.exponential(scales[0], size=size) if one else rng.standard_exponential(size)
+        draws = rng.standard_exponential(size)
         for k in live:
-            # The last rate to read a block of standard gaps scales it in place.
+            # The last rate to read a block scales it in place.
             out = draws if k == live[-1] else None
-            times = draws if one else np.multiply(draws, scales[k], out=out)
+            times = np.multiply(draws, scales[k], out=out)
             times[0] += ends[k]
             np.cumsum(times, out=times)
             blocks[k].append(times[: np.searchsorted(times, rates[k][1], side="right")])

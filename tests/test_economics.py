@@ -44,7 +44,8 @@ def test_demand_response_closed_form(econ_default):
 
 def test_demand_response_clamps(econ_default):
     assert demand_response(0.0, econ_default) == econ_default.phi
-    assert demand_response(econ_default.choke_price, econ_default) == 0.0
+    at_choke = demand_response(econ_default.choke_price, econ_default)
+    assert at_choke == 0.0 and math.copysign(1.0, at_choke) == 1.0  # not -0.0, written -0
     assert demand_response(econ_default.choke_price * 2, econ_default) == 0.0
     tiny = 1e-9
     assert demand_response(tiny, econ_default) == econ_default.phi

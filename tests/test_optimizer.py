@@ -413,6 +413,12 @@ def test_optimize_tau_prefers_higher_profit(econ_default, station_default):
         optimize_tau(econ_default, station_default, (1.0,))
 
 
+def test_optimize_tau_rejects_empty_grid(econ_default, station_default):
+    # An empty grid has no best tau to return.
+    with pytest.raises(DomainError, match="empty"):
+        optimize_tau(econ_default, station_default, ())
+
+
 def test_optimize_joap_many_matches_one_point_calls(table1):
     # The six table1 scenarios at both penalty rates in one batch, then the
     # 6 x 6 (scenario, tau) grid of the spacing study.

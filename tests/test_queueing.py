@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from evstation import (
     DomainError,
@@ -13,11 +12,9 @@ from evstation import (
     analyze_admission,
     erlang_blocking,
     erlang_steady_state,
-    threshold_t_v,
 )
 from evstation.queueing import (
     erlang_c,
-    interarrival_pdf,
     mean_wait,
 )
 
@@ -83,7 +80,7 @@ def test_erlang_blocking_property(n, a, a2):
 def test_threshold_spacing(station_default):
     # T_v = tau * m * (d / alpha) / n in minutes.
     d = 11.5
-    assert threshold_t_v(4, d, station_default) == pytest.approx(1.01 * 4 * 60.0 / 4)
+    assert analyze_admission(4, d, station_default).t_v == pytest.approx(1.01 * 4 * 60.0 / 4)
 
 
 def test_admission_probability_limits(station_default):
@@ -100,7 +97,7 @@ def test_admission_probability_hand_value():
     station = StationParams(m=4, alpha=1.0, parking_capacity=40, lam=0.3, tau=1.01)
     n = 3
     d = 3.0 * n / (station.lam * station.tau * station.m * 60.0)
-    a = station.lam * threshold_t_v(n, d, station)
+    a = station.lam * analyze_admission(n, d, station).t_v
     assert a == pytest.approx(3.0, rel=1e-12)
     assert analyze_admission(n, d, station).p_admit == pytest.approx(1.0 - 4.5 / 13.0, rel=1e-12)
 
@@ -116,7 +113,8 @@ def test_analysis_invariants(station_default):
     analysis = analyze_admission(5, 30.0, station_default)
     assert float(np.sum(analysis.state_probs)) == pytest.approx(1.0, abs=1e-12)
     assert analysis.p_admit == pytest.approx(1.0 - float(analysis.state_probs[-1]), abs=1e-15)
-    assert analysis.t_v == pytest.approx(threshold_t_v(5, 30.0, station_default))
+    spacing = station_default.tau * station_default.m * station_default.service_time(30.0) / 5
+    assert analysis.t_v == pytest.approx(spacing)
     assert analysis.offered_load == pytest.approx(station_default.lam * analysis.t_v)
     assert analysis.rho == pytest.approx(
         station_default.lam * analysis.p_admit * analysis.service_time / station_default.m,
@@ -143,30 +141,22 @@ def test_moments_two_state_hand_value(station_default):
     assert second_x >= mean_x**2
 
 
-def test_moments_match_quadrature(station_default):
-    # Closed forms equal numerical integration of the conditional density.
+def test_moments_match_monte_carlo(station_default):
+    # Sample the gap directly: a busy state i drawn from P_i / (1 - P_0),
+    # then the earliest of i slot releases, each uniform on [0, T_v].
+    rng = np.random.default_rng(20240601)
+    samples = 200_000
     for n, d in ((2, 10.0), (4, 30.0), (6, 55.0)):
         analysis = analyze_admission(n, d, station_default)
-        busy = 1.0 - float(analysis.state_probs[0])
-        mean_num = quad(lambda x: x * interarrival_pdf(x, analysis) / busy, 0, analysis.t_v)[0]
-        second_num = quad(
-            lambda x: x**2 * interarrival_pdf(x, analysis) / busy, 0, analysis.t_v
-        )[0]
+        busy = analysis.state_probs[1:] / (1.0 - analysis.state_probs[0])
+        states = rng.choice(np.arange(1, n + 1), size=samples, p=busy / busy.sum())
+        releases = rng.uniform(0.0, analysis.t_v, size=(samples, n))
+        releases[np.arange(n) >= states[:, None]] = np.inf  # only i slots are busy
+        gaps = releases.min(axis=1)
         mean_x, second_x = admitted_interarrival_moments(analysis)
-        assert mean_x == pytest.approx(mean_num, abs=1e-8)
-        assert second_x == pytest.approx(second_num, abs=1e-8)
-
-
-def test_cdf_defective_mass(station_default):
-    # The raw gap distribution carries total mass 1 - P_0 on [0, T_v] and
-    # none outside it. The density is a polynomial of degree n - 1 there, so
-    # Gauss-Kronrod quadrature integrates it to rounding error.
-    for n, d in ((1, 15.0), (3, 40.0), (5, 60.0)):
-        analysis = analyze_admission(n, d, station_default)
-        mass = quad(lambda x: interarrival_pdf(x, analysis), 0, analysis.t_v)[0]
-        assert mass == pytest.approx(1.0 - float(analysis.state_probs[0]), abs=1e-12)
-        assert interarrival_pdf(-1e-9, analysis) == 0.0
-        assert interarrival_pdf(analysis.t_v * (1 + 1e-9), analysis) == 0.0
+        for exact, values in ((mean_x, gaps), (second_x, gaps**2)):
+            stderr = float(np.std(values, ddof=1)) / math.sqrt(samples)
+            assert abs(float(np.mean(values)) - exact) <= 5.0 * stderr
 
 
 def test_moments_error_without_departures(station_default):

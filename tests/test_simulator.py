@@ -19,6 +19,7 @@ from evstation import (
     JoapAdmission,
     QbaAdmission,
     StationParams,
+    analyze_admission,
     erlang_blocking,
     gen_poisson_arrivals,
     per_ev_profit,
@@ -26,7 +27,6 @@ from evstation import (
     replicate,
     rng_for_stream,
     run_loss_admission,
-    threshold_t_v,
 )
 from evstation.config import with_penalty
 from evstation.experiments import POLICY_NAMES, build_policy
@@ -207,7 +207,7 @@ def test_joap_trace_spacing():
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.4, tau=1.01)
     d = 20.0
     n = 4
-    t_v = threshold_t_v(n, d, station)
+    t_v = analyze_admission(n, d, station).t_v
     arrivals = gen_poisson_arrivals(station.lam, 2000.0, rng_for_stream(5, 0))
     records = run_one_row(JoapAdmission(n, t_v, d), econ, station, arrivals)
     admitted = [r.arrival_time for r in records if r.admitted]
@@ -426,6 +426,10 @@ class ShortGapRng:
         self.sizes.append(size)
         return self.rng.exponential(scale, size=size) / 8.0
 
+    def standard_exponential(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_exponential(size) / 8.0
+
 
 @pytest.mark.parametrize(
     "lam, horizon, seed",
@@ -605,10 +609,6 @@ class ShortGapStream:
         self.rng = rng_for_stream(seed, stream_id)
         self.blocks = 0
 
-    def exponential(self, scale, size):
-        self.blocks += 1
-        return self.rng.exponential(scale, size=size) / 8.0
-
     def standard_exponential(self, size):
         self.blocks += 1
         return self.rng.standard_exponential(size) / 8.0
@@ -617,7 +617,7 @@ class ShortGapStream:
 def test_replicate_cases_match_each_case_alone():
     # Cases of different rates and horizons share each replication's stream;
     # the third case has the first's rate and horizon, so it reads the same
-    # trace. Run alone, a case of one rate draws its gaps at its own scale.
+    # trace. Run alone, each case matches the reference, one policy at a time.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     small = replace(station, m=2, parking_capacity=3, lam=1.0)

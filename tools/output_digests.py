@@ -44,6 +44,10 @@ COMMANDS = (
         for extra in ([], ["--scenario", "5", "--penalty", "0.4"])
         for policy in ("joap", "qba", "greedy")
     ]
+    + [
+        ["analyze", "--config", "table1", "--n", "4", "--demand", "35"],
+        ["oracle", "ctmc", "--n", "3", "--lam", "0.5", "--t-v", "2.0"],
+    ]
 )
 
 
