@@ -132,7 +132,7 @@ def utility(d: float, econ: EconomicParams) -> float:
     Strictly increasing and strictly concave on (0, phi), with utility(0) = 0
     and utility(phi) = u_phi.
     """
-    if d < 0 or d > econ.phi:
+    if not 0 <= d <= econ.phi:  # written so that NaN fails it too
         raise DomainError(f"demand {d} outside [0, {econ.phi}]")
     return econ.u_phi * (-math.expm1(-econ.beta * d)) / (-math.expm1(-econ.beta * econ.phi))
 
@@ -143,7 +143,7 @@ def demand_response(r: float, econ: EconomicParams) -> float:
     Decreasing in r; clamped to [0, phi] (zero at or above the choke price,
     phi when the price is low enough that the battery cap binds).
     """
-    if r < 0:
+    if not r >= 0:  # written so that NaN fails it too
         raise DomainError(f"price must be non-negative, got {r}")
     if r == 0:
         return econ.phi
@@ -156,13 +156,15 @@ def price_for_demand(d: float, econ: EconomicParams) -> float:
 
     Only defined for d in (0, phi], where the demand curve is invertible.
     """
-    if d <= 0 or d > econ.phi:
+    if not 0 < d <= econ.phi:  # written so that NaN fails it too
         raise DomainError(f"demand {d} outside (0, {econ.phi}]")
     return math.exp(-econ.beta * d) / econ.xi
 
 
 def per_ev_profit(d: float, wait: float, econ: EconomicParams) -> float:
     """Realized profit ($) from one admitted EV; an EV charged nothing earns nothing."""
+    if math.isnan(wait):
+        raise DomainError("wait must be a number, got nan")
     if d == 0:
         return 0.0
     return (price_for_demand(d, econ) - econ.p_e) * d - econ.c * wait

@@ -3,17 +3,21 @@
 optimize_joap_many searches many operating points at once. Every (point,
 slot count) pair, for counts 1..N_CAP, is one row of the vectorised
 objective, which takes each row's station and economics as columns. Each
-point's demand grid is one objective call; one golden-section search then
-refines the best demand of every row of every point, and each point keeps
-its first best count. A row's arithmetic never depends on the rows beside
-it, so a point's result is bit for bit the same alone or in a batch;
-optimize_joap is the one-point call, and optimize_tau searches its whole
-grid in one batch. The objective holds the Erlang occupancy terms of every
-row, demand and occupancy index i in one array with i leading, built a
-block of rows at a time so that no block exceeds _BLOCK elements. The
-scalar path (profit_s, inner_demand_opt, brute_force_oracle) computes the
-same optimum count by count through the queueing module; it shares no
-arithmetic with objective and is kept as the independent oracle.
+point's demand grid is one objective call; one Brent search (Brent 1973,
+Algorithms for Minimization without Derivatives, ch. 5), seeded with each
+row's grid maximum and its two neighbours, then refines the best demand of
+every row whose grid maximum is positive, evaluating only the rows still
+searching, and each point keeps its first best count. A row's arithmetic
+never depends on the rows beside it, so a point's result is bit for bit
+the same alone or in a batch; optimize_joap is the one-point call, and
+optimize_tau searches its whole grid in one batch. The objective holds
+the Erlang occupancy terms of every row, demand and occupancy index i in
+one array with i leading, built a block of rows at a time so that no
+block exceeds _BLOCK elements. The scalar path (profit_s,
+inner_demand_opt, brute_force_oracle) computes the same optimum count by
+count through the queueing module, with its own golden-section search;
+it shares no arithmetic with objective and is kept as the independent
+oracle.
 """
 from __future__ import annotations
 
@@ -31,8 +35,11 @@ from . import queueing as q
 UNSTABLE = float("-inf")
 N_CAP = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_POINTS = 160  # coarse demand grid that brackets each golden-section search
-_DEMAND_TOL = 1e-8  # bracket width (kWh) at which the golden-section searches stop
+_CGOLD = 1.0 - _INVPHI  # the share of the larger side a golden step of Brent's search takes
+_GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand search
+# kWh: Brent's search stops once its best demand is this close to both ends
+# of its bracket, the oracle's golden section once its bracket is this wide.
+_DEMAND_TOL = 1e-8
 _BLOCK = 2**16  # elements in one (i, count, demand) block of objective
 # Row width (elements per i) from which adding a block's rows one by one
 # beats cumsum along i, which runs at about 3 ns per element.
@@ -150,7 +157,7 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     """
     counts = np.asarray(ns, dtype=float)
     n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
-    if np.any(n < 1) or np.any(d < 0) or np.any(d > rows.phi):
+    if not np.all((n >= 1) & (d >= 0) & (d <= rows.phi)):  # NaN fails every comparison
         raise DomainError("counts must be >= 1 and demands within [0, phi]")
     m = rows.m
     d_pos = np.where(d > 0, d, 1.0)
@@ -305,34 +312,81 @@ def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station:
     )
 
 
-def _golden_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_golden_max on every row's bracket [lo, hi] at once.
+def _brent_rows(f, points, values, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Brent's bounded maximization on every row at once, seeded with three points a row.
 
-    f maps one abscissa per row to one value per row. A row whose bracket
-    is narrower than tol stops moving, as its scalar search would.
+    points and values are (3, rows): the ends lo <= hi of a row's bracket and
+    its best point x between them, with their values; an end may coincide
+    with x, and an end's value may be -inf. f(keep, u) returns the values at
+    one abscissa u per row for the rows indexed by keep. The first step fits
+    the parabola through the seeds; a parabolic step that falls outside the
+    bracket, or is not less than half the step before last, gives way to a
+    golden-section step into the larger side, and no step is shorter than
+    tol / 2. Only rows still searching are evaluated. A row stops once x is
+    within tol of both ends of its bracket, and returns x and its value, the
+    best it has seen.
     """
-    c = hi - _INVPHI * (hi - lo)
-    e = lo + _INVPHI * (hi - lo)
-    fc, fe = f(c), f(e)
-    while (live := hi - lo > tol).any():
-        left = live & (fc >= fe)  # the maximum lies in [lo, e]
-        right = live & ~left  # the maximum lies in [c, hi]
-        hi, lo = np.where(left, e, hi), np.where(right, c, lo)
-        e, fe = np.where(left, c, e), np.where(left, fc, fe)
-        c, fc = np.where(right, e, c), np.where(right, fe, fc)
-        c = np.where(left, hi - _INVPHI * (hi - lo), c)
-        e = np.where(right, lo + _INVPHI * (hi - lo), e)
-        probe = f(np.where(left, c, e))
-        fc, fe = np.where(left, probe, fc), np.where(right, probe, fe)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    (a, x, b), (_, fx, _) = points, values
+    # w holds the better end and v the other: Brent's second- and third-best points.
+    lo_better = values[0] >= values[2]
+    w, v = np.where(lo_better, points[[0, 2]], points[[2, 0]])
+    fw, fv = np.where(lo_better, values[[0, 2]], values[[2, 0]])
+    # The last two steps; a first step as long as the bracket lets the first parabolas in.
+    d = e = b - a
+    best_x, best_f = x.copy(), fx.copy()
+    keep = np.arange(len(x))
+    state = (keep, a, b, x, fx, w, fw, v, fv, d, e)
+    tol1 = tol / 2.0
+    while True:
+        live = np.maximum(x - a, b - x) > tol
+        if not live.all():
+            best_x[keep[~live]], best_f[keep[~live]] = x[~live], fx[~live]
+            keep, a, b, x, fx, w, fw, v, fv, d, e = (s[live] for s in state)
+        if not keep.size:
+            return best_x, best_f
+        mid = 0.5 * (a + b)
+        # The vertex of the parabola through x, w and v is x + p / q; an end
+        # at -inf, or two seeds at one point, gives a NaN or 0 that every
+        # test below rejects.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+            parabolic &= (p > q * (a - x)) & (p < q * (b - x))
+            vertex = p / q
+        golden = np.where(x >= mid, a - x, b - x)
+        e = np.where(parabolic, d, golden)
+        d = np.where(parabolic, vertex, _CGOLD * golden)
+        # A parabolic step stays tol away from the ends; every step is at least tol / 2.
+        near_end = parabolic & ((x + d - a < tol) | (b - x - d < tol))
+        d = np.where(near_end, np.copysign(tol1, mid - x), d)
+        u = x + np.copysign(np.maximum(np.abs(d), tol1), d)
+        fu = f(keep, u)
+        better = fu >= fx
+        # The worse of x and u becomes the bracket's end on its side of the
+        # better one, and the second-best point, or the third-best, or neither.
+        loser, f_loser = np.where(better, x, u), np.where(better, fx, fu)
+        right = u >= x
+        a = np.where(better == right, loser, a)
+        b = np.where(better != right, loser, b)
+        to_w = better | (fu >= fw) | (w == x)
+        to_v = ~to_w & ((fu >= fv) | (v == x) | (v == w))
+        v = np.where(to_w, w, np.where(to_v, loser, v))
+        fv = np.where(to_w, fw, np.where(to_v, f_loser, fv))
+        w, fw = np.where(to_w, loser, w), np.where(to_w, f_loser, fw)
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        state = (keep, a, b, x, fx, w, fw, v, fv, d, e)
 
 
 def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
     """Best (n, d) over every count up to N_CAP, from the vectorised objective.
 
-    Every count gets inner_demand_opt's search: the demand grid over the
-    non-negative-marginal-revenue region, golden-section refinement of the
+    Every count gets inner_demand_opt's grid over the
+    non-negative-marginal-revenue region, then Brent's refinement of the
     bracket around the grid maximum to 1e-8, and demand 0 when nothing is
     profitable. Ties keep the smallest count (stronger regulation).
     """
@@ -340,25 +394,29 @@ def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
 
 
 def _bracket(econ: EconomicParams, station: StationParams, d_hi: float) -> tuple[np.ndarray, ...]:
-    """Each count's grid maximum on [0, d_hi] and the grid points either side of it."""
+    """Each count's grid maximum on [0, d_hi] and the grid points either side of it.
+
+    Returns (3, N_CAP) points and their values: the lower neighbour, the
+    maximum and the upper neighbour, a neighbour being the maximum itself at
+    either end of the grid.
+    """
     grid = np.linspace(0.0, d_hi, _GRID_POINTS)
     vals = objective(np.arange(1, N_CAP + 1), grid, econ, station)
     at = np.argmax(vals, axis=1)
-    return (
-        vals[np.arange(N_CAP), at],
-        grid[np.maximum(at - 1, 0)],
-        grid[np.minimum(at + 1, _GRID_POINTS - 1)],
-    )
+    near = np.stack([np.maximum(at - 1, 0), at, np.minimum(at + 1, _GRID_POINTS - 1)])
+    return grid[near], np.take_along_axis(vals, near.T, axis=1).T
 
 
 def optimize_joap_many(points) -> list[JoapPolicy]:
     """optimize_joap(econ, station) for every (econ, station) in points, in one search.
 
     Every (point, count) pair is one row of the objective. Each point's
-    grid is evaluated in one call, and one golden-section search refines
-    every row of every point at once. No row's arithmetic depends on the
-    others, so each point's policy is bit for bit its one-point result;
-    points may differ in any parameter, the wait model included.
+    grid is evaluated in one call, and one Brent search refines every row
+    whose grid maximum is positive, of every point at once; a row whose
+    maximum is not positive earns 0 and never wins. No row's arithmetic
+    depends on the others, so each point's policy is bit for bit its
+    one-point result; points may differ in any parameter, the wait model
+    included.
     """
     points = list(points)
     policies = [None] * len(points)
@@ -371,15 +429,20 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
             policies[k] = _policy_from(1, 0.0, 0.0, econ, station)
     if live:
         # Each point's grid in its own call, so the (count, demand) arrays stay one point's size.
-        peak, lo, hi = map(np.concatenate, zip(*(_bracket(*points[k], d_hi) for k, d_hi in live)))
-        ns = np.tile(np.arange(1, N_CAP + 1), len(live))
-        columns = _Rows.of([points[k] for k, _ in live], N_CAP)
-        d, val = _golden_rows(
-            lambda x: _objective(ns, x[:, None], columns)[:, 0], lo, hi, _DEMAND_TOL
+        seeds, values = (
+            np.concatenate(parts, axis=1)
+            for parts in zip(*(_bracket(*points[k], d_hi) for k, d_hi in live))
         )
-        val = np.where((peak <= 0.0) | (val < 0.0), 0.0, val).reshape(len(live), N_CAP)
-        d = d.reshape(len(live), N_CAP)
-        for (k, _), v, dk in zip(live, val, d):
+        rows = np.flatnonzero(values[1] > 0.0)
+        ns = np.tile(np.arange(1, N_CAP + 1), len(live))[rows]
+        columns = [column[rows] for column in _Rows.of([points[k] for k, _ in live], N_CAP)]
+
+        def value(keep, u):
+            return _objective(ns[keep], u[:, None], _Rows(*(c[keep] for c in columns)))[:, 0]
+
+        d, val = np.zeros((2, len(live) * N_CAP))
+        d[rows], val[rows] = _brent_rows(value, seeds[:, rows], values[:, rows], _DEMAND_TOL)
+        for (k, _), v, dk in zip(live, val.reshape(len(live), N_CAP), d.reshape(len(live), N_CAP)):
             best = int(np.argmax(v))
             if v[best] <= 0.0:
                 policies[k] = _policy_from(1, 0.0, 0.0, *points[k])

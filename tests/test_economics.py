@@ -120,3 +120,19 @@ def test_service_time_units():
     # 11.5 kW delivers 11.5 kWh in 60 minutes.
     assert station.service_time(11.5) == pytest.approx(60.0)
     assert station.alpha_per_min == pytest.approx(11.5 / 60.0)
+
+
+def test_nan_arguments_rejected(econ_default):
+    # NaN fails every comparison, so a range check written as `x < lo` would
+    # let it through and return NaN.
+    nan = math.nan
+    for call in (
+        lambda: demand_response(nan, econ_default),
+        lambda: price_for_demand(nan, econ_default),
+        lambda: utility(nan, econ_default),
+        lambda: per_ev_profit(nan, 0.0, econ_default),
+        lambda: per_ev_profit(20.0, nan, econ_default),
+        lambda: per_ev_profit(0.0, nan, econ_default),
+    ):
+        with pytest.raises(DomainError):
+            call()

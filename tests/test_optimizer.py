@@ -23,7 +23,9 @@ from evstation import (
     price_for_demand,
 )
 from evstation.economics import WAIT_MODELS
+import evstation.optimizer as opt
 from evstation.optimizer import (
+    _DEMAND_TOL,
     _GRID_POINTS,
     DEFAULT_TAU_GRID,
     N_CAP,
@@ -110,7 +112,7 @@ def test_objective_matches_profit_s(econ_default, station_default, table1):
             assert unstable.any() and not unstable.all()
             np.testing.assert_array_equal(got == UNSTABLE, unstable)
             np.testing.assert_allclose(got[~unstable], want[~unstable], rtol=1e-12, atol=0.0)
-    # One demand per count, as the golden-section refinement evaluates it.
+    # One demand per count, as the demand search evaluates it.
     per_count = np.linspace(0.5, 10.0, N_CAP)
     got = objective(counts, per_count[:, None], econ_default, station_default)
     assert got.shape == (N_CAP, 1)
@@ -120,6 +122,16 @@ def test_objective_matches_profit_s(econ_default, station_default, table1):
     np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=0.0)
     with pytest.raises(DomainError):
         objective(counts, [econ_default.phi + 1.0], econ_default, station_default)
+
+
+def test_objective_rejects_nan(econ_default, station_default):
+    # NaN fails every comparison, so the domain check is written to catch it,
+    # as analyze_admission does for the scalar path.
+    for ns, ds in (([4], [math.nan]), ([math.nan], [4.0]), ([4, 5], [1.0, math.nan])):
+        with pytest.raises(DomainError):
+            objective(ns, ds, econ_default, station_default)
+    with pytest.raises(DomainError):
+        analyze_admission(4, math.nan, station_default)
 
 
 @st.composite
@@ -379,7 +391,7 @@ def test_optimize_joap_memory_bounded(table1):
     # array over every count's whole index range would take 5 MiB, and the
     # few such arrays alive at once would pass the bound.
     # The batch of every (scenario, tau) point holds one point's grid at a
-    # time, and its golden-section probes are (i, row) blocks of the same bound.
+    # time, and its Brent probes are (i, row) blocks of the same bound.
     scenarios, _ = table1
     batch = [(s.econ, replace(s.station, tau=tau)) for s in scenarios for tau in DEFAULT_TAU_GRID]
     runs = [(s.name, lambda s=s: optimize_joap(s.econ, s.station)) for s in scenarios]
@@ -495,3 +507,185 @@ def test_optimize_matches_oracle_allen_cunneen(table1):
             assert policy.d_star == pytest.approx(oracle.d_star, abs=1e-6)
             if policy.n_star <= station.m:
                 assert policy.predicted_wait == 0.0
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_rows(f, lo, hi, tol):
+    """Golden-section search on every row's bracket at once, the reference for Brent's."""
+    c = hi - _INVPHI * (hi - lo)
+    e = lo + _INVPHI * (hi - lo)
+    fc, fe = f(c), f(e)
+    while (live := hi - lo > tol).any():
+        left = live & (fc >= fe)
+        right = live & ~left
+        hi, lo = np.where(left, e, hi), np.where(right, c, lo)
+        e, fe = np.where(left, c, e), np.where(left, fc, fe)
+        c, fc = np.where(right, e, c), np.where(right, fe, fc)
+        c = np.where(left, hi - _INVPHI * (hi - lo), c)
+        e = np.where(right, lo + _INVPHI * (hi - lo), e)
+        probe = f(np.where(left, c, e))
+        fc, fe = np.where(left, probe, fc), np.where(right, probe, fe)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def golden_optimize_joap(econ, station):
+    """optimize_joap as it was: golden-section refinement of every count's grid bracket."""
+    d_hi = demand_region_bound(econ)
+    if d_hi <= 0:
+        return opt._policy_from(1, 0.0, 0.0, econ, station)
+    counts = np.arange(1, N_CAP + 1)
+    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
+    vals = objective(counts, grid, econ, station)
+    at = np.argmax(vals, axis=1)
+    peak = vals[np.arange(N_CAP), at]
+    lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, _GRID_POINTS - 1)]
+    d, val = golden_rows(
+        lambda x: objective(counts, x[:, None], econ, station)[:, 0], lo, hi, _DEMAND_TOL
+    )
+    val = np.where((peak <= 0.0) | (val < 0.0), 0.0, val)
+    best = int(np.argmax(val))
+    if val[best] <= 0.0:
+        return opt._policy_from(1, 0.0, 0.0, econ, station)
+    return opt._policy_from(best + 1, float(d[best]), float(val[best]), econ, station)
+
+
+def assert_matches_golden(policy, golden):
+    """Brent's point against golden section's: the same count unless two counts tie
+    to rounding, a profit no lower, and the same demand to 1e-6 kWh."""
+    assert policy.predicted_profit >= golden.predicted_profit - 1e-12
+    if policy.n_star != golden.n_star:
+        assert policy.predicted_profit == pytest.approx(golden.predicted_profit, abs=1e-12)
+    else:
+        assert abs(policy.d_star - golden.d_star) <= 1e-6
+
+
+@st.composite
+def criterion3_stations(draw):
+    """A station of criterion 3's distribution."""
+    return StationParams(
+        m=draw(st.integers(2, 6)),
+        alpha=draw(st.floats(3.0, 22.0)),
+        parking_capacity=60,
+        lam=draw(st.floats(0.05, 0.5)),
+        tau=draw(st.floats(1.01, 1.5)),
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(economics(), criterion3_stations())
+def test_brent_matches_golden_property(econ, station):
+    # Both wait models: economics() draws either.
+    assert_matches_golden(optimize_joap(econ, station), golden_optimize_joap(econ, station))
+
+
+def test_brent_rows_edge_cases():
+    # Five rows seeded as _bracket seeds them, with known maxima:
+    # 0: an interior peak at 1.2345;
+    # 1: f increasing, its grid maximum at the upper end (x == hi);
+    # 2: a peak at 2.05 with an unstable (-inf) upper neighbour past 2.08;
+    # 3: a degenerate bracket lo == x == hi, never evaluated;
+    # 4: f increasing up to a cliff at 5.05, -inf past it.
+    def value(row, u):
+        return np.select(
+            [row == 0, row == 1, (row == 2) & (u <= 2.08), row == 4],
+            [-((u - 1.2345) ** 2), u, -((u - 2.05) ** 2), np.where(u <= 5.05, u, -np.inf)],
+            -np.inf,
+        )
+
+    points = np.array(
+        [[1.1, 0.9, 1.9, 3.0, 4.9], [1.2, 1.0, 2.0, 3.0, 5.0], [1.3, 1.0, 2.1, 3.0, 5.1]]
+    )
+    index = np.arange(5)
+    values = value(index, points)
+    assert values[2, 2] == values[2, 4] == -np.inf
+    evaluated = []
+
+    def f(keep, u):
+        evaluated.append(keep.tolist())
+        return value(keep, u)
+
+    x, fx = opt._brent_rows(f, points, values, _DEMAND_TOL)
+    assert np.array_equal(fx, value(index, x))
+    assert abs(x[0] - 1.2345) <= _DEMAND_TOL
+    assert x[1] == 1.0  # nothing in the bracket beats its upper end
+    assert abs(x[2] - 2.05) <= _DEMAND_TOL
+    assert x[3] == 3.0 and fx[3] == values[1, 3]
+    assert 5.05 - _DEMAND_TOL <= x[4] <= 5.05
+    # Only rows still searching are evaluated, and a row that stops stays stopped.
+    assert all(3 not in keep for keep in evaluated)
+    assert all(set(b) <= set(a) for a, b in zip(evaluated, evaluated[1:]))
+    assert evaluated[-1] != evaluated[0]
+    # No rows: nothing to search and nothing evaluated.
+    evaluated.clear()
+    x, fx = opt._brent_rows(f, np.empty((3, 0)), np.empty((3, 0)), _DEMAND_TOL)
+    assert x.shape == fx.shape == (0,) and not evaluated
+
+
+def count_objective_calls(monkeypatch):
+    """Count _objective's calls, the grid's and the search's."""
+    calls = []
+    inner = opt._objective
+
+    def counted(ns, ds, rows):
+        calls.append(len(ns))
+        return inner(ns, ds, rows)
+
+    monkeypatch.setattr(opt, "_objective", counted)
+    return calls
+
+
+def test_search_edge_points(monkeypatch, econ_default, station_default):
+    calls = count_objective_calls(monkeypatch)
+    # No penalty and a light load: admission is all but certain, so most
+    # counts' grid maximum is the region's upper end, the margin's maximum.
+    free = replace(econ_default, c=0.0)
+    light = replace(station_default, lam=0.01)
+    # One port at a heavy load: the grid maximum of several counts sits next
+    # to an unstable demand.
+    econ = EconomicParams(
+        beta=0.07413514814648528, phi=34.25618990706393, u_phi=105.55961169207234,
+        p_e=0.03985967649831117, c=0.8796511733349222,
+    )
+    station = StationParams(
+        m=1, alpha=15.904449127405934, parking_capacity=60, lam=1.3116283283748797,
+        tau=1.1213860773288449,
+    )
+    for point in ((free, light), (econ, station)):
+        calls.clear()
+        points, values = opt._bracket(*point, demand_region_bound(point[0]))
+        top = (points[1] == points[2]) & (values[1] > 0.0)
+        cliff = (values[0] == UNSTABLE) | (values[2] == UNSTABLE)
+        assert (top if point[0] is free else cliff).any()
+        policy = optimize_joap(*point)
+        assert_matches_golden(policy, golden_optimize_joap(*point))
+        if point[0] is free:
+            assert policy.d_star == demand_region_bound(free)
+    # A station whose every count's grid maximum is at demand 0 (the theorem-1
+    # wait outweighs every margin) makes no search call, nor does one that
+    # sells nothing (an empty demand region).
+    broke = EconomicParams(
+        beta=0.02133414706164568, phi=47.27234888118236, u_phi=136.12625322502754,
+        p_e=0.028006357666027756, c=0.689622600189066,
+    )
+    slow = StationParams(
+        m=2, alpha=4.246075796489425, parking_capacity=60, lam=0.3291055155013862,
+        tau=1.342183908104519,
+    )
+    none = replace(econ_default, p_e=econ_default.choke_price)
+    calls.clear()
+    policies = optimize_joap_many([(broke, slow), (none, station_default)])
+    assert calls == [N_CAP]  # the first point's grid, and no search
+    for policy in policies:
+        assert (policy.n_star, policy.d_star, policy.predicted_profit) == (1, 0.0, 0.0)
+
+
+def test_table1_batch_objective_calls(monkeypatch, table1):
+    # The six table1 points: six grid calls, then at most 24 search calls
+    # (golden section made 39).
+    scenarios, _ = table1
+    calls = count_objective_calls(monkeypatch)
+    optimize_joap_many([(s.econ, s.station) for s in scenarios])
+    assert len(calls) <= 30

@@ -731,6 +731,42 @@ def test_replicate_memory_stays_bounded():
     assert peak < 8 * 2**20
 
 
+def per_row_metrics(count, starts, arrived, traces, per_policy, horizon):
+    """_metrics as it was: each row's wait and profit reduced on their own."""
+    reps = len(traces)
+    lengths = np.tile([len(trace) for trace in traces], len(per_policy[0]))
+    rate = np.where(lengths > 0, count / np.maximum(lengths, 1), 1.0)
+    waits = starts - arrived
+    mean_wait = [
+        float(np.add.reduce(w[:k])) / k if k else 0.0 for w, k in zip(waits.T, count.tolist())
+    ]
+    _, margin, c = (np.repeat(x, reps) for x in per_policy)
+    profits = margin - c * waits
+    total = [sum(p[:k].tolist()) for p, k in zip(profits.T, count.tolist())]
+    return np.array([rate, mean_wait, np.divide(total, horizon / 60.0)])
+
+
+def test_metrics_match_per_row_reduction():
+    # Rows are reduced once per admission count. The counts cover no
+    # admission, fewer than numpy's 8-wide unrolled block, and more than its
+    # 128-element pairwise block, with several rows sharing each count.
+    rng = np.random.default_rng(11)
+    policies, reps = 3, 40
+    rows = policies * reps
+    ks = [0, 1, 3, 7, 8, 9, 127, 128, 129, 300]
+    count = np.array(ks * (rows // len(ks)))
+    rng.shuffle(count)
+    width = 320
+    arrived = np.cumsum(rng.exponential(2.0, (width, rows)), axis=0)
+    starts = arrived + rng.exponential(3.0, (width, rows)) * (rng.random((width, rows)) < 0.6)
+    traces = [np.empty(int(n)) for n in rng.integers(0, width + 1, reps)]
+    per_policy = (rng.uniform(10, 90, policies), rng.uniform(-5, 30, policies), [0.0, 0.4, 1.0])
+    want = per_row_metrics(count, starts, arrived, traces, per_policy, 240.0)
+    got = sim._metrics(count, starts.copy(), arrived.copy(), traces, per_policy, 240.0)
+    assert np.array_equal(got, want)
+    assert np.all(got[1:, count == 0] == 0.0)
+
+
 def test_trace_matches_reference(table1):
     scenarios, run = table1
     for name in ("joap", "qba", "greedy"):
