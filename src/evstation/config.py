@@ -80,7 +80,11 @@ def load_config(path) -> tuple[list[Scenario], RunOptions]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_config(raw, str(path))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economics import DomainError
+from .optimizer import N_CAP
 
 R1 = -1.0
 R2 = 1.25
@@ -37,9 +38,13 @@ class TwoPhaseChain:
 
 
 def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
-    """Assemble the (n+1)(n+2)/2-state rate matrix for n virtual servers."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    """Assemble the (n+1)(n+2)/2-state rate matrix for n virtual servers.
+
+    The matrix is dense, so n is capped at the optimizer's count cap N_CAP
+    (2,145 states, about 37 MB); a larger n is rejected before allocating.
+    """
+    if not 1 <= n <= N_CAP:
+        raise DomainError(f"n must be in [1, {N_CAP}], got {n}")
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"lam must be finite and positive, got {lam}")
     if not (math.isfinite(t_v) and t_v > 0):

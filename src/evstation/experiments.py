@@ -357,10 +357,8 @@ def run_tau_study(
     for scenario, taus, results in zip(scenarios, taus_of, replicate(cases, run.reps, run.seed)):
         profits = [metrics.profit_per_hour * scenario.duration / 60.0 for metrics in results]
         profit_fixed = profits[0]
-        tau_best, profit_best = taus[0], profit_fixed
-        for tau, profit in zip(taus[1:], profits[1:]):
-            if profit > profit_best:
-                tau_best, profit_best = tau, profit
+        best = max(range(len(taus)), key=lambda k: (profits[k], -k))
+        tau_best, profit_best = taus[best], profits[best]
         fixed_total += profit_fixed
         best_total += profit_best
         gain = (profit_best - profit_fixed) / abs(profit_fixed) if profit_fixed else 0.0

@@ -21,7 +21,6 @@ oracle.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -41,9 +40,6 @@ _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand sea
 # of its bracket, the oracle's golden section once its bracket is this wide.
 _DEMAND_TOL = 1e-8
 _BLOCK = 2**16  # elements in one (i, count, demand) block of objective
-# Row width (elements per i) from which adding a block's rows one by one
-# beats cumsum along i, which runs at about 3 ns per element.
-_WIDE = 512
 
 
 @dataclass(frozen=True)
@@ -78,18 +74,11 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
 
 
-@functools.lru_cache(maxsize=4)
 def _index_terms(n_max: int) -> tuple[np.ndarray, ...]:
-    """i = 1..n_max with log i and the gap-moment weights i + 1 and 2/((i+1)(i+2)).
-
-    The arrays are shared by every caller, so they are read-only.
-    """
+    """i = 1..n_max with log i and the gap-moment weights i + 1 and 2/((i+1)(i+2))."""
     i = np.arange(1, n_max + 1)
     log_i = np.array([math.log(k) for k in range(1, n_max + 1)])
-    terms = (i, log_i, (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None])
-    for x in terms:
-        x.setflags(write=False)
-    return terms
+    return i, log_i, (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None]
 
 
 def _sum_in_order(x: np.ndarray) -> np.ndarray:
@@ -146,11 +135,12 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     """objective with the station and economics of every row given as columns.
 
     The Erlang occupancy terms a^i/i!, each scaled by the largest one (at
-    i = min(n, floor(a))), are one cumulative sum of logs along the leading
-    axis i of an (i, count, demand) array; the normalising sum and the two
-    gap-moment sums add along i in order. The array is built for a block of
-    counts at a time, with i running up to the block's largest count, so a
-    block holds at most _BLOCK elements unless a single count's row is larger.
+    i = min(n, floor(a))), are a running sum of logs along the leading axis i
+    of an (i, count, demand) array: every block adds its rows in order of i,
+    one row onto the next, and the normalising sum and the two gap-moment
+    sums add along i in order too. The array is built for a block of counts
+    at a time, with i running up to the block's largest count, so a block
+    holds at most _BLOCK elements unless a single count's row is larger.
     Every row's arithmetic is the same whatever rows it is listed with: the
     terms past a row's count are exactly 0, and the Erlang C recursion stops
     at each row's own port count.
@@ -181,11 +171,8 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
         log_q = np.empty((top_i + 1,) + n[blk].shape)
         log_q[0] = log_q0[blk]
         np.subtract(log_a[blk], cut[:, :, None], out=log_q[1:])
-        if log_q[0].size >= _WIDE:
-            for k in range(1, top_i + 1):
-                np.add(log_q[k - 1], log_q[k], out=log_q[k])
-        else:
-            np.cumsum(log_q, axis=0, out=log_q)
+        for prev, row in zip(log_q, log_q[1:]):  # each row already holds the sum before it
+            np.add(prev, row, out=row)
         term = np.exp(log_q, out=log_q)
         q0[blk] = term[0]
         q_n[blk] = term[counts[blk].astype(int), np.arange(term.shape[1])]
@@ -296,7 +283,7 @@ def inner_demand_opt(n: int, econ: EconomicParams, station: StationParams) -> tu
 def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station: StationParams) -> JoapPolicy:
     if d <= 0:
         return JoapPolicy(
-            n_star=max(n, 1), d_star=0.0, r_star=econ.choke_price, t_v=0.0,
+            n_star=n, d_star=0.0, r_star=econ.choke_price, t_v=0.0,
             predicted_profit=0.0, predicted_admit=1.0, predicted_wait=0.0,
         )
     analysis = q.analyze_admission(n, d, station)
@@ -419,36 +406,32 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
     included.
     """
     points = list(points)
-    policies = [None] * len(points)
-    live = []  # the points with a non-empty demand region
+    if not points:
+        return []
+    # A row that sells nothing (its grid maximum is not positive, or its point's
+    # demand region is empty and gets no grid) keeps zero seeds and is not searched.
+    seeds, values = np.zeros((2, 3, len(points) * N_CAP))
     for k, (econ, station) in enumerate(points):
         d_hi = demand_region_bound(econ)
-        if d_hi > 0:
-            live.append((k, d_hi))
-        else:
-            policies[k] = _policy_from(1, 0.0, 0.0, econ, station)
-    if live:
-        # Each point's grid in its own call, so the (count, demand) arrays stay one point's size.
-        seeds, values = (
-            np.concatenate(parts, axis=1)
-            for parts in zip(*(_bracket(*points[k], d_hi) for k, d_hi in live))
-        )
-        rows = np.flatnonzero(values[1] > 0.0)
-        ns = np.tile(np.arange(1, N_CAP + 1), len(live))[rows]
-        columns = [column[rows] for column in _Rows.of([points[k] for k, _ in live], N_CAP)]
+        if d_hi > 0:  # each point's grid in its own call, so its arrays stay one point's size
+            at = slice(k * N_CAP, (k + 1) * N_CAP)
+            seeds[:, at], values[:, at] = _bracket(econ, station, d_hi)
+    rows = np.flatnonzero(values[1] > 0.0)
+    ns = np.tile(np.arange(1, N_CAP + 1), len(points))[rows]
+    columns = [column[rows] for column in _Rows.of(points, N_CAP)]
 
-        def value(keep, u):
-            return _objective(ns[keep], u[:, None], _Rows(*(c[keep] for c in columns)))[:, 0]
+    def value(keep, u):
+        return _objective(ns[keep], u[:, None], _Rows(*(c[keep] for c in columns)))[:, 0]
 
-        d, val = np.zeros((2, len(live) * N_CAP))
-        d[rows], val[rows] = _brent_rows(value, seeds[:, rows], values[:, rows], _DEMAND_TOL)
-        for (k, _), v, dk in zip(live, val.reshape(len(live), N_CAP), d.reshape(len(live), N_CAP)):
-            best = int(np.argmax(v))
-            if v[best] <= 0.0:
-                policies[k] = _policy_from(1, 0.0, 0.0, *points[k])
-            else:
-                policies[k] = _policy_from(best + 1, float(dk[best]), float(v[best]), *points[k])
-    return policies
+    d, val = np.zeros((2, len(points) * N_CAP))
+    d[rows], val[rows] = _brent_rows(value, seeds[:, rows], values[:, rows], _DEMAND_TOL)
+    d, val = d.reshape(len(points), N_CAP), val.reshape(len(points), N_CAP)
+    # A point whose every row earns 0 gets count 1 at demand 0: it sells nothing.
+    best = np.argmax(val, axis=1)
+    return [
+        _policy_from(int(b) + 1, float(dk[b]), float(vk[b]), *point)
+        for point, b, dk, vk in zip(points, best, d, val)
+    ]
 
 
 def brute_force_oracle(econ: EconomicParams, station: StationParams) -> tuple[JoapPolicy, list]:

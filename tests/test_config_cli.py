@@ -327,6 +327,19 @@ def test_cli_missing_config(capsys):
     assert "/no/such/file.json" in capsys.readouterr().err
 
 
+def test_cli_config_is_a_directory(tmp_path, capsys):
+    # An unreadable config is an input error (exit 1) that names the path.
+    assert cli_dispatch(["analyze", "--config", str(tmp_path), "--n", "4", "--demand", "35"]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_cli_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(valid_raw()).replace('"a"', '"caf\xe9"').encode("latin-1"))
+    assert cli_dispatch(["analyze", "--config", str(path), "--n", "4", "--demand", "35"]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand(capsys):
     assert cli_dispatch(["frobnicate"]) == 1
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from evstation import (
     occupancy_marginal,
     steady_state,
 )
+from evstation.cli import cli_dispatch
+from evstation.optimizer import N_CAP
 
 
 def test_state_space_size():
@@ -111,6 +114,21 @@ def test_build_generator_domain():
         build_generator(2, -1.0, 1.0)
     with pytest.raises(DomainError):
         build_generator(2, 1.0, 0.0)
+
+
+def test_build_generator_caps_n():
+    # The dense matrix has (n+1)(n+2)/2 rows; past N_CAP it is refused before allocating.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="n must be in"):
+            build_generator(N_CAP + 1, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    args = ["oracle", "ctmc", "--n", str(N_CAP + 1), "--lam", "1.0", "--t-v", "1.0"]
+    assert cli_dispatch(args) == 1
+    assert len(build_generator(N_CAP, 1.0, 1.0).states) == (N_CAP + 1) * (N_CAP + 2) // 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -30,6 +30,7 @@ from evstation.optimizer import (
     DEFAULT_TAU_GRID,
     N_CAP,
     UNSTABLE,
+    JoapPolicy,
     inner_demand_opt,
     objective,
     profit_s,
@@ -678,8 +679,10 @@ def test_search_edge_points(monkeypatch, econ_default, station_default):
     calls.clear()
     policies = optimize_joap_many([(broke, slow), (none, station_default)])
     assert calls == [N_CAP]  # the first point's grid, and no search
-    for policy in policies:
-        assert (policy.n_star, policy.d_star, policy.predicted_profit) == (1, 0.0, 0.0)
+    # Both routes give the one zero-sales record, the oracle's too.
+    for policy, (econ, station) in zip(policies, [(broke, slow), (none, station_default)]):
+        assert policy == JoapPolicy(1, 0.0, econ.choke_price, 0.0, 0.0, 1.0, 0.0)
+        assert policy == brute_force_oracle(econ, station)[0]
 
 
 def test_table1_batch_objective_calls(monkeypatch, table1):

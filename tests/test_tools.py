@@ -1,14 +1,15 @@
 import importlib.util
 import re
 from pathlib import Path
+from types import ModuleType
+
+import evstation
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_output_digests():
-    spec = importlib.util.spec_from_file_location(
-        "output_digests", ROOT / "tools" / "output_digests.py"
-    )
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -17,10 +18,26 @@ def load_output_digests():
 def test_output_digests_line_format_and_stability():
     # The tool every bit-for-bit claim is checked with: one command's lines,
     # in the format its diffs compare, and the same digest from two runs.
-    tool = load_output_digests()
+    tool = load_tool("output_digests")
     argv = ["optimize", "--config", "table1", "--scenario", "0"]
     assert argv in tool.COMMANDS
     first = tool.lines(argv, ROOT / "src")
     assert first == tool.lines(argv, ROOT / "src")
     [line] = first  # optimize writes no file
     assert re.fullmatch(r"[0-9a-f]{64}  optimize --config table1 --scenario 0 :: stdout", line)
+
+
+def test_src_size_format_and_consistency():
+    # One line per module, a total that is their sum, and the export count of
+    # the evstation this suite imports (the same src/).
+    *modules, total, exported = load_tool("src_size").report(ROOT / "src")
+    files = sorted((ROOT / "src" / "evstation").glob("*.py"))
+    assert len(modules) == len(files)
+    counts = []
+    for line, path in zip(modules, files):
+        assert re.fullmatch(rf" *(\d+) evstation/{re.escape(path.name)}", line)
+        counts.append(int(line.split()[0]))
+        assert counts[-1] == len(path.read_text().splitlines())
+    assert re.fullmatch(r" *\d+ total", total) and int(total.split()[0]) == sum(counts)
+    bound = [v for k, v in vars(evstation).items() if not k.startswith("_")]
+    assert exported == f"exports {sum(not isinstance(v, ModuleType) for v in bound)}"
