@@ -101,6 +101,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # The validation runners fix their own grids: admission reads neither
+    # flag, and no output of the wait runner depends on the penalty.
+    unread = {"admission": ("reps", "penalty"), "wait": ("penalty",)}.get(args.which, ())
+    given = [f"--{flag}" for flag in unread if getattr(args, flag) is not None]
+    if given:
+        raise ConfigError(f"experiment {args.which} does not read {' or '.join(given)}")
     scenarios, run = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,6 +127,8 @@ def _cmd_experiment(args) -> int:
             scenarios[0].econ,
             seed=run.seed,
             out_path=out / "wait_validation.csv",
+            # The runner's own reps unless --reps is given: the config's reps are the daily run's.
+            **({} if args.reps is None else {"reps": run.reps}),
         )
         stable = [r for r in rows if r[7] == "ok"]
         _emit({"points": len(rows), "stable_points": len(stable)})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economics import DomainError
+from .economics import DomainError, _check_count
 from .optimizer import N_CAP
 
 R1 = -1.0
@@ -43,7 +43,8 @@ def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
     The matrix is dense, so n is capped at the optimizer's count cap N_CAP
     (2,145 states, about 37 MB); a larger n is rejected before allocating.
     """
-    if not 1 <= n <= N_CAP:
+    _check_count(n, "n")
+    if n > N_CAP:
         raise DomainError(f"n must be in [1, {N_CAP}], got {n}")
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"lam must be finite and positive, got {lam}")

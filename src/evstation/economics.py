@@ -28,6 +28,14 @@ def _check_finite(params, fields: tuple) -> None:
             raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
 
 
+def _check_count(value, name: str, least: int = 1) -> None:
+    """The domain of every count: a whole number >= least, which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class EconomicParams:
     """Station-wide economic description of the (homogeneous) EV population.
@@ -97,20 +105,11 @@ class StationParams:
     tau: float
 
     def __post_init__(self):
-        for name in ("m", "parking_capacity"):
-            value = getattr(self, name)
-            # The simulator sizes its port list with m; a bool is not a count.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        _check_count(self.m, "m")  # the simulator sizes its port list with m
+        _check_count(self.parking_capacity, "parking_capacity", self.m)
         _check_finite(self, ("alpha", "lam", "tau"))
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.parking_capacity < self.m:
-            raise DomainError(
-                f"parking_capacity ({self.parking_capacity}) must be >= m ({self.m})"
-            )
         if self.lam <= 0:
             raise DomainError(f"lam must be positive, got {self.lam}")
         if self.tau <= 1:

@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .economics import DomainError, EconomicParams, StationParams, per_ev_profit, price_for_demand
+from .economics import DomainError, EconomicParams, StationParams, _check_count
+from .economics import per_ev_profit, price_for_demand
 from . import queueing as q
 
 UNSTABLE = float("-inf")
@@ -61,8 +62,7 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     The penalty is charged against the wait of econ.wait_model. Returns -inf
     when the implied charging-queue load is at or above 1.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     if d < 0 or d > econ.phi:
         raise DomainError(f"demand {d} outside [0, {econ.phi}]")
     if d == 0:
@@ -141,14 +141,17 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     sums add along i in order too. The array is built for a block of counts
     at a time, with i running up to the block's largest count, so a block
     holds at most _BLOCK elements unless a single count's row is larger.
-    Every row's arithmetic is the same whatever rows it is listed with: the
-    terms past a row's count are exactly 0, and the Erlang C recursion stops
-    at each row's own port count.
+    Every row gets both waits, the Theorem 1 index and Allen-Cunneen's
+    minutes, and charges the one its wait model selects. Every row's
+    arithmetic is the same whatever rows it is listed with: the terms past a
+    row's count are exactly 0, and the Erlang C recursion stops at each
+    row's own port count.
     """
     counts = np.asarray(ns, dtype=float)
     n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
-    if not np.all((n >= 1) & (d >= 0) & (d <= rows.phi)):  # NaN fails every comparison
-        raise DomainError("counts must be >= 1 and demands within [0, phi]")
+    whole = (counts >= 1) & (counts < np.inf) & (np.floor(counts) == counts)
+    if not (whole.all() and np.all((d >= 0) & (d <= rows.phi))):  # NaN fails every comparison
+        raise DomainError("counts must be whole numbers >= 1 and demands within [0, phi]")
     m = rows.m
     d_pos = np.where(d > 0, d, 1.0)
     s = d_pos / rows.alpha_per_min
@@ -182,23 +185,18 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     p_admit = 1.0 - q_n / total
     busy = 1.0 - q0 / total
     rho = rows.lam * p_admit * s / m
-    ac = rows.allen_cunneen
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_x = t_v * (s1 / total) / busy
         second_x = t_v**2 * (s2 / total) / busy
         mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
-        if ac.any():
-            b = np.ones_like(rho)  # queueing.erlang_c: Erlang B over m ports at load m*rho
-            m_min, m_max = int(m.min()), int(m.max())
-            for k in range(1, m_max + 1):
-                step = m * rho * b / (k + m * rho * b)
-                b = step if k <= m_min else np.where(k <= m, step, b)
-            erlang_c = b / (1.0 - rho * (1.0 - b))
-            ca2 = m * var_y / mu_y**2
-            wait = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
-        if not ac.all():
-            theorem1 = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
-            wait = np.where(ac, wait, theorem1) if ac.any() else theorem1
+        b = np.ones_like(rho)  # queueing.erlang_c: Erlang B over each row's m ports at load m*rho
+        for k in range(1, int(m.max()) + 1):
+            b = np.where(k <= m, m * rho * b / (k + m * rho * b), b)
+        erlang_c = b / (1.0 - rho * (1.0 - b))
+        ca2 = m * var_y / mu_y**2
+        allen_cunneen = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
+        theorem1 = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
+        wait = np.where(rows.allen_cunneen, allen_cunneen, theorem1)
         wait = np.where(busy > 0.0, wait, 0.0)  # 1 - P_0 rounds to 0: no EV waits
         revenue = d_pos * np.exp(-rows.beta * d_pos) / rows.xi - d_pos * rows.p_e
         value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - rows.c * wait)
@@ -380,20 +378,6 @@ def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
     return optimize_joap_many([(econ, station)])[0]
 
 
-def _bracket(econ: EconomicParams, station: StationParams, d_hi: float) -> tuple[np.ndarray, ...]:
-    """Each count's grid maximum on [0, d_hi] and the grid points either side of it.
-
-    Returns (3, N_CAP) points and their values: the lower neighbour, the
-    maximum and the upper neighbour, a neighbour being the maximum itself at
-    either end of the grid.
-    """
-    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
-    vals = objective(np.arange(1, N_CAP + 1), grid, econ, station)
-    at = np.argmax(vals, axis=1)
-    near = np.stack([np.maximum(at - 1, 0), at, np.minimum(at + 1, _GRID_POINTS - 1)])
-    return grid[near], np.take_along_axis(vals, near.T, axis=1).T
-
-
 def optimize_joap_many(points) -> list[JoapPolicy]:
     """optimize_joap(econ, station) for every (econ, station) in points, in one search.
 
@@ -408,20 +392,26 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
     points = list(points)
     if not points:
         return []
-    # A row that sells nothing (its grid maximum is not positive, or its point's
-    # demand region is empty and gets no grid) keeps zero seeds and is not searched.
+    ns = np.tile(np.arange(1, N_CAP + 1), len(points))
+    columns = _Rows.of(points, N_CAP)
+    # Seeds: each row's grid maximum, flanked by its grid neighbours (itself at a
+    # grid end). A row that sells nothing (its grid maximum is not positive, or its
+    # point's demand region is empty and gets no grid) keeps zero seeds and is not searched.
     seeds, values = np.zeros((2, 3, len(points) * N_CAP))
-    for k, (econ, station) in enumerate(points):
+    for k, (econ, _) in enumerate(points):
         d_hi = demand_region_bound(econ)
         if d_hi > 0:  # each point's grid in its own call, so its arrays stay one point's size
             at = slice(k * N_CAP, (k + 1) * N_CAP)
-            seeds[:, at], values[:, at] = _bracket(econ, station, d_hi)
+            grid = np.linspace(0.0, d_hi, _GRID_POINTS)
+            vals = _objective(ns[at], grid, _Rows(*(c[at] for c in columns)))
+            top = np.argmax(vals, axis=1)
+            near = np.stack([np.maximum(top - 1, 0), top, np.minimum(top + 1, _GRID_POINTS - 1)])
+            seeds[:, at], values[:, at] = grid[near], np.take_along_axis(vals, near.T, axis=1).T
     rows = np.flatnonzero(values[1] > 0.0)
-    ns = np.tile(np.arange(1, N_CAP + 1), len(points))[rows]
-    columns = [column[rows] for column in _Rows.of(points, N_CAP)]
 
     def value(keep, u):
-        return _objective(ns[keep], u[:, None], _Rows(*(c[keep] for c in columns)))[:, 0]
+        at = rows[keep]
+        return _objective(ns[at], u[:, None], _Rows(*(c[at] for c in columns)))[:, 0]
 
     d, val = np.zeros((2, len(points) * N_CAP))
     d[rows], val[rows] = _brent_rows(value, seeds[:, rows], values[:, rows], _DEMAND_TOL)

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economics import WAIT_MODELS, DomainError, StationParams
+from .economics import WAIT_MODELS, DomainError, StationParams, _check_count
 
 
 def _check_loss_system(n: int, offered_load: float) -> None:
-    """The domain of an n-server loss system: n >= 1 and a finite load a >= 0."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    """The domain of an n-server loss system: a count n >= 1 and a finite load a >= 0."""
+    _check_count(n, "n")
     if not (math.isfinite(offered_load) and offered_load >= 0):
         raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
 
@@ -85,8 +84,7 @@ class AdmissionAnalysis:
 
 def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnalysis:
     """Full loss-system analysis of the admission queue at (n, d)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     if not (math.isfinite(d) and d > 0):
         raise DomainError(f"demand must be finite and positive, got {d}")
     t_v = station.tau * station.m * station.service_time(d) / n

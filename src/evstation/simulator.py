@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economics import DomainError, per_ev_profit
+from .economics import DomainError, _check_count, per_ev_profit
 
 _BLOCK = 2**18  # expected arrivals in one chunk's traces, and over one case's rows in it
 
@@ -111,9 +111,8 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
 
 
 def _check_window(n: int, t_v: float) -> None:
-    """The domain of JoAP's window: n >= 1 admissions per finite t_v >= 0."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    """The domain of JoAP's window: a count n >= 1 of admissions per finite t_v >= 0."""
+    _check_count(n, "n")
     if not (math.isfinite(t_v) and t_v >= 0):
         raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
 
@@ -287,9 +286,10 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
     policy's result does not depend on the policies or cases it is listed
     with or on the chunking.
     """
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    for _, _, _, horizon in cases:
+    _check_count(reps, "reps")
+    for policies, _, _, horizon in cases:
+        if not policies:
+            raise DomainError("a case must hold at least one policy")
         if not (math.isfinite(horizon) and horizon > 0):
             raise DomainError(f"horizon must be finite and positive, got {horizon}")
     per_case = [_per_policy(policies, econ, station) for policies, econ, station, _ in cases]
@@ -300,7 +300,7 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
     # since the traces are held while one case's loop runs at a time.
     arrivals = [int(lam * horizon) + 1 for lam, horizon in rates]
     held = [sum(arrivals)] + [
-        max(1, len(policies)) * arrivals[k] for (policies, *_), k in zip(cases, trace_of)
+        len(policies) * arrivals[k] for (policies, *_), k in zip(cases, trace_of)
     ]
     per_chunk = max(1, _BLOCK // max(1, *held))
     # Per case, each chunk's (rates, waits, profits), shaped (3, policies, its reps).

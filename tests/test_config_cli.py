@@ -384,3 +384,34 @@ def test_cli_experiment_daily_writes_outputs(tmp_path, capsys):
         assert (tmp_path / name).exists()
     summary = json.loads((tmp_path / "daily_summary.json").read_text())
     assert set(summary["daily_profit"]) == {"joap", "qba", "greedy"}
+
+
+@pytest.mark.parametrize(
+    "which, flag, value",
+    [
+        ("admission", "--reps", "3"),
+        ("admission", "--penalty", "0.4"),
+        ("wait", "--penalty", "0.4"),
+    ],
+)
+def test_cli_experiment_rejects_unread_flags(which, flag, value, tmp_path, capsys):
+    # A flag the runner does not read would change no output; it is refused, by name.
+    out = tmp_path / "out"
+    assert cli_dispatch(["experiment", which, flag, value, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_experiment_wait_reads_reps(monkeypatch, tmp_path, capsys):
+    # --reps sets the wait runner's replications; without it the runner keeps
+    # its own default, not the config's reps, which are the daily run's.
+    seen = []
+
+    def runner(*args, **kwargs):
+        seen.append(kwargs.get("reps"))
+        return []
+
+    monkeypatch.setattr(cli, "run_wait_validation", runner)
+    for extra in (["--reps", "3"], []):
+        assert cli_dispatch(["experiment", "wait", *extra, "--out", str(tmp_path)]) == 0
+    assert seen == [3, None]

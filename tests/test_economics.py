@@ -6,12 +6,21 @@ import pytest
 from evstation import (
     DomainError,
     EconomicParams,
+    JoapAdmission,
+    QbaAdmission,
     StationParams,
+    analyze_admission,
+    build_generator,
     demand_response,
+    erlang_blocking,
+    erlang_steady_state,
     per_ev_profit,
     price_for_demand,
+    replicate,
+    run_loss_admission,
     utility,
 )
+from evstation.optimizer import objective, profit_s
 
 
 def test_utility_endpoints(econ_default):
@@ -113,6 +122,40 @@ def test_station_counts_are_integers():
     for bad in ({"m": 4.5}, {"m": 4.0}, {"parking_capacity": 40.5}, {"m": True}):
         with pytest.raises(DomainError, match="integer"):
             StationParams(**{**base, **bad})
+
+
+# Every entry point that takes a count, called with the count k.
+_COUNT_CALLS = {
+    "erlang_steady_state": lambda k, econ, station: erlang_steady_state(k, 1.0),
+    "erlang_blocking": lambda k, econ, station: erlang_blocking(k, 1.0),
+    "analyze_admission": lambda k, econ, station: analyze_admission(k, 10.0, station),
+    "profit_s": lambda k, econ, station: profit_s(k, 10.0, econ, station),
+    "objective": lambda k, econ, station: objective([k], [10.0], econ, station),
+    "JoapAdmission": lambda k, econ, station: JoapAdmission(k, 1.0, 10.0),
+    "run_loss_admission": lambda k, econ, station: run_loss_admission(np.array([1.0]), k, 1.0),
+    "build_generator": lambda k, econ, station: build_generator(k, 1.0, 1.0),
+    "replicate": lambda k, econ, station: replicate(
+        [([QbaAdmission(15.0)], econ, station, 240.0)], k, 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, count",
+    # objective reads its counts as a float array, in which True is 1.0.
+    [
+        (call, count)
+        for call in _COUNT_CALLS
+        for count in (2.5, True)
+        if (call, count) != ("objective", True)
+    ],
+)
+def test_counts_are_whole_numbers(call, count, econ_default, station_default):
+    # StationParams' rule for every count (test_station_counts_are_integers):
+    # a fraction used to run (a 4-state distribution at n = 2.5) or fail with
+    # a TypeError or IndexError, and True ran as 1.
+    with pytest.raises(DomainError, match="integer|whole number"):
+        _COUNT_CALLS[call](count, econ_default, station_default)
 
 
 def test_service_time_units():

@@ -265,6 +265,30 @@ def test_tiny_demand_has_no_wait(econ_default):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_objective_rows_are_independent(econ_default):
+    # One call holding rows of 1 to 6 ports under both wait models, as the
+    # demand search lists the rows of many points together, equals each
+    # point's own call bit for bit. Counts fall on both sides of every m; at
+    # d = 1e-14, 1 - P_0 rounds to 0 for the larger counts, and at 100 kWh the
+    # charging queue is unstable for some.
+    points = [
+        (
+            replace(econ_default, wait_model=model),
+            StationParams(m=m, alpha=22.0, parking_capacity=60, lam=0.05, tau=1.01),
+        )
+        for m in range(1, 7)
+        for model in WAIT_MODELS
+    ]
+    counts = np.array([1, 2, 3, 4, 5, 6, 7, 9, 64])
+    demands = np.array([0.0, 1e-14, 10.0, 35.0, 100.0])
+    got = opt._objective(np.tile(counts, len(points)), demands, opt._Rows.of(points, len(counts)))
+    want = np.concatenate([objective(counts, demands, *point) for point in points])
+    assert np.array_equal(got, want)
+    assert (got == UNSTABLE).any() and (got[:, 2:] > 0.0).any()
+    tiny = analyze_admission(64, 1e-14, points[0][1])
+    assert tiny.state_probs[0] == 1.0
+
+
 @st.composite
 def operating_points(draw):
     """A count, a demand in (0, phi], and random station and economics.
@@ -583,7 +607,7 @@ def test_brent_matches_golden_property(econ, station):
 
 
 def test_brent_rows_edge_cases():
-    # Five rows seeded as _bracket seeds them, with known maxima:
+    # Five rows seeded as optimize_joap_many seeds them, with known maxima:
     # 0: an interior peak at 1.2345;
     # 1: f increasing, its grid maximum at the upper end (x == hi);
     # 2: a peak at 2.05 with an unstable (-inf) upper neighbour past 2.08;
@@ -656,7 +680,12 @@ def test_search_edge_points(monkeypatch, econ_default, station_default):
     )
     for point in ((free, light), (econ, station)):
         calls.clear()
-        points, values = opt._bracket(*point, demand_region_bound(point[0]))
+        # Each count's grid maximum and its neighbours, as the search seeds them.
+        grid = np.linspace(0.0, demand_region_bound(point[0]), _GRID_POINTS)
+        vals = objective(np.arange(1, N_CAP + 1), grid, *point)
+        at = np.argmax(vals, axis=1)
+        near = np.stack([np.maximum(at - 1, 0), at, np.minimum(at + 1, _GRID_POINTS - 1)])
+        points, values = grid[near], np.take_along_axis(vals, near.T, axis=1).T
         top = (points[1] == points[2]) & (values[1] > 0.0)
         cliff = (values[0] == UNSTABLE) | (values[2] == UNSTABLE)
         assert (top if point[0] is free else cliff).any()

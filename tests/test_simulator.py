@@ -269,6 +269,9 @@ def test_replicate_rejects_bad_reps_and_horizon():
     for horizon in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="horizon"):
             replicate([([policy], econ, station, horizon)], 3, 1)
+    # A case with no policies has nothing to run; it used to fail inside the event loop.
+    with pytest.raises(DomainError, match="policy"):
+        replicate([([policy], econ, station, 240.0), ([], econ, station, 240.0)], 3, 1)
 
 
 def test_half_width_shrinks():

@@ -47,6 +47,7 @@ COMMANDS = (
     + [
         ["analyze", "--config", "table1", "--n", "4", "--demand", "35"],
         ["oracle", "ctmc", "--n", "3", "--lam", "0.5", "--t-v", "2.0"],
+        ["experiment", "wait", "--config", "fig4", "--reps", "5"],
     ]
 )
 
