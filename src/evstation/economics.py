@@ -106,7 +106,9 @@ class StationParams:
 
     def __post_init__(self):
         _check_count(self.m, "m")  # the simulator sizes its port list with m
-        _check_count(self.parking_capacity, "parking_capacity", self.m)
+        _check_count(self.parking_capacity, "parking_capacity")
+        if self.parking_capacity < self.m:
+            raise DomainError(f"parking_capacity ({self.parking_capacity}) must be >= m ({self.m})")
         _check_finite(self, ("alpha", "lam", "tau"))
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")

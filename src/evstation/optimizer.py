@@ -141,15 +141,16 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     sums add along i in order too. The array is built for a block of counts
     at a time, with i running up to the block's largest count, so a block
     holds at most _BLOCK elements unless a single count's row is larger.
-    Every row gets both waits, the Theorem 1 index and Allen-Cunneen's
-    minutes, and charges the one its wait model selects. Every row's
-    arithmetic is the same whatever rows it is listed with: the terms past a
-    row's count are exactly 0, and the Erlang C recursion stops at each
-    row's own port count.
+    Every row gets the Theorem 1 index and, in a call that lists any
+    Allen-Cunneen row, Allen-Cunneen's minutes too, and charges the one its
+    wait model selects. Every row's arithmetic is the same whatever rows it
+    is listed with: the terms past a row's count are exactly 0, and the
+    Erlang C recursion stops at each row's own port count.
     """
     counts = np.asarray(ns, dtype=float)
     n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
     whole = (counts >= 1) & (counts < np.inf) & (np.floor(counts) == counts)
+    whole &= np.asarray(ns).dtype != bool  # a bool is not a count, though True reads as 1.0
     if not (whole.all() and np.all((d >= 0) & (d <= rows.phi))):  # NaN fails every comparison
         raise DomainError("counts must be whole numbers >= 1 and demands within [0, phi]")
     m = rows.m
@@ -189,14 +190,15 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
         mean_x = t_v * (s1 / total) / busy
         second_x = t_v**2 * (s2 / total) / busy
         mu_y, var_y = m * mean_x, m * (second_x - mean_x**2)
-        b = np.ones_like(rho)  # queueing.erlang_c: Erlang B over each row's m ports at load m*rho
-        for k in range(1, int(m.max()) + 1):
-            b = np.where(k <= m, m * rho * b / (k + m * rho * b), b)
-        erlang_c = b / (1.0 - rho * (1.0 - b))
-        ca2 = m * var_y / mu_y**2
-        allen_cunneen = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
-        theorem1 = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
-        wait = np.where(rows.allen_cunneen, allen_cunneen, theorem1)
+        wait = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)  # Theorem 1
+        if rows.allen_cunneen.any():  # only Allen-Cunneen's wait needs Erlang C
+            b = np.ones_like(rho)  # queueing.erlang_c: Erlang B, each row's m ports at load m*rho
+            for k in range(1, int(m.max()) + 1):
+                b = np.where(k <= m, m * rho * b / (k + m * rho * b), b)
+            erlang_c = b / (1.0 - rho * (1.0 - b))
+            ca2 = m * var_y / mu_y**2
+            allen_cunneen = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
+            wait = np.where(rows.allen_cunneen, allen_cunneen, wait)
         wait = np.where(busy > 0.0, wait, 0.0)  # 1 - P_0 rounds to 0: no EV waits
         revenue = d_pos * np.exp(-rows.beta * d_pos) / rows.xi - d_pos * rows.p_e
         value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - rows.c * wait)
@@ -297,6 +299,13 @@ def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station:
     )
 
 
+def _seeds(grid, vals) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's grid maximum and grid neighbours (itself at an end): _brent_rows' seeds."""
+    top = np.argmax(vals, axis=1)
+    near = np.stack([np.maximum(top - 1, 0), top, np.minimum(top + 1, len(grid) - 1)])
+    return grid[near], np.take_along_axis(vals, near.T, axis=1).T
+
+
 def _brent_rows(f, points, values, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Brent's bounded maximization on every row at once, seeded with three points a row.
 
@@ -394,9 +403,8 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
         return []
     ns = np.tile(np.arange(1, N_CAP + 1), len(points))
     columns = _Rows.of(points, N_CAP)
-    # Seeds: each row's grid maximum, flanked by its grid neighbours (itself at a
-    # grid end). A row that sells nothing (its grid maximum is not positive, or its
-    # point's demand region is empty and gets no grid) keeps zero seeds and is not searched.
+    # A row that sells nothing (its grid maximum is not positive, or its point's
+    # demand region is empty and gets no grid) keeps zero seeds and is not searched.
     seeds, values = np.zeros((2, 3, len(points) * N_CAP))
     for k, (econ, _) in enumerate(points):
         d_hi = demand_region_bound(econ)
@@ -404,9 +412,7 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
             at = slice(k * N_CAP, (k + 1) * N_CAP)
             grid = np.linspace(0.0, d_hi, _GRID_POINTS)
             vals = _objective(ns[at], grid, _Rows(*(c[at] for c in columns)))
-            top = np.argmax(vals, axis=1)
-            near = np.stack([np.maximum(top - 1, 0), top, np.minimum(top + 1, _GRID_POINTS - 1)])
-            seeds[:, at], values[:, at] = grid[near], np.take_along_axis(vals, near.T, axis=1).T
+            seeds[:, at], values[:, at] = _seeds(grid, vals)
     rows = np.flatnonzero(values[1] > 0.0)
 
     def value(keep, u):

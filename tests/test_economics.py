@@ -100,7 +100,7 @@ def test_param_validation():
         EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=-0.1, c=0.4)
     with pytest.raises(DomainError, match="wait_model"):
         EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4, wait_model="kingman")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"parking_capacity \(3\) must be >= m \(4\)"):
         StationParams(m=4, alpha=11.5, parking_capacity=3, lam=0.3, tau=1.01)
     with pytest.raises(DomainError):
         StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.0)
@@ -141,14 +141,7 @@ _COUNT_CALLS = {
 
 
 @pytest.mark.parametrize(
-    "call, count",
-    # objective reads its counts as a float array, in which True is 1.0.
-    [
-        (call, count)
-        for call in _COUNT_CALLS
-        for count in (2.5, True)
-        if (call, count) != ("objective", True)
-    ],
+    "call, count", [(call, count) for call in _COUNT_CALLS for count in (2.5, True)]
 )
 def test_counts_are_whole_numbers(call, count, econ_default, station_default):
     # StationParams' rule for every count (test_station_counts_are_integers):

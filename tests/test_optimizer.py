@@ -268,7 +268,8 @@ def test_tiny_demand_has_no_wait(econ_default):
 def test_objective_rows_are_independent(econ_default):
     # One call holding rows of 1 to 6 ports under both wait models, as the
     # demand search lists the rows of many points together, equals each
-    # point's own call bit for bit. Counts fall on both sides of every m; at
+    # point's own call bit for bit, which for a theorem1 point skips the
+    # Erlang C recursion. Counts fall on both sides of every m; at
     # d = 1e-14, 1 - P_0 rounds to 0 for the larger counts, and at 100 kWh the
     # charging queue is unstable for some.
     points = [
@@ -607,7 +608,7 @@ def test_brent_matches_golden_property(econ, station):
 
 
 def test_brent_rows_edge_cases():
-    # Five rows seeded as optimize_joap_many seeds them, with known maxima:
+    # Five rows seeded as _seeds seeds them, with known maxima:
     # 0: an interior peak at 1.2345;
     # 1: f increasing, its grid maximum at the upper end (x == hi);
     # 2: a peak at 2.05 with an unstable (-inf) upper neighbour past 2.08;
@@ -682,10 +683,7 @@ def test_search_edge_points(monkeypatch, econ_default, station_default):
         calls.clear()
         # Each count's grid maximum and its neighbours, as the search seeds them.
         grid = np.linspace(0.0, demand_region_bound(point[0]), _GRID_POINTS)
-        vals = objective(np.arange(1, N_CAP + 1), grid, *point)
-        at = np.argmax(vals, axis=1)
-        near = np.stack([np.maximum(at - 1, 0), at, np.minimum(at + 1, _GRID_POINTS - 1)])
-        points, values = grid[near], np.take_along_axis(vals, near.T, axis=1).T
+        points, values = opt._seeds(grid, objective(np.arange(1, N_CAP + 1), grid, *point))
         top = (points[1] == points[2]) & (values[1] > 0.0)
         cliff = (values[0] == UNSTABLE) | (values[2] == UNSTABLE)
         assert (top if point[0] is free else cliff).any()
