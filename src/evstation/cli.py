@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands:
-    analyze     print the admission analysis for a given slot count and demand
-    optimize    print the optimized operating point as JSON
-    simulate    run one policy on one scenario and print metrics
-    experiment  daily | admission | wait | tau batch runners writing CSVs
-    oracle      ctmc: dump the verification chain and its blocking check
+Subcommands, each taking --config (all but oracle) and only the flags it reads:
+    analyze     admission analysis for a slot count and demand: --scenario --n --demand
+    optimize    the optimized operating point as JSON: --scenario --penalty --optimize-tau
+    simulate    one policy on one scenario: --scenario --seed --reps --penalty --policy
+    experiment  batch runners writing CSVs, flags after the runner's name: daily and tau
+                --seed --reps --penalty --out; wait --seed --reps --out; admission --seed --out
+    oracle      ctmc: the verification chain and its blocking check: --n --lam --t-v
 
 Exit codes: 0 success, 1 validation/input error, 2 runtime error.
 """
@@ -55,13 +56,13 @@ def _load(args) -> tuple[list, RunOptions]:
             path = bundled
     scenarios, run = load_config(path)
     problems: list = []  # --seed and --reps follow the config's run-block rules
-    if args.seed is not None:
+    if vars(args).get("seed") is not None:  # a command has only the flags it reads
         run = dataclasses.replace(run, seed=_whole(args.seed, "seed", 0, problems, "--seed"))
-    if args.reps is not None:
+    if vars(args).get("reps") is not None:
         run = dataclasses.replace(run, reps=_whole(args.reps, "reps", 1, problems, "--reps"))
     if problems:
         raise ConfigError("; ".join(problems))
-    if args.penalty is not None:
+    if vars(args).get("penalty") is not None:
         scenarios = [with_penalty(s, args.penalty) for s in scenarios]
     return scenarios, run
 
@@ -101,12 +102,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # The validation runners fix their own grids: admission reads neither
-    # flag, and no output of the wait runner depends on the penalty.
-    unread = {"admission": ("reps", "penalty"), "wait": ("penalty",)}.get(args.which, ())
-    given = [f"--{flag}" for flag in unread if getattr(args, flag) is not None]
-    if given:
-        raise ConfigError(f"experiment {args.which} does not read {' or '.join(given)}")
     scenarios, run = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,36 +153,40 @@ def _cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evstation", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--scenario": dict(type=int, default=0, help="scenario index in the config"),
+        "--seed": dict(type=int, default=None),
+        "--reps": dict(type=int, default=None),
+        "--penalty": dict(type=float, default=None, help="waiting-cost rate $/min"),
+    }
 
-    def common(p, scenario=True):
+    def command(subparsers, name, func, flags, help=None):
+        p = subparsers.add_parser(name, help=help)
         p.add_argument("--config", default="table1", help="config path or bundled name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--penalty", type=float, default=None, help="waiting-cost rate $/min")
-        if scenario:
-            p.add_argument("--scenario", type=int, default=0, help="scenario index in the config")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="admission analysis for a slot count and demand")
-    common(p)
+    p = command(sub, "analyze", _cmd_analyze, ["--scenario"], "admission analysis for a slot count and demand")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--demand", type=float, required=True, help="kWh per EV")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("optimize", help="optimized operating point")
-    common(p)
+    p = command(sub, "optimize", _cmd_optimize, ["--scenario", "--penalty"], "optimized operating point")
     p.add_argument("--optimize-tau", action="store_true")
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("simulate", help="replicate one policy on one scenario")
-    common(p)
+    p = command(sub, "simulate", _cmd_simulate, list(shared), "replicate one policy on one scenario")
     p.add_argument("--policy", choices=POLICY_NAMES, default="joap")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("experiment", help="batch experiment runners")
-    p.add_argument("which", choices=("daily", "admission", "wait", "tau"))
-    common(p, scenario=False)
-    p.add_argument("--out", default="results", help="output directory for CSV/JSON files")
-    p.set_defaults(func=_cmd_experiment)
+    # The validation runners fix their own grids: admission reads neither
+    # --reps nor --penalty, and no output of the wait runner depends on the penalty.
+    runners = sub.add_parser("experiment", help="batch experiment runners")
+    runners = runners.add_subparsers(dest="which", required=True)
+    every = ["--seed", "--reps", "--penalty"]
+    runs = {"daily": every, "admission": ["--seed"], "wait": ["--seed", "--reps"], "tau": every}
+    for which, flags in runs.items():
+        p = command(runners, which, _cmd_experiment, flags)
+        p.add_argument("--out", default="results", help="output directory for CSV/JSON files")
 
     p = sub.add_parser("oracle", help="verification oracles")
     p.add_argument("which", choices=("ctmc",))

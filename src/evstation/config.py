@@ -14,7 +14,8 @@ Electricity prices are given in $/MWh (as tariffs usually are) and stored
 in $/kWh. Unknown keys anywhere are rejected so typos cannot silently
 change an experiment. station.m and station.parking_capacity must be whole
 numbers >= 1. In the run block, seed must be a whole number >= 0, reps a
-whole number >= 1 and horizon_min finite and positive.
+whole number >= 1 and horizon_min finite and positive. No field takes a
+JSON boolean for a number.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -125,19 +126,19 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
         _check_keys(sc, "scenario", ctx)
         try:
             econ = EconomicParams(
-                beta=float(ec["beta"]),
-                phi=float(ec["phi_kwh"]),
-                u_phi=float(ec["u_phi"]),
-                p_e=float(sc["p_e_mwh"]) / 1000.0,  # $/MWh -> $/kWh
-                c=float(ec.get("penalty_rate", 0.0)),
+                beta=_real(ec, "beta"),
+                phi=_real(ec, "phi_kwh"),
+                u_phi=_real(ec, "u_phi"),
+                p_e=_real(sc, "p_e_mwh") / 1000.0,  # $/MWh -> $/kWh
+                c=_real(ec, "penalty_rate", 0.0),
                 wait_model=ec.get("wait_model", "theorem1"),
             )
             station = StationParams(
                 m=m,
-                alpha=float(st["alpha_kw"]),
+                alpha=_real(st, "alpha_kw"),
                 parking_capacity=capacity,
-                lam=float(sc["lambda_per_min"]),
-                tau=float(st["tau"]),
+                lam=_real(sc, "lambda_per_min"),
+                tau=_real(st, "tau"),
             )
         except KeyError as exc:
             raise ConfigError(f"{ctx}: missing field {exc}") from exc
@@ -172,22 +173,27 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
 
 
 def _number(value) -> float:
-    """`value` as a float, or NaN when it is not a number."""
+    """`value` as a float, or NaN when it is not a number, as a JSON boolean is not."""
+    if isinstance(value, bool):  # Python counts it as an int
+        return math.nan
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         return math.nan
 
 
-def _whole(value, name: str, least: int, problems: list, block: str = "run") -> int | None:
-    """`value` as an int if it is a whole number >= least; otherwise a problem is noted.
-
-    A JSON boolean is not a number here, though Python counts it as an int.
-    """
+def _real(block: dict, key: str, default=None) -> float:
+    """block[key] (`default` if given and the key is absent) as a float, never a boolean."""
+    value = block[key] if default is None else block.get(key, default)
     if isinstance(value, bool):
-        whole = None
-    elif isinstance(value, int):
-        whole = int(value)
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, name: str, least: int, problems: list, block: str = "run") -> int | None:
+    """`value` as an int if it is a whole number >= least; otherwise a problem is noted."""
+    if type(value) is int:  # exact, where a float would round; a boolean is not an int here
+        whole = value
     else:
         number = _number(value)
         whole = int(number) if math.isfinite(number) and number.is_integer() else None

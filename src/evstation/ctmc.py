@@ -82,7 +82,7 @@ def steady_state(chain: TwoPhaseChain) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DomainError("rate matrix is singular; chain appears reducible") from exc
     residual = np.max(np.abs(x @ chain.generator))
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # written so that NaN fails it too
         raise DomainError(f"null-vector residual too large: {residual:.3e}")
     return x
 

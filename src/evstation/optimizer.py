@@ -379,10 +379,11 @@ def _brent_rows(f, points, values, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def optimize_joap(econ: EconomicParams, station: StationParams) -> JoapPolicy:
     """Best (n, d) over every count up to N_CAP, from the vectorised objective.
 
-    Every count gets inner_demand_opt's grid over the
+    Every count gets _objective's 160-point demand grid over the
     non-negative-marginal-revenue region, then Brent's refinement of the
-    bracket around the grid maximum to 1e-8, and demand 0 when nothing is
-    profitable. Ties keep the smallest count (stronger regulation).
+    bracket around the grid maximum to 1e-8. A point that sells nothing
+    gets count 1 at demand 0. Ties keep the smallest count (stronger
+    regulation).
     """
     return optimize_joap_many([(econ, station)])[0]
 

@@ -8,7 +8,9 @@ probability and the charging-queue load rho. mean_wait is the one entry
 point to the mean-wait models selected by EconomicParams.wait_model; it
 draws on the moments of the gap to the next slot release. The optimizer
 searches the same model on numpy rows; these scalar forms serve the
-analyze command, the validation runners and the optimizer's oracle.
+analyze command, the validation runners and the optimizer's oracle, and
+give every reported policy its t_v, predicted_admit and predicted_wait
+(optimizer._policy_from).
 """
 from __future__ import annotations
 

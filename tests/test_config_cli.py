@@ -139,8 +139,8 @@ def test_invalid_values_reported():
         raw["run"][key] = bad
         with pytest.raises(ConfigError, match=f"run: {key}"):
             parse_config(raw)
-    # A block of the wrong JSON type, or a duration that is not a number,
-    # is a ConfigError that names where it is.
+    # A block of the wrong JSON type, or a number field holding something
+    # else (a JSON boolean included), is a ConfigError that names where it is.
     for path, bad, named in (
         (("station",), 5, ":station must be an object"),
         (("station",), ["m"], ":station must be an object"),
@@ -149,6 +149,11 @@ def test_invalid_values_reported():
         (("scenarios",), [5], ":scenarios\\[0\\] must be an object"),
         (("scenarios", 0, "duration_min"), "abc", "scenarios\\[0\\]: duration_min"),
         (("scenarios", 0, "duration_min"), None, "scenarios\\[0\\]: duration_min"),
+        (("scenarios", 0, "duration_min"), True, "scenarios\\[0\\]: duration_min"),
+        (("scenarios", 0, "lambda_per_min"), True, "scenarios\\[0\\]: lambda_per_min"),
+        (("economics", "beta"), True, "scenarios\\[0\\]: beta"),
+        (("station", "alpha_kw"), False, "scenarios\\[0\\]: alpha_kw"),
+        (("run", "horizon_min"), True, "run: horizon_min"),
     ):
         with pytest.raises(ConfigError, match=named):
             parse_config(valid_raw_with(path, bad))
@@ -392,14 +397,23 @@ def test_cli_experiment_daily_writes_outputs(tmp_path, capsys):
         ("admission", "--reps", "3"),
         ("admission", "--penalty", "0.4"),
         ("wait", "--penalty", "0.4"),
+        ("analyze", "--seed", "3"),
+        ("analyze", "--reps", "3"),
+        ("analyze", "--penalty", "0.4"),
+        ("optimize", "--seed", "3"),
+        ("optimize", "--reps", "3"),
     ],
 )
 def test_cli_experiment_rejects_unread_flags(which, flag, value, tmp_path, capsys):
-    # A flag the runner does not read would change no output; it is refused, by name.
+    # A flag a command does not read would change no output; it is refused, by name.
     out = tmp_path / "out"
-    assert cli_dispatch(["experiment", which, flag, value, "--out", str(out)]) == 1
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
+    argv = {"analyze": ["analyze", "--n", "4", "--demand", "35"], "optimize": ["optimize"]}.get(
+        which, ["experiment", which, "--out", str(out)]
+    )
+    assert cli_dispatch([*argv, flag, value]) == 1
+    printed = capsys.readouterr()
+    assert flag in printed.err
+    assert printed.out == "" and not out.exists()
 
 
 def test_cli_experiment_wait_reads_reps(monkeypatch, tmp_path, capsys):

@@ -139,3 +139,14 @@ def test_build_generator_rejects_non_finite(bad):
             build_generator(2, bad, 1.0)
         with pytest.raises(DomainError, match="t_v"):
             build_generator(2, 1.0, bad)
+
+
+def test_steady_state_refuses_nan_solution(capsys):
+    # At t_v = 1e-320 the stage rate 2/t_v overflows to inf and the solve
+    # returns NaN everywhere; the residual check refuses it (exit 1), where
+    # the CLI would otherwise fail to print it as JSON (exit 2).
+    chain = build_generator(3, 0.5, 1e-320)
+    with pytest.raises(DomainError, match="residual"):
+        steady_state(chain)
+    assert cli_dispatch(["oracle", "ctmc", "--n", "3", "--lam", "0.5", "--t-v", "1e-320"]) == 1
+    assert capsys.readouterr().err.startswith("error: null-vector residual")

@@ -4,6 +4,7 @@ from pathlib import Path
 from types import ModuleType
 
 import evstation
+from evstation.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +26,15 @@ def test_output_digests_line_format_and_stability():
     assert first == tool.lines(argv, ROOT / "src")
     [line] = first  # optimize writes no file
     assert re.fullmatch(r"[0-9a-f]{64}  optimize --config table1 --scenario 0 :: stdout", line)
+
+
+def test_output_digests_commands_parse():
+    # A digest run starts one interpreter per command and is not in Tier-1;
+    # this catches a CLI change that stops a command of it from parsing.
+    parser = build_parser()
+    for argv in load_tool("output_digests").COMMANDS:
+        extra = ["--out", "out"] if argv[0] == "experiment" else []
+        assert parser.parse_args([*argv, *extra]).func
 
 
 def test_src_size_format_and_consistency():
