@@ -150,6 +150,14 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _BeforeRunner(argparse.Action):
+    """A runner's flag given before the runner's name: refused, with the order it takes."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        example = " ".join(["experiment daily", option_string, *([values] if values else [])])
+        parser.error(f"{option_string} must follow the runner's name, as in: {example}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evstation", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,11 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "simulate", _cmd_simulate, list(shared), "replicate one policy on one scenario")
     p.add_argument("--policy", choices=POLICY_NAMES, default="joap")
 
+    runners = sub.add_parser("experiment", help="batch experiment runners")
+    every = ["--seed", "--reps", "--penalty"]
+    for flag in ("--config", *every, "--out"):  # a runner's flag, given before the runner's name
+        runners.add_argument(
+            flag, action=_BeforeRunner, nargs="?", default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
+    runners = runners.add_subparsers(dest="which", required=True)
     # The validation runners fix their own grids: admission reads neither
     # --reps nor --penalty, and no output of the wait runner depends on the penalty.
-    runners = sub.add_parser("experiment", help="batch experiment runners")
-    runners = runners.add_subparsers(dest="which", required=True)
-    every = ["--seed", "--reps", "--penalty"]
     runs = {"daily": every, "admission": ["--seed"], "wait": ["--seed", "--reps"], "tau": every}
     for which, flags in runs.items():
         p = command(runners, which, _cmd_experiment, flags)

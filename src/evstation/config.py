@@ -172,20 +172,23 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     return scenarios, RunOptions(seed=seed, reps=reps, horizon=horizon)
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: a JSON boolean or string is not, though Python reads either as one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value) -> float:
-    """`value` as a float, or NaN when it is not a number, as a JSON boolean is not."""
-    if isinstance(value, bool):  # Python counts it as an int
-        return math.nan
+    """`value` as a float, or NaN when it is not a number."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
+        return float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an int too large for a float
         return math.nan
 
 
 def _real(block: dict, key: str, default=None) -> float:
-    """block[key] (`default` if given and the key is absent) as a float, never a boolean."""
+    """block[key] (`default` if given and the key is absent) as a float, if it is a number."""
     value = block[key] if default is None else block.get(key, default)
-    if isinstance(value, bool):
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 

@@ -28,32 +28,44 @@ of admissions and each admission's service start and arrival time.
 on one station and horizon. Each replication builds its random stream
 once and draws every case's arrival trace from it: the running sum of the
 stream's exponential gaps scaled by 1/lam, cut at the case's horizon,
-which is what gen_poisson_arrivals draws from that stream, bit for bit.
-The event loop of a case applies the rule to many rows at once, a row
-being one policy on one arrival trace, with numpy arrays of shape
-(admission slot, row). It runs every policy of the case on each
-replication's trace, so they are compared on common random numbers by
-construction. Replications run in chunks that bound the arrays' size, and
-since rows are independent, chunking changes no result. A step costs
-about 14 us plus 23 ns per row (a 2-vCPU Xeon, numpy 2.4: 28 us at the
-daily run's 600 rows), so the loop pays off with many rows per chunk: a
-few rows on long traces run several times slower per arrival than a
-scalar loop over one trace. Each case runs its own loop. One loop over
-the cases that share a trace would take fewer, wider steps: on table1's
-daily run that cut replicate from 34 to 27 ms but raised its tracemalloc
-peak from 2.3 to 5.3 MiB, and it needs a station per row.
+which is what gen_poisson_arrivals draws from that stream, bit for bit. A
+chunk of replications draws its gaps as one (replication, gap) array, and
+scales, sums and cuts them for each rate at once.
+
+One event loop per (rate, horizon) trace applies the rule to many rows at
+once, a row being one policy of one case on one replication's trace, with
+numpy arrays of shape (admission slot, row). Each row carries its case's
+service time, economics, m and lot as columns, so every policy of every
+case on a trace runs on each replication's trace, and they are compared on
+common random numbers by construction. The arrays hold no more slots than
+a row can fill: a row admits at most lot + m * (horizon // service + 1)
+EVs, and a JoAP row at most n * (horizon // t_v + 1), so the history is
+bounded by the lot and the window, not by the trace's width. Replications
+run in chunks that bound the draws and the histories, and since rows are
+independent, chunking changes no result. A step costs about 17-20 us plus
+30-37 ns per row (a shared 2-vCPU Xeon, numpy 2.4), so the loop pays off
+with many rows per chunk: a few rows on long traces run several times
+slower per arrival than a scalar loop over one trace. On table1's daily run
+at penalty 1.0, its 18 policies take 3 loops and 264 steps where one loop
+per case took 6 loops and 620, and the widest history is 53 slots where
+the trace is 129 arrivals wide.
+
+Profit totals are running sums in admission order, from 0.0, in numpy, so
+they are the same on every Python version; sum() has compensated its
+rounding since Python 3.12.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .economics import DomainError, _check_count, per_ev_profit
 
-_BLOCK = 2**18  # expected arrivals in one chunk's traces, and over one case's rows in it
+_BLOCK = 2**18  # floats in one chunk's drawn traces, and in each of its loops' histories
 
 
 @dataclass(frozen=True)
@@ -70,33 +82,55 @@ class SimMetrics:
     half_width_95: dict = field(default_factory=dict)
 
 
-def _poisson_traces(rng: np.random.Generator, rates: Sequence) -> list:
-    """One arrival trace per (lam, horizon) in rates, all from rng's one stream of draws.
+def _draw_size(rates: Sequence) -> int:
+    """Gaps drawn per block: the largest expected count of rates plus slack."""
+    return max(max(16, int(lam * horizon * 1.2) + 16) for lam, horizon in rates)
 
-    Each trace is the in-order cumulative sum of the stream's exponential
-    draws, scaled by 1/lam and cut at its horizon, so every trace reads the
-    stream from its start. The draws come in blocks of the largest expected
-    count plus slack until every horizon is covered, each drawn once as
-    standard gaps and scaled per rate: exponential(scale) is scale times
-    standard_exponential() bit for bit. A block's first gap carries the
+
+def _poisson_traces(streams: Sequence, rates: Sequence) -> list:
+    """One arrival trace per stream for each (lam, horizon) in rates, all from each stream's draws.
+
+    Returns, per rate, the (width, streams) arrival times, NaN past each
+    trace's end, and each trace's length. Trace i is the in-order cumulative
+    sum of stream i's exponential draws, scaled by 1/lam and cut at the
+    horizon, so every rate reads a stream from its start. The streams draw
+    blocks of _draw_size(rates) standard gaps, each into its row of one
+    (streams, draws) array, until every horizon is covered; exponential(scale)
+    is scale times standard_exponential() bit for bit. Each block is scaled per
+    rate at once and summed along its rows; a block's first gap carries the
     last time drawn and cumsum adds in sequence, so each time is bitwise the
-    running sum t += gap.
+    running sum t += gap. A stream that covers every horizon draws no more,
+    and its row of a later block reads +inf, past any horizon.
     """
-    scales = [1.0 / lam for lam, _ in rates]
-    ends = [0.0] * len(rates)
+    size = _draw_size(rates)
+    horizons = np.array([[horizon] for _, horizon in rates])
+    ends = np.zeros((len(rates), len(streams)))
     blocks: list = [[] for _ in rates]
-    size = max((max(16, int(lam * horizon * 1.2) + 16) for lam, horizon in rates), default=0)
-    while live := [k for k, (end, (_, horizon)) in enumerate(zip(ends, rates)) if end <= horizon]:
-        draws = rng.standard_exponential(size)
-        for k in live:
+    while live := np.flatnonzero((ends <= horizons).any(axis=0)).tolist():
+        gaps = np.empty((len(streams), size))
+        if len(live) < len(streams):
+            gaps.fill(np.inf)
+        for i in live:
+            streams[i].standard_exponential(size, out=gaps[i])
+        for k, (lam, _) in enumerate(rates):
             # The last rate to read a block scales it in place.
-            out = draws if k == live[-1] else None
-            times = np.multiply(draws, scales[k], out=out)
-            times[0] += ends[k]
-            np.cumsum(times, out=times)
-            blocks[k].append(times[: np.searchsorted(times, rates[k][1], side="right")])
-            ends[k] = times[-1]
-    return [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
+            times = np.multiply(gaps, 1.0 / lam, out=gaps if k == len(rates) - 1 else None)
+            times[:, 0] += ends[k]
+            np.cumsum(times, axis=1, out=times)
+            blocks[k].append(times)
+            ends[k] = times[:, -1]
+    # Each rate's draws are freed once its traces are cut from them.
+    return [_cut(blocks.pop(0), horizon) for _, horizon in rates]
+
+
+def _cut(blocks: list, horizon: float) -> tuple:
+    """One rate's traces from its blocks of running sums: (width, traces) times and lengths."""
+    times = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    lengths = (times <= horizon).argmin(axis=1)  # the first time past it: every trace has one
+    times = times[:, : lengths.max()]
+    if lengths.min() < times.shape[1]:  # a finished trace reads NaN, which no lot admits
+        times[np.arange(times.shape[1]) >= lengths[:, None]] = np.nan
+    return np.ascontiguousarray(times.T), lengths
 
 
 def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -107,7 +141,8 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
         raise DomainError(f"horizon must be finite and non-negative, got {horizon}")
     if horizon == 0:
         return np.empty(0)
-    return _poisson_traces(rng, [(lam, horizon)])[0]
+    [(times, _)] = _poisson_traces([rng], [(lam, horizon)])
+    return times[:, 0]
 
 
 def _check_window(n: int, t_v: float) -> None:
@@ -181,75 +216,118 @@ class GreedyAdmission:
     n, t_v, greedy = 1, 0.0, True  # a window that never binds, and the wait test
 
 
-def _per_policy(policies, econ, station):
-    """Each policy's service time, margin and wait penalty rate, as arrays."""
-    demands = [policy.demand for policy in policies]
-    return (
-        np.array([station.service_time(d) for d in demands]),
-        # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
-        np.array([per_ev_profit(d, 0.0, econ) for d in demands]),
-        np.array([0.0 if d == 0 else econ.c for d in demands]),
-    )
+class _Columns(NamedTuple):
+    """The policies of one event loop's rows, each field a (policies, 1) column.
 
-
-def _event_loop(policies, per_policy, station, traces):
-    """Run every policy on every trace, applying the admission rule to all rows at once.
-
-    Row p * len(traces) + i is policy p on trace i, with policy p's
-    (service, margin, c) of per_policy. Returns each row's admission count
-    and the service starts and arrival times of its admissions, as
-    (slot, row) arrays in admission order; a row's slots at and past its
-    count hold no admission.
+    Per policy, on its case's station and economics: its service time; the
+    margin and penalty rate c its profit is booked with; the (rate, cap) of
+    its wait test; the station's port count m and lot size; its window
+    (n, t_v); and `most`, the most EVs it can admit over the horizon.
     """
-    reps = len(traces)
-    rows = len(policies) * reps
-    width = max(map(len, traces))
-    times = np.full((width, reps), np.nan)  # a finished trace reads NaN, which no lot admits
-    for i, trace in enumerate(traces):
-        times[: len(trace), i] = trace
-    # Per policy, as columns: its service time, window and the (rate, cap) of its wait test.
-    service, margin, c = (np.asarray(x)[:, None] for x in per_policy)
-    lookback = np.array([[policy.n * rows] for policy in policies])
-    t_v = np.array([[policy.t_v] for policy in policies], dtype=float)
-    greedy = np.array([[policy.greedy] for policy in policies])
-    rate, cap = np.where(greedy, c, 0.0), np.where(greedy, margin, np.inf)
+
+    service: np.ndarray
+    margin: np.ndarray
+    c: np.ndarray
+    rate: np.ndarray
+    cap: np.ndarray
+    m: np.ndarray
+    lot: np.ndarray
+    n: np.ndarray
+    t_v: np.ndarray
+    most: np.ndarray
+
+
+def _most_admitted(policy, station, service: float, horizon: float) -> float:
+    """The most EVs the policy can admit on station from arrivals on (0, horizon].
+
+    EVs leave in admission order, and admission k + lot waits for admission
+    k to leave, so all but the last lot admissions have left by the horizon.
+    A port's EVs leave at least service apart, the first no sooner than
+    service after 0, so at most m * (horizon // service) have left: at most
+    lot + m * (horizon // service + 1) are admitted, the extra port count a
+    margin for rounding. Likewise admission k + n comes at least t_v after
+    admission k, so at most n * (horizon // t_v + 1) fit in the horizon. A
+    zero service time or window bounds nothing.
+    """
+    lot = station.parking_capacity + station.m * (horizon // service + 1) if service > 0 else math.inf
+    window = policy.n * (horizon // policy.t_v + 1) if policy.t_v > 0 else math.inf
+    return min(lot, window)
+
+
+def _columns(cases: Sequence) -> _Columns:
+    """Every policy of cases, in order, as the rows of one event loop."""
+    rows = []
+    for policies, econ, station, horizon in cases:
+        for policy in policies:
+            d = policy.demand
+            service = station.service_time(d)
+            # margin - c * wait is per_ev_profit(d, wait, econ) bit for bit; with d == 0 both are 0.
+            margin, c = per_ev_profit(d, 0.0, econ), 0.0 if d == 0 else econ.c
+            rate, cap = (c, margin) if policy.greedy else (0.0, math.inf)
+            rows.append((
+                service, margin, c, rate, cap, station.m, station.parking_capacity,
+                policy.n, policy.t_v, _most_admitted(policy, station, service, horizon),
+            ))
+    return _Columns(*(np.array(column)[:, None] for column in zip(*rows)))
+
+
+def _event_loop(times: np.ndarray, cols: _Columns):
+    """Run every policy of cols on every trace, applying the admission rule to all rows at once.
+
+    times holds the traces as (width, traces) arrival times, NaN past a
+    trace's end; row p * traces + i is policy p on trace i. Returns each
+    row's admission count and the service starts and arrival times of its
+    admissions, as (slot, row) arrays in admission order; a row's slots at
+    and past its count hold no admission.
+
+    The history holds min(width, most + 1) slots, most being the largest of
+    cols.most: no row admits more than most EVs, and a row that has admitted
+    most keeps rewriting the slot after them while it turns arrivals away.
+    Had a row admitted more, its next write would fall past the arrays and
+    fail with an IndexError, so no admission is ever overwritten.
+    """
+    width, reps = times.shape
+    policies = len(cols.most)
+    rows = policies * reps
+    slots = int(min(width, cols.most.max() + 1)) + 1
     # Flat index s * rows + r is slot s of row r, and slot 0 is -inf, "no
     # admission". A lookup before a row's first admission clips to index 0,
     # so a row with fewer than m, lot or n admissions reads -inf there: its
     # port, lot space or window is free.
-    starts = np.zeros((width + 1) * rows)
+    starts = np.zeros(slots * rows)
     starts[:rows] = -np.inf
     arrived = starts.copy()
-    at = np.arange(rows, 2 * rows).reshape(len(policies), reps)  # each row's next slot
-    # Where the m-th and the lot-th most recent admission are, as flat offsets.
-    back = np.reshape([station.m * rows, station.parking_capacity * rows], (2, 1, 1))
+    at = np.arange(rows, 2 * rows).reshape(policies, reps)  # each row's next slot
+    # Where the m-th, the lot-th and the n-th most recent admission are, as flat offsets.
+    back, lookback = np.array([cols.m * rows, cols.lot * rows]), cols.n * rows
     wait, admit = np.empty(at.shape), np.empty(at.shape, dtype=bool)
     for t in times:
         # When each row's earliest port frees up, its lot has room and its window opens.
-        port, room = starts.take(at - back, mode="clip") + service
-        window = arrived.take(at - lookback, mode="clip") + t_v
+        port, room = starts.take(at - back, mode="clip") + cols.service
+        window = arrived.take(at - lookback, mode="clip") + cols.t_v
         start = np.maximum(port, t)
         np.subtract(start, t, out=wait)
         np.less_equal(np.maximum(room, window, out=room), t, out=admit)
-        admit &= cap - rate * wait > 0
+        admit &= cols.cap - cols.rate * wait > 0
         starts[at] = start
         arrived[at] = t
         np.add(at, rows, out=at, where=admit)
-    slots = (width + 1, rows)
-    return at.ravel() // rows - 1, starts.reshape(slots)[1:], arrived.reshape(slots)[1:]
+    return at.ravel() // rows - 1, starts.reshape(slots, rows)[1:], arrived.reshape(slots, rows)[1:]
 
 
-def _metrics(count, starts, arrived, traces, per_policy, horizon):
+def _metrics(count, starts, arrived, lengths, cols: _Columns, horizon: float) -> np.ndarray:
     """Each row's admission rate, mean wait and profit per hour, as a (3, rows) array.
 
-    Takes what _event_loop returned, and overwrites its starts and arrival times.
-    The rows that admitted k EVs are reduced together, once per distinct k.
+    Takes what _event_loop returned and the traces' lengths, and overwrites
+    its starts and arrival times. The rows that admitted k EVs have their
+    waits reduced together, once per distinct k. Profits are summed in one
+    pass over the slots, each row's in admission order.
     """
-    reps = len(traces)
-    lengths = np.tile([len(trace) for trace in traces], len(per_policy[0]))
+    reps = len(lengths)
+    lengths = np.tile(lengths, len(cols.most))
     rate = np.where(lengths > 0, count / np.maximum(lengths, 1), 1.0)  # no arrivals: full admission
     waits = np.subtract(starts, arrived, out=arrived)
-    _, margin, c = (np.repeat(x, reps) for x in per_policy)
+    margin, c = np.repeat(cols.margin, reps), np.repeat(cols.c, reps)
     profits = np.subtract(margin, np.multiply(c, waits, out=starts), out=starts)
     mean_wait, total = np.zeros((2, len(count)))  # a row that admitted no EV: 0 and 0
     for k in np.unique(count[count > 0]).tolist():
@@ -257,11 +335,9 @@ def _metrics(count, starts, arrived, traces, per_policy, horizon):
         # Row-major (rows, k) copies. np.add.reduce along a contiguous row of k
         # waits is np.mean's pairwise sum, the very sum it makes over a column.
         mean_wait[rows] = np.add.reduce(waits.T[rows, :k], axis=1) / k
-        # Each row's profits summed by sum() in admission order. sum() has
-        # compensated its rounding since Python 3.12, so a running total can
-        # differ. One row's floats at a time: listing a whole count's rows at
-        # once raised the daily run's peak RSS by about 0.5 MiB.
-        total[rows] = [sum(p.tolist()) for p in profits.T[rows, :k]]
+    # A running total from 0.0, in admission order, whatever the Python version.
+    for k, row in enumerate(profits[: count.max()]):
+        np.add(total, row, out=total, where=k < count)
     return np.array([rate, mean_wait, np.divide(total, horizon / 60.0)])
 
 
@@ -276,13 +352,14 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
     A case is (policies, econ, station, horizon). Replication `rep` builds
     stream (seed, rep) once and draws every case's arrival trace from it, as
     gen_poisson_arrivals draws one rate's trace; cases with the same rate and
-    horizon share one trace. Every policy of a case runs on its trace, so the
-    policies are compared on common random numbers by construction. One event
-    loop per case steps all its (policy, replication) rows of a chunk of
-    replications at once. A chunk's traces hold about _BLOCK expected
-    arrivals at most, and so do the rows of any one case's loop, so memory
-    stays bounded on long horizons and over many cases. Returns, for each
-    case in the order given, one SimMetrics per policy in the order given; a
+    horizon share one trace. One event loop per trace steps the rows of every
+    policy of every case on it, each on its own station, over a chunk of
+    replications at once, so the policies on a trace are compared on common
+    random numbers by construction. A chunk's draws and traces hold about
+    _BLOCK floats at most, and so do the histories of each of its loops,
+    sized by the admissions their rows can make, so memory stays bounded on
+    long horizons and over many cases. Returns, for each case in
+    the order given, one SimMetrics per policy in the order given; a
     policy's result does not depend on the policies or cases it is listed
     with or on the chunking.
     """
@@ -292,37 +369,37 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
             raise DomainError("a case must hold at least one policy")
         if not (math.isfinite(horizon) and horizon > 0):
             raise DomainError(f"horizon must be finite and positive, got {horizon}")
-    per_case = [_per_policy(policies, econ, station) for policies, econ, station, _ in cases]
-    rates = list(dict.fromkeys((station.lam, horizon) for _, _, station, horizon in cases))
-    trace_of = [rates.index((station.lam, horizon)) for _, _, station, horizon in cases]
-    # Expected arrivals per replication: in each distinct trace, and over the
-    # rows of each case's event loop. A chunk holds about _BLOCK of either,
-    # since the traces are held while one case's loop runs at a time.
-    arrivals = [int(lam * horizon) + 1 for lam, horizon in rates]
-    held = [sum(arrivals)] + [
-        len(policies) * arrivals[k] for (policies, *_), k in zip(cases, trace_of)
+    keys = [(station.lam, horizon) for _, _, station, horizon in cases]
+    rates = list(dict.fromkeys(keys))
+    loops = [_columns([case for case, key in zip(cases, keys) if key == rate]) for rate in rates]
+    size = _draw_size(rates)
+    # Per replication: the draws and cut traces of every rate, and each
+    # loop's two (slot, row) histories.
+    held = [(len(rates) + 1) * size] + [
+        2 * len(cols.most) * min(size, cols.most.max() + 1) for cols in loops
     ]
-    per_chunk = max(1, _BLOCK // max(1, *held))
-    # Per case, each chunk's (rates, waits, profits), shaped (3, policies, its reps).
-    chunks: list = [[] for _ in cases]
+    per_chunk = max(1, _BLOCK // int(max(held)))
+    # Per loop, each chunk's (rates, waits, profits), shaped (3, policies, its reps).
+    chunks: list = [[] for _ in rates]
     for first in range(0, reps, per_chunk):
-        drawn = [
-            _poisson_traces(rng_for_stream(seed, rep), rates)
-            for rep in range(first, min(first + per_chunk, reps))
-        ]
-        for (policies, _, station, horizon), per_policy, k, out in zip(
-            cases, per_case, trace_of, chunks
+        streams = [rng_for_stream(seed, rep) for rep in range(first, min(first + per_chunk, reps))]
+        for (times, lengths), cols, (_, horizon), out in zip(
+            _poisson_traces(streams, rates), loops, rates, chunks
         ):
-            traces = [rep_traces[k] for rep_traces in drawn]
-            metrics = _metrics(
-                *_event_loop(policies, per_policy, station, traces), traces, per_policy, horizon
-            )
-            out.append(metrics.reshape(3, len(policies), len(traces)))
-    return [_summaries(np.concatenate(out, axis=2), reps) for out in chunks]
+            metrics = _metrics(*_event_loop(times, cols), lengths, cols, horizon)
+            out.append(metrics.reshape(3, len(cols.most), len(streams)))
+    # Each loop's policies are its cases', in order.
+    samples = {
+        rate: iter(np.concatenate(out, axis=2).transpose(1, 0, 2)) for rate, out in zip(rates, chunks)
+    }
+    return [
+        _summaries([next(samples[key]) for _ in policies], reps)
+        for (policies, *_), key in zip(cases, keys)
+    ]
 
 
-def _summaries(samples: np.ndarray, reps: int) -> list[SimMetrics]:
-    """One SimMetrics per policy from its (3, policies, reps) samples."""
+def _summaries(samples: Sequence, reps: int) -> list[SimMetrics]:
+    """One SimMetrics per policy from its (3, reps) samples."""
 
     def half_width(xs):
         if len(xs) < 2:
@@ -341,5 +418,5 @@ def _summaries(samples: np.ndarray, reps: int) -> list[SimMetrics]:
                 "profit_per_hour": half_width(profits),
             },
         )
-        for rates, waits, profits in samples.transpose(1, 0, 2)
+        for rates, waits, profits in samples
     ]

@@ -154,6 +154,13 @@ def test_invalid_values_reported():
         (("economics", "beta"), True, "scenarios\\[0\\]: beta"),
         (("station", "alpha_kw"), False, "scenarios\\[0\\]: alpha_kw"),
         (("run", "horizon_min"), True, "run: horizon_min"),
+        # A quoted number is a string, not a number.
+        (("economics", "beta"), "0.05", "scenarios\\[0\\]: beta"),
+        (("scenarios", 0, "lambda_per_min"), " 0.3 ", "scenarios\\[0\\]: lambda_per_min"),
+        (("scenarios", 0, "duration_min"), "240", "scenarios\\[0\\]: duration_min"),
+        (("station", "m"), "4", "station: m"),
+        (("run", "reps"), "5", "run: reps"),
+        (("run", "horizon_min"), "60", "run: horizon_min"),
     ):
         with pytest.raises(ConfigError, match=named):
             parse_config(valid_raw_with(path, bad))
@@ -413,6 +420,19 @@ def test_cli_experiment_rejects_unread_flags(which, flag, value, tmp_path, capsy
     assert cli_dispatch([*argv, flag, value]) == 1
     printed = capsys.readouterr()
     assert flag in printed.err
+    assert printed.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--reps", "3"), ("--config", "fig4")])
+def test_cli_experiment_flag_before_runner(flag, value, tmp_path, capsys):
+    # A runner's flags follow its name; one given before it is refused by name,
+    # with the order it takes.
+    out = tmp_path / "out"
+    assert cli_dispatch(["experiment", flag, value, "daily", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert f"{flag} must follow the runner's name" in printed.err
+    assert f"experiment daily {flag} {value}" in printed.err
+    assert "invalid choice" not in printed.err
     assert printed.out == "" and not out.exists()
 
 

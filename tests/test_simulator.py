@@ -133,9 +133,10 @@ def run_one_row(policy, econ, station, arrivals):
     A rejected EV has no service start and zero wait and profit.
     """
     arrivals = np.asarray(arrivals, dtype=float)
-    per_policy = sim._per_policy([policy], econ, station)
-    (count,), starts, arrived = sim._event_loop([policy], per_policy, station, [arrivals])
-    margin, c = float(per_policy[1][0]), float(per_policy[2][0])
+    horizon = float(arrivals.max(initial=0.0))  # the arrivals fall on (0, horizon]
+    cols = sim._columns([([policy], econ, station, horizon)])
+    (count,), starts, arrived = sim._event_loop(arrivals[:, None], cols)
+    margin, c = float(cols.margin[0, 0]), float(cols.c[0, 0])
     # Admissions are in arrival order, and of equal arrival times only a
     # first run can be admitted, so one pointer matches them to arrivals.
     admissions = zip(arrived[:count, 0].tolist(), starts[:count, 0].tolist())
@@ -429,9 +430,9 @@ class ShortGapRng:
         self.sizes.append(size)
         return self.rng.exponential(scale, size=size) / 8.0
 
-    def standard_exponential(self, size):
+    def standard_exponential(self, size, out):
         self.sizes.append(size)
-        return self.rng.standard_exponential(size) / 8.0
+        return np.divide(self.rng.standard_exponential(size, out=out), 8.0, out=out)
 
 
 @pytest.mark.parametrize(
@@ -612,9 +613,9 @@ class ShortGapStream:
         self.rng = rng_for_stream(seed, stream_id)
         self.blocks = 0
 
-    def standard_exponential(self, size):
+    def standard_exponential(self, size, out):
         self.blocks += 1
-        return self.rng.standard_exponential(size) / 8.0
+        return np.divide(self.rng.standard_exponential(size, out=out), 8.0, out=out)
 
 
 def test_replicate_cases_match_each_case_alone():
@@ -650,6 +651,73 @@ def test_replicate_cases_match_each_case_alone():
         assert replicate(cases, reps, seed) == short_alone
     assert min(s.blocks for s in streams) >= 2
     assert short_alone != alone
+
+
+def test_replicate_runs_cases_on_one_trace_as_one_loop():
+    # The first three cases share one trace and run as the rows of one event
+    # loop, each on its own station (m, lot) and windows; the fourth has a
+    # trace and a loop of its own. At 2 arrivals a minute, every row's history
+    # is bounded well below its trace's width:
+    # - QBA at a 60-minute service fills its lot of 3 within 30 minutes, and
+    #   no EV leaves before the horizon, so it admits exactly the lot;
+    # - JoAP(2, 20) admits its window's bound, 2 * (30 // 20 + 1) = 4;
+    # - JoAP(2, 25) over 60 minutes admits its bound of 6, which sizes its
+    #   loop's history, and keeps rewriting the slot after them.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    station = StationParams(m=2, alpha=6.0, parking_capacity=3, lam=2.0, tau=1.01)
+    cases = [
+        ([QbaAdmission(6.0), GreedyAdmission(6.0)], econ, station, 30.0),
+        (
+            [JoapAdmission(2, 20.0, 1.0), QbaAdmission(1.0)],
+            replace(econ, c=1.0), replace(station, m=3, parking_capacity=5), 30.0,
+        ),
+        (
+            [JoapAdmission(1, 4.0, 0.5), JoapAdmission(3, 0.0, 2.0)],
+            econ, replace(station, m=1, parking_capacity=8), 30.0,
+        ),
+        ([JoapAdmission(2, 25.0, 1.0)], econ, replace(station, m=4, parking_capacity=40), 60.0),
+    ]
+    reps, seed = 6, 3
+    expected = [
+        [reference_replicate(p, *args, reps, seed) for p in policies] for policies, *args in cases
+    ]
+    assert [replicate([case], reps, seed)[0] for case in cases] == expected
+    assert replicate(cases, reps, seed) == expected
+    with mock.patch.object(sim, "_BLOCK", 1):
+        assert replicate(cases, reps, seed) == expected
+        assert [replicate([case], reps, seed)[0] for case in cases] == expected
+    streams = [rng_for_stream(seed, rep) for rep in range(reps)]
+    shared, own = sim._poisson_traces(streams, [(2.0, 30.0), (2.0, 60.0)])
+    cols = sim._columns(cases[:3])
+    count, starts, _ = sim._event_loop(shared[0], cols)
+    assert cols.most.ravel().tolist() == [5, 5, 4, 17, 8, 10]
+    assert len(starts) == 18 < len(shared[0])
+    count = count.reshape(6, reps)
+    assert np.all(count[0] == 3) and np.all(count[2] == 4)
+    cols = sim._columns(cases[3:])
+    count, starts, _ = sim._event_loop(own[0], cols)
+    assert np.all(count == 6) and cols.most.ravel().tolist() == [6]
+    assert len(starts) == 7 < min(own[1])
+    # A bound one short makes the loop write past its history, which fails.
+    with pytest.raises(IndexError):
+        sim._event_loop(own[0], cols._replace(most=cols.most - 1))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(replicated_runs(), min_size=2, max_size=3))
+def test_replicate_cases_on_one_trace_match_reference_property(runs):
+    # Random cases moved onto the first run's rate and horizon, so they run as
+    # the rows of one loop, each on its own station, economics and windows.
+    lam, horizon, reps, seed = runs[0][2].lam, *runs[0][3:]
+    cases = [
+        (policies, econ, replace(station, lam=lam), horizon) for policies, econ, station, *_ in runs
+    ]
+    expected = [
+        [reference_replicate(p, *args, reps, seed) for p in policies] for policies, *args in cases
+    ]
+    assert replicate(cases, reps, seed) == expected
+    with mock.patch.object(sim, "_BLOCK", 1):
+        assert replicate(cases, reps, seed) == expected
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -734,19 +802,46 @@ def test_replicate_memory_stays_bounded():
     assert peak < 8 * 2**20
 
 
-def per_row_metrics(count, starts, arrived, traces, per_policy, horizon):
-    """_metrics as it was: each row's wait and profit reduced on their own."""
-    reps = len(traces)
-    lengths = np.tile([len(trace) for trace in traces], len(per_policy[0]))
+@pytest.mark.parametrize("c", [0.4, 1.0])
+def test_daily_replicate_memory_stays_small(table1, c):
+    # table1's daily run: three policies on each of six scenarios, 200
+    # replications, in one loop per (rate, horizon) trace. At c = 0.4 JoAP's
+    # count sits on its cap, so its bound exceeds the trace width.
+    scenarios, run = table1
+    scenarios = [with_penalty(s, c) for s in scenarios]
+    cases = [
+        ([build_policy(name, s)[0] for name in POLICY_NAMES], s.econ, s.station, s.duration)
+        for s in scenarios
+    ]
+    tracemalloc.start()
+    try:
+        results = replicate(cases, 200, run.seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(r) for r in results] == [3] * 6
+    assert peak < 3 * 2**20
+
+
+def per_row_metrics(count, starts, arrived, lengths, cols, horizon):
+    """_metrics one row at a time: its mean wait by np.mean's pairwise sum, and
+    its profit total as a running sum from 0.0 in admission order."""
+    reps = len(lengths)
+    lengths = np.tile(lengths, len(cols.margin))
     rate = np.where(lengths > 0, count / np.maximum(lengths, 1), 1.0)
     waits = starts - arrived
     mean_wait = [
         float(np.add.reduce(w[:k])) / k if k else 0.0 for w, k in zip(waits.T, count.tolist())
     ]
-    _, margin, c = (np.repeat(x, reps) for x in per_policy)
+    margin, c = np.repeat(cols.margin, reps), np.repeat(cols.c, reps)
     profits = margin - c * waits
-    total = [sum(p[:k].tolist()) for p, k in zip(profits.T, count.tolist())]
-    return np.array([rate, mean_wait, np.divide(total, horizon / 60.0)])
+    totals = []
+    for p, k in zip(profits.T.tolist(), count.tolist()):
+        total = 0.0
+        for x in p[:k]:
+            total += x
+        totals.append(total)
+    return np.array([rate, mean_wait, np.divide(totals, horizon / 60.0)])
 
 
 def test_metrics_match_per_row_reduction():
@@ -762,10 +857,14 @@ def test_metrics_match_per_row_reduction():
     width = 320
     arrived = np.cumsum(rng.exponential(2.0, (width, rows)), axis=0)
     starts = arrived + rng.exponential(3.0, (width, rows)) * (rng.random((width, rows)) < 0.6)
-    traces = [np.empty(int(n)) for n in rng.integers(0, width + 1, reps)]
-    per_policy = (rng.uniform(10, 90, policies), rng.uniform(-5, 30, policies), [0.0, 0.4, 1.0])
-    want = per_row_metrics(count, starts, arrived, traces, per_policy, 240.0)
-    got = sim._metrics(count, starts.copy(), arrived.copy(), traces, per_policy, 240.0)
+    lengths = rng.integers(0, width + 1, reps)
+    cols = sim._Columns(**{
+        **{name: np.zeros((policies, 1)) for name in sim._Columns._fields},
+        "margin": rng.uniform(-5, 30, (policies, 1)),
+        "c": np.array([[0.0], [0.4], [1.0]]),
+    })
+    want = per_row_metrics(count, starts, arrived, lengths, cols, 240.0)
+    got = sim._metrics(count, starts.copy(), arrived.copy(), lengths, cols, 240.0)
     assert np.array_equal(got, want)
     assert np.all(got[1:, count == 0] == 0.0)
 
