@@ -13,20 +13,26 @@ the same alone or in a batch; optimize_joap is the one-point call, and
 optimize_tau searches its whole grid in one batch. The objective holds
 the Erlang occupancy terms of every row, demand and occupancy index i in
 one array with i leading, built a block of rows at a time so that no
-block exceeds _BLOCK elements. The scalar path (profit_s,
-inner_demand_opt, brute_force_oracle) computes the same optimum count by
-count through the queueing module, with its own golden-section search;
-it shares no arithmetic with objective and is kept as the independent
-oracle.
+block exceeds _BLOCK elements. The index terms, log i and log k!, are
+read-only arrays cached per largest count; log k! is computed as the Cephes
+lgam routine computes log Gamma(k + 1), so it matches
+scipy.special.gammaln bit for bit and importing evstation loads no public
+scipy submodule. The scalar path (profit_s, inner_demand_opt,
+brute_force_oracle) computes the same optimum count by count through the
+queueing module, with its own golden-section search; it shares no
+arithmetic with objective and is kept as the independent oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
+# No evstation code uses scipy. The bare package loads no public submodule,
+# and the benchmark harness reads its version from sys.modules["scipy"].
+import scipy
 
 from .economics import DomainError, EconomicParams, StationParams, _check_count
 from .economics import per_ev_profit, price_for_demand
@@ -41,6 +47,10 @@ _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand sea
 # of its bracket, the oracle's golden section once its bracket is this wide.
 _DEMAND_TOL = 1e-8
 _BLOCK = 2**16  # elements in one (i, count, demand) block of objective
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+# Stirling series of log Gamma(x) in powers of 1/x^2, leading coefficient first.
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 
 
 @dataclass(frozen=True)
@@ -74,11 +84,39 @@ def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> 
     return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max, computed as the Cephes lgam routine computes log Gamma(k + 1).
+
+    Below x = k + 1 = 13, k! is exact in a float and its log is taken;
+    above, Stirling's series is added in Cephes' order (Moshier 1989,
+    Methods and Programs for Mathematical Functions), so each entry is
+    bit for bit scipy.special.gammaln(k + 1).
+    """
+    table = [math.log(math.factorial(k)) for k in range(min(n_max + 1, 12))]
+    for k in range(12, n_max + 1):
+        x = k + 1.0
+        p = 1.0 / (x * x)
+        series = 0.0
+        for coef in _STIRLING:  # Horner's rule, as Cephes' polevl
+            series = series * p + coef
+        table.append((x - 0.5) * math.log(x) - x + _LS2PI + series / x)
+    return np.array(table)
+
+
+@functools.cache
 def _index_terms(n_max: int) -> tuple[np.ndarray, ...]:
-    """i = 1..n_max with log i and the gap-moment weights i + 1 and 2/((i+1)(i+2))."""
+    """Read-only arrays over the occupancy index for counts up to n_max.
+
+    i = 1..n_max with log i, log k! for k = 0..n_max, and the gap-moment
+    weights i + 1 and 2/((i+1)(i+2)).
+    """
     i = np.arange(1, n_max + 1)
     log_i = np.array([math.log(k) for k in range(1, n_max + 1)])
-    return i, log_i, (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None]
+    terms = (i, log_i, _log_factorials(n_max),
+             (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None])
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 def _sum_in_order(x: np.ndarray) -> np.ndarray:
@@ -161,10 +199,10 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     # Below the smallest normal float (t_v can underflow to 0) every term past
     # i = 0 vanishes against 1 either way; the floor keeps log a finite.
     log_a = np.log(np.maximum(a, np.finfo(float).tiny))
-    top = np.minimum(n, np.floor(a))
-    log_q0 = -(top * log_a - special.gammaln(top + 1.0))  # i = 0, scaled by the largest term
     n_max = int(counts.max())
-    i, log_i, w1, w2 = _index_terms(n_max)
+    i, log_i, log_fact, w1, w2 = _index_terms(n_max)
+    top = np.minimum(n, np.floor(a))
+    log_q0 = -(top * log_a - log_fact[top.astype(int)])  # i = 0, scaled by the largest term
     q0, q_n, total, s1, s2 = (np.empty(n.shape) for _ in range(5))
     block_rows = max(1, _BLOCK // ((n_max + 1) * max(1, n.shape[1])))
     for lo in range(0, len(counts), block_rows):

@@ -372,6 +372,19 @@ def test_cli_runs_as_module():
     assert run("optimize", "--config", "table1", "--no-such-flag").returncode == 1
 
 
+def test_import_loads_no_scipy_submodule():
+    # evstation keeps only the bare scipy package, which loads no public submodule.
+    src = str(Path(evstation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; import scipy; bare = set(sys.modules); import evstation, evstation.cli; "
+        "print(sorted(m for m in set(sys.modules) - bare if m.startswith('scipy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_cli_scenario_out_of_range(capsys):
     assert cli_dispatch(["optimize", "--config", "table1", "--scenario", "99"]) == 1
 

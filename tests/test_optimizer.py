@@ -235,6 +235,19 @@ def test_objective_matches_reference_bitwise(econ_default, station_default, tabl
                 assert_matches_reference(np.array([N_CAP]), np.array([d]), econ, station)
 
 
+def test_log_factorials_match_gammaln():
+    # objective's log k! table stands in for scipy.special.gammaln(k + 1), bit for bit.
+    np.testing.assert_array_equal(opt._log_factorials(3000), special.gammaln(np.arange(3001) + 1.0))
+
+
+def test_index_terms_cached_and_read_only():
+    terms = opt._index_terms(N_CAP)
+    assert opt._index_terms(N_CAP) is terms
+    for term in terms:
+        with pytest.raises(ValueError):
+            term[0] = 0.0
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
     economics(),
