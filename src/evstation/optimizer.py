@@ -17,10 +17,14 @@ block exceeds _BLOCK elements. The index terms, log i and log k!, are
 read-only arrays cached per largest count; log k! is computed as the Cephes
 lgam routine computes log Gamma(k + 1), so it matches
 scipy.special.gammaln bit for bit and importing evstation loads no public
-scipy submodule. The scalar path (profit_s, inner_demand_opt,
-brute_force_oracle) computes the same optimum count by count through the
-queueing module, with its own golden-section search; it shares no
-arithmetic with objective and is kept as the independent oracle.
+scipy submodule. A cell whose load Jagerman's bound on Erlang B,
+B(n, a) <= a / (n + a), puts at 1 + 1e-3 or more is unstable: the objective
+gives it no waits, and no occupancy terms past its block's last
+uncertified demand. That is 53-83% of the cells of table1's grids. The
+scalar path (profit_s, inner_demand_opt, brute_force_oracle) computes the
+same optimum count by count through the queueing module, with its own
+golden-section search; it shares no arithmetic with objective and is kept
+as the independent oracle.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand sea
 # of its bracket, the oracle's golden section once its bracket is this wide.
 _DEMAND_TOL = 1e-8
 _BLOCK = 2**16  # elements in one (i, count, demand) block of objective
+_RHO_MARGIN = 1e-3  # objective skips a cell once a lower bound on its load reaches 1 + this
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 # Stirling series of log Gamma(x) in powers of 1/x^2, leading coefficient first.
 _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -132,6 +137,7 @@ class _Rows(NamedTuple):
     """The station and economics of objective's rows, one (rows, 1) column per parameter.
 
     A single point's columns have one row, which broadcasts over every count.
+    _objective gathers them into one value per uncertified cell for _value.
     """
 
     lam: np.ndarray
@@ -179,11 +185,38 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     sums add along i in order too. The array is built for a block of counts
     at a time, with i running up to the block's largest count, so a block
     holds at most _BLOCK elements unless a single count's row is larger.
-    Every row gets the Theorem 1 index and, in a call that lists any
-    Allen-Cunneen row, Allen-Cunneen's minutes too, and charges the one its
-    wait model selects. Every row's arithmetic is the same whatever rows it
-    is listed with: the terms past a row's count are exactly 0, and the
-    Erlang C recursion stops at each row's own port count.
+    Every row gets the Theorem 1 index and, in a call that leaves any
+    Allen-Cunneen cell uncertified (below), Allen-Cunneen's minutes too,
+    and charges the one its wait model selects. Every row's arithmetic is
+    the same whatever rows it is listed with: the terms past a row's count
+    are exactly 0, the Erlang C recursion stops at each row's own port
+    count, and the cells a block-mate adds to a row are certified, so their
+    values are discarded.
+
+    A cell is certified unstable when a lower bound on its load,
+    rho_lb = lam (n / (n + a)) s / m, reaches 1 + delta, delta = _RHO_MARGIN.
+    Erlang B's recursion B(k) = a B(k-1) / (k + a B(k-1)) rises with
+    B(k-1) <= 1, so B(n, a) <= a / (n + a) (Jagerman 1974, Some properties
+    of the Erlang loss function, BSTJ 53): the admission probability
+    P = 1 - B(n, a) is at least n / (n + a), and the load rho = lam P s / m
+    at least rho_lb. A block builds its occupancy terms only for the demands
+    up to the last one that any of its rows leaves uncertified, so the cells
+    it skips are certified; only uncertified cells get a load, waits and
+    revenue, and every certified cell is UNSTABLE.
+
+    The full computation returns UNSTABLE there too, because its float rho
+    is within far less than delta of the exact one. A term's log is a
+    running sum of at most n + 1 logs, each partial sum at most L = 745 in
+    size on every term that is not 0 (one below e^-745 underflows), so its
+    error is at most about n L eps. Every term, their total and B =
+    q_n / total then carry a relative error of about 2 n L eps, 2.1e-11 at
+    n = 64, which bounds P's absolute error. lam s / m times that bounds
+    rho's absolute error and, as P >= m / (lam s) on a certified cell, its
+    relative error too. For criterion 3's parameters and the bundled
+    configs (lam <= 0.5 per minute, s <= 2000 minutes, m >= 1) that factor
+    is at most 1000, and rho's error at most 2.1e-8; rho_lb is off by a few
+    ulps. So a certified cell's float rho is at least 1: skipping it changes
+    no value and raises no warning.
     """
     counts = np.asarray(ns, dtype=float)
     n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
@@ -203,24 +236,49 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     i, log_i, log_fact, w1, w2 = _index_terms(n_max)
     top = np.minimum(n, np.floor(a))
     log_q0 = -(top * log_a - log_fact[top.astype(int)])  # i = 0, scaled by the largest term
+    # rho >= rho_lb by Jagerman's bound on Erlang B (see above).
+    certified = rows.lam * (n / (n + a)) * s / m >= 1.0 + _RHO_MARGIN
     q0, q_n, total, s1, s2 = (np.empty(n.shape) for _ in range(5))
     block_rows = max(1, _BLOCK // ((n_max + 1) * max(1, n.shape[1])))
     for lo in range(0, len(counts), block_rows):
         blk = slice(lo, lo + block_rows)
+        # The block's demands up to the last one that any of its rows leaves uncertified.
+        open_cols = np.flatnonzero(~certified[blk].all(axis=0))
+        if not open_cols.size:
+            continue
+        span = (blk, slice(open_cols[-1] + 1))
         top_i = int(counts[blk].max())
         # log_a - inf = -inf: a count's terms past i = n are exactly 0.
         cut = np.where(i[:top_i, None] <= counts[blk], log_i[:top_i, None], np.inf)
-        log_q = np.empty((top_i + 1,) + n[blk].shape)
-        log_q[0] = log_q0[blk]
-        np.subtract(log_a[blk], cut[:, :, None], out=log_q[1:])
+        log_q = np.empty((top_i + 1,) + n[span].shape)
+        log_q[0] = log_q0[span]
+        np.subtract(log_a[span], cut[:, :, None], out=log_q[1:])
         for prev, row in zip(log_q, log_q[1:]):  # each row already holds the sum before it
             np.add(prev, row, out=row)
         term = np.exp(log_q, out=log_q)
-        q0[blk] = term[0]
-        q_n[blk] = term[counts[blk].astype(int), np.arange(term.shape[1])]
-        total[blk] = _sum_in_order(term)
-        s1[blk] = _sum_in_order(term[1:] / w1[:top_i])
-        s2[blk] = _sum_in_order(term[1:] * w2[:top_i])
+        q0[span] = term[0]
+        q_n[span] = term[counts[blk].astype(int), np.arange(term.shape[1])]
+        total[span] = _sum_in_order(term)
+        s1[span] = _sum_in_order(term[1:] / w1[:top_i])
+        s2[span] = _sum_in_order(term[1:] * w2[:top_i])
+    cells = (n, d_pos, s, t_v, q0, q_n, total, s1, s2)
+    if certified.any():  # the uncertified cells, gathered into one run
+        keep = ~certified
+        value = np.full(n.shape, UNSTABLE)
+        kept_rows = _Rows(*(np.broadcast_to(c, n.shape)[keep] for c in rows))
+        value[keep] = _value(*(x[keep] for x in cells), kept_rows)
+    else:
+        value = _value(*cells, rows)
+    return np.where(d > 0, value, 0.0)
+
+
+def _value(n, d_pos, s, t_v, q0, q_n, total, s1, s2, rows: _Rows) -> np.ndarray:
+    """_objective's value of every cell from its occupancy sums, cell by cell.
+
+    Every argument holds one value per cell, or broadcasts to them. A cell
+    of zero demand is valued at d_pos = 1; _objective sets it to 0.
+    """
+    m = rows.m
     p_admit = 1.0 - q_n / total
     busy = 1.0 - q0 / total
     rho = rows.lam * p_admit * s / m
@@ -231,16 +289,16 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
         wait = rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)  # Theorem 1
         if rows.allen_cunneen.any():  # only Allen-Cunneen's wait needs Erlang C
             b = np.ones_like(rho)  # queueing.erlang_c: Erlang B, each row's m ports at load m*rho
+            load = m * rho
             for k in range(1, int(m.max()) + 1):
-                b = np.where(k <= m, m * rho * b / (k + m * rho * b), b)
+                b = np.where(k <= m, load * b / (k + load * b), b)
             erlang_c = b / (1.0 - rho * (1.0 - b))
             ca2 = m * var_y / mu_y**2
             allen_cunneen = np.where(n <= m, 0.0, erlang_c * s / (m * (1.0 - rho)) * ca2 / 2.0)
             wait = np.where(rows.allen_cunneen, allen_cunneen, wait)
         wait = np.where(busy > 0.0, wait, 0.0)  # 1 - P_0 rounds to 0: no EV waits
         revenue = d_pos * np.exp(-rows.beta * d_pos) / rows.xi - d_pos * rows.p_e
-        value = np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - rows.c * wait)
-    return np.where(d > 0, value, 0.0)
+        return np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - rows.c * wait)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:

@@ -160,6 +160,18 @@ def stations(draw):
     )
 
 
+@st.composite
+def criterion3_stations(draw):
+    """A station of criterion 3's distribution."""
+    return StationParams(
+        m=draw(st.integers(2, 6)),
+        alpha=draw(st.floats(3.0, 22.0)),
+        parking_capacity=60,
+        lam=draw(st.floats(0.05, 0.5)),
+        tau=draw(st.floats(1.01, 1.5)),
+    )
+
+
 def reference_objective(ns, ds, econ, station):
     """objective as it was when it looped over the occupancy index i.
 
@@ -301,6 +313,122 @@ def test_objective_rows_are_independent(econ_default):
     assert (got == UNSTABLE).any() and (got[:, 2:] > 0.0).any()
     tiny = analyze_admission(64, 1e-14, points[0][1])
     assert tiny.state_probs[0] == 1.0
+
+
+def certified_cells(ns, ds, station):
+    """The cells whose load Jagerman's bound on Erlang B puts at 1 + _RHO_MARGIN or more.
+
+    The bound rho >= lam (n / (n + a)) s / m, computed as objective computes it.
+    """
+    n, d = np.broadcast_arrays(np.asarray(ns, dtype=float)[:, None], np.asarray(ds, dtype=float))
+    s = np.where(d > 0, d, 1.0) / station.alpha_per_min
+    a = station.lam * (station.tau * station.m * s / n)
+    return station.lam * (n / (n + a)) * s / station.m >= 1.0 + opt._RHO_MARGIN
+
+
+def edge_demands(station, phi):
+    """For each count, demands on both sides of the one where the bound reaches 1 + _RHO_MARGIN.
+
+    rho_lb = lam s n^2 / (m (n^2 + lam tau m s)) rises with s, so it reaches
+    R = 1 + _RHO_MARGIN at s = R m n^2 / (lam (n^2 - R tau m^2)) when
+    n^2 > R tau m^2. A row holds that demand, the four floats on each side
+    of it and the demands 1e-9 and 1e-6 away, shuffled; a count whose bound
+    never reaches R before phi gets demands across the top of [0, phi].
+    """
+    big_r, m = 1.0 + opt._RHO_MARGIN, station.m
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in range(1, N_CAP + 1):
+        spare = n * n - big_r * station.tau * m * m
+        d = big_r * m * n * n / (station.lam * spare) * station.alpha_per_min if spare > 0 else phi
+        if d >= phi * (1 - 1e-5):
+            rows.append(np.linspace(0.5 * phi, phi, 13))
+            continue
+        near = [d]
+        for _ in range(4):
+            near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], np.inf)]
+        rows.append(rng.permutation(near + [d * (1 + e) for e in (-1e-6, 1e-6, -1e-9, 1e-9)]))
+    return np.array(rows)
+
+
+def edge_points(table1):
+    """table1 and fig4 at both penalty rates, and high-load stations of 1 to 8 ports."""
+    from evstation.config import bundled_config_path, load_config, with_penalty
+
+    fig4, _ = load_config(bundled_config_path("fig4"))
+    points = [(with_penalty(s, c).econ, s.station) for s in (*table1[0], *fig4) for c in (0.4, 1.0)]
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
+    return points + [
+        (
+            replace(econ, wait_model=model),
+            StationParams(m=m, alpha=3.0, parking_capacity=60, lam=0.5, tau=1.01),
+        )
+        for m in range(1, 9)
+        for model in WAIT_MODELS
+    ]
+
+
+def test_certificate_edge_matches_reference(table1):
+    # Cells just inside and just outside the certificate, in mixed order
+    # along each row, equal the reference bit for bit, UNSTABLE set included.
+    counts = np.arange(1, N_CAP + 1)
+    inside = outside = 0
+    for econ, station in edge_points(table1):
+        demands = edge_demands(station, econ.phi)
+        certified = certified_cells(counts, demands, station)
+        inside, outside = inside + certified.sum(), outside + (~certified).sum()
+        assert_matches_reference(counts, demands, econ, station)
+        with np.errstate(all="ignore"):
+            want = reference_objective(counts, demands, econ, station)
+        assert (want[certified] == UNSTABLE).all()
+    assert inside > 1000 and outside > 1000
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(economics(), criterion3_stations())
+def test_certified_cells_are_unstable_property(econ, station):
+    # On criterion 3's parameters, the optimizer's grid and one over [0, phi].
+    counts = np.arange(1, N_CAP + 1)
+    for d_hi in (demand_region_bound(econ), econ.phi):
+        demands = np.linspace(0.0, d_hi, _GRID_POINTS)
+        certified = certified_cells(counts, demands, station) & (demands > 0)
+        with np.errstate(all="ignore"):
+            want = reference_objective(counts, demands, econ, station)
+        assert (want[certified] == UNSTABLE).all()
+        assert (objective(counts, demands, econ, station)[certified] == UNSTABLE).all()
+
+
+def test_objective_rows_ignore_their_block_width(table1):
+    # Rows of a mostly certified point (table1's morning peak) and a barely
+    # certified one, interleaved so that every block holds both: the wide
+    # rows make the block evaluate cells of the narrow ones that their own
+    # calls skip, and each point's rows still equal its own call bit for bit.
+    scenarios, _ = table1
+    peak = (scenarios[1].econ, scenarios[1].station)
+    station = StationParams(m=8, alpha=22.0, parking_capacity=60, lam=0.03, tau=1.01)
+    low = (scenarios[1].econ, station)
+    counts = np.arange(1, N_CAP + 1)
+    demands = np.linspace(0.0, scenarios[1].econ.phi, _GRID_POINTS)
+    shares = [certified_cells(counts, demands, station).mean() for _, station in (peak, low)]
+    assert shares[0] > 0.7 and 0.0 < shares[1] < 0.05
+    got = opt._objective(np.repeat(counts, 2), demands, opt._Rows.of([peak, low] * N_CAP))
+    for k, point in enumerate((peak, low)):
+        assert np.array_equal(got[k::2], objective(counts, demands, *point))
+
+
+def test_table1_grids_raise_no_warning(table1):
+    # Certified cells are skipped, not computed from uninitialised sums.
+    from evstation.config import with_penalty
+
+    scenarios, _ = table1
+    counts = np.arange(1, N_CAP + 1)
+    points = [(with_penalty(s, c).econ, s.station) for s in scenarios for c in (0.4, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for econ, station in points:
+            for d_hi in (demand_region_bound(econ), econ.phi):
+                objective(counts, np.linspace(0.0, d_hi, _GRID_POINTS), econ, station)
+        optimize_joap_many(points)
 
 
 @st.composite
@@ -599,18 +727,6 @@ def assert_matches_golden(policy, golden):
         assert policy.predicted_profit == pytest.approx(golden.predicted_profit, abs=1e-12)
     else:
         assert abs(policy.d_star - golden.d_star) <= 1e-6
-
-
-@st.composite
-def criterion3_stations(draw):
-    """A station of criterion 3's distribution."""
-    return StationParams(
-        m=draw(st.integers(2, 6)),
-        alpha=draw(st.floats(3.0, 22.0)),
-        parking_capacity=60,
-        lam=draw(st.floats(0.05, 0.5)),
-        tau=draw(st.floats(1.01, 1.5)),
-    )
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -418,6 +418,21 @@ def reference_replicate(policy, econ, station, horizon, reps, seed):
     )
 
 
+@pytest.mark.parametrize("reps", [1, 2, 3, 7, 200, 1000])
+def test_summaries_match_one_row_reductions(reps):
+    # Rows of a (3, policies, reps) array seen per policy, as replicate passes
+    # them: each statistic equals the one-row numpy call, bit for bit.
+    samples = np.random.default_rng(reps).lognormal(0.0, 2.0, (3, 4, reps)).transpose(1, 0, 2)
+    for sample, metrics in zip(samples, sim._summaries(list(samples), reps)):
+        rates, waits, profits = (list(row) for row in sample)
+        want = {"admission_rate": rates, "mean_wait": waits, "profit_per_hour": profits}
+        for name, xs in want.items():
+            assert getattr(metrics, name) == float(np.mean(xs))
+            spread = 1.96 * float(np.std(xs, ddof=1)) / math.sqrt(reps) if reps > 1 else None
+            assert metrics.half_width_95[name] == spread
+        assert metrics.replication_count == reps
+
+
 class ShortGapRng:
     """A generator whose gaps are an eighth of the real draws, so the block
     sized for the expected count runs out and several blocks are drawn."""
