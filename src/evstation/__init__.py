@@ -14,6 +14,7 @@ from .economics import (
     DomainError,
     EconomicParams,
     StationParams,
+    demand_region_bound,
     demand_response,
     per_ev_profit,
     price_for_demand,
@@ -27,21 +28,16 @@ from .experiments import (
     run_tau_study,
     run_wait_validation,
 )
-from .optimizer import (
-    JoapPolicy,
-    brute_force_oracle,
-    demand_region_bound,
-    optimize_joap,
-    optimize_joap_many,
-    optimize_tau,
-    profit_s,
-)
+from .optimizer import optimize_joap, optimize_joap_many, optimize_tau
 from .queueing import (
     AdmissionAnalysis,
+    JoapPolicy,
     admitted_interarrival_moments,
     analyze_admission,
+    brute_force_oracle,
     erlang_blocking,
     erlang_steady_state,
+    profit_s,
 )
 from .simulator import (
     GreedyAdmission,

@@ -144,12 +144,8 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
             raise ConfigError(f"{ctx}: missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError, DomainError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
-        raw_duration = sc.get("duration_min", 240.0)
-        duration = _number(raw_duration)
-        if not (math.isfinite(duration) and duration > 0):
-            problems.append(
-                f"scenarios[{i}]: duration_min must be finite and positive, got {raw_duration!r}"
-            )
+        duration = sc.get("duration_min", 240.0)
+        duration = _positive(duration, f"scenarios[{i}]: duration_min", problems)
         scenarios.append(
             Scenario(
                 name=str(sc.get("name", f"scenario-{i}")),
@@ -162,11 +158,7 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     reps = _whole(run_raw.get("reps", RunOptions.reps), "reps", 1, problems)
     horizon = run_raw.get("horizon_min")
     if horizon is not None:
-        horizon = _number(horizon)
-        if not (math.isfinite(horizon) and horizon > 0):
-            problems.append(
-                f"run: horizon_min must be finite and positive, got {run_raw['horizon_min']!r}"
-            )
+        horizon = _positive(horizon, "run: horizon_min", problems)
     if problems:
         raise ConfigError(f"{context}: " + "; ".join(problems))
     return scenarios, RunOptions(seed=seed, reps=reps, horizon=horizon)
@@ -177,12 +169,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value) -> float:
-    """`value` as a float, or NaN when it is not a number."""
+def _positive(value, name: str, problems: list) -> float | None:
+    """`value` as a float if it is a finite, positive number; otherwise a problem is noted."""
     try:
-        return float(value) if _is_number(value) else math.nan
+        number = float(value) if _is_number(value) else math.nan
     except OverflowError:  # an int too large for a float
-        return math.nan
+        number = math.nan
+    if math.isfinite(number) and number > 0:
+        return number
+    problems.append(f"{name} must be finite and positive, got {value!r}")
+    return None
 
 
 def _real(block: dict, key: str, default=None) -> float:
@@ -195,11 +191,9 @@ def _real(block: dict, key: str, default=None) -> float:
 
 def _whole(value, name: str, least: int, problems: list, block: str = "run") -> int | None:
     """`value` as an int if it is a whole number >= least; otherwise a problem is noted."""
-    if type(value) is int:  # exact, where a float would round; a boolean is not an int here
-        whole = value
-    else:
-        number = _number(value)
-        whole = int(number) if math.isfinite(number) and number.is_integer() else None
+    whole = None
+    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        whole = int(value)  # exact for an int, where a float would round
     if whole is None or whole < least:
         problems.append(f"{block}: {name} must be a whole number >= {least}, got {value!r}")
         return None

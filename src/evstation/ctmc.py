@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economics import DomainError, _check_count
-from .optimizer import N_CAP
+from .queueing import N_CAP
 
 R1 = -1.0
 R2 = 1.25
@@ -40,7 +40,7 @@ class TwoPhaseChain:
 def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
     """Assemble the (n+1)(n+2)/2-state rate matrix for n virtual servers.
 
-    The matrix is dense, so n is capped at the optimizer's count cap N_CAP
+    The matrix is dense, so n is capped at the searches' count cap N_CAP
     (2,145 states, about 37 MB); a larger n is rejected before allocating.
     """
     _check_count(n, "n")
@@ -91,10 +91,8 @@ def occupancy_marginal(chain: TwoPhaseChain, dist: np.ndarray | None = None) -> 
     """Marginal distribution of the total-busy coordinate s2."""
     if dist is None:
         dist = steady_state(chain)
-    marginal = np.zeros(chain.n + 1)
-    for k, (_, s2) in enumerate(chain.states):
-        marginal[s2] += dist[k]
-    return marginal
+    # bincount adds each state's mass in state order, as a running sum would.
+    return np.bincount(np.array(chain.states)[:, 1], weights=dist, minlength=chain.n + 1)
 
 
 def blocking_probability(chain: TwoPhaseChain, dist: np.ndarray | None = None) -> float:

@@ -2,7 +2,8 @@
 
 All quantities use canonical units of minutes, kWh, and dollars. Charging
 power is stored in kW and converted to kWh/min where a service duration is
-needed.
+needed. demand_region_bound, a property of the demand curve, bounds the
+demand searches of the optimizer and of its oracle.
 """
 from __future__ import annotations
 
@@ -169,3 +170,33 @@ def per_ev_profit(d: float, wait: float, econ: EconomicParams) -> float:
     if d == 0:
         return 0.0
     return (price_for_demand(d, econ) - econ.p_e) * d - econ.c * wait
+
+
+def demand_region_bound(econ: EconomicParams) -> float:
+    """Largest demand with non-negative marginal revenue.
+
+    The region where e^{-beta d}(1 - beta d)/xi - p_e >= 0; empty (0.0) when
+    electricity costs at least the choke price. The marginal revenue is the
+    derivative of the per-EV margin d (r(d) - p_e); it falls on [0, 1/beta]
+    and is negative beyond, so the bound is also the margin-maximizing
+    demand, the one both benchmark policies charge.
+    """
+    xi = econ.xi  # a property: read once, not at each bisection step
+
+    def g(d: float) -> float:
+        return math.exp(-econ.beta * d) * (1.0 - econ.beta * d) / xi - econ.p_e
+
+    if g(0.0) <= 0:
+        return 0.0
+    lo, hi = 0.0, econ.phi
+    if g(hi) >= 0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: neither end can move again
+        if g(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .config import RunOptions, Scenario
-from .economics import EconomicParams, StationParams, price_for_demand
-from .optimizer import DEFAULT_TAU_GRID, demand_region_bound, optimize_joap, optimize_joap_many
+from .economics import EconomicParams, StationParams, demand_region_bound, price_for_demand
+from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_joap_many
 from .queueing import analyze_admission, mean_wait
 from .simulator import (
     GreedyAdmission,

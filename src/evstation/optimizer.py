@@ -21,16 +21,16 @@ scipy submodule. A cell whose load Jagerman's bound on Erlang B,
 B(n, a) <= a / (n + a), puts at 1 + 1e-3 or more is unstable: the objective
 gives it no waits, and no occupancy terms past its block's last
 uncertified demand. That is 53-83% of the cells of table1's grids. The
-scalar path (profit_s, inner_demand_opt, brute_force_oracle) computes the
-same optimum count by count through the queueing module, with its own
-golden-section search; it shares no arithmetic with objective and is kept
-as the independent oracle.
+independent oracle, queueing.brute_force_oracle, computes the same
+optimum count by count with its own grid and golden-section search; it
+shares no arithmetic with objective and imports nothing from this module,
+which takes the policy record and its builder, N_CAP and UNSTABLE from it.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,55 +38,19 @@ import numpy as np
 # and the benchmark harness reads its version from sys.modules["scipy"].
 import scipy
 
-from .economics import DomainError, EconomicParams, StationParams, _check_count
-from .economics import per_ev_profit, price_for_demand
-from . import queueing as q
+from .economics import DomainError, EconomicParams, StationParams, demand_region_bound
+from .queueing import N_CAP, UNSTABLE, JoapPolicy, _policy_from
 
-UNSTABLE = float("-inf")
-N_CAP = 64
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_CGOLD = 1.0 - _INVPHI  # the share of the larger side a golden step of Brent's search takes
+# The share of the larger side a golden step of Brent's search takes.
+_CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand search
-# kWh: Brent's search stops once its best demand is this close to both ends
-# of its bracket, the oracle's golden section once its bracket is this wide.
-_DEMAND_TOL = 1e-8
+_DEMAND_TOL = 1e-8  # kWh: Brent's search stops once its best demand is this near both ends
 _BLOCK = 2**16  # elements in one (i, count, demand) block of objective
 _RHO_MARGIN = 1e-3  # objective skips a cell once a lower bound on its load reaches 1 + this
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 # Stirling series of log Gamma(x) in powers of 1/x^2, leading coefficient first.
 _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
              -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-
-
-@dataclass(frozen=True)
-class JoapPolicy:
-    """An optimized operating point for the station."""
-
-    n_star: int
-    d_star: float
-    r_star: float
-    t_v: float
-    predicted_profit: float
-    predicted_admit: float
-    predicted_wait: float
-
-
-def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> float:
-    """Expected per-arrival profit at integer sub-process count n.
-
-    The penalty is charged against the wait of econ.wait_model. Returns -inf
-    when the implied charging-queue load is at or above 1.
-    """
-    _check_count(n, "n")
-    if d < 0 or d > econ.phi:
-        raise DomainError(f"demand {d} outside [0, {econ.phi}]")
-    if d == 0:
-        return 0.0
-    analysis = q.analyze_admission(n, d, station)
-    if analysis.rho >= 1.0:
-        return UNSTABLE
-    wait = q.mean_wait(analysis, station, econ.wait_model)
-    return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
 
 
 def _log_factorials(n_max: int) -> np.ndarray:
@@ -301,100 +265,6 @@ def _value(n, d_pos, s, t_v, q0, q_n, total, s1, s2, rows: _Rows) -> np.ndarray:
         return np.where(rho >= 1.0, UNSTABLE, p_admit * revenue - rows.c * wait)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    e = a + _INVPHI * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > tol:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (b - a)
-            fe = f(e)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def demand_region_bound(econ: EconomicParams) -> float:
-    """Largest demand with non-negative marginal revenue.
-
-    The region where e^{-beta d}(1 - beta d)/xi - p_e >= 0; empty (0.0) when
-    electricity costs at least the choke price. The marginal revenue is the
-    derivative of the per-EV margin d (r(d) - p_e); it falls on [0, 1/beta]
-    and is negative beyond, so the bound is also the margin-maximizing
-    demand, the one both benchmark policies charge.
-    """
-
-    def g(d: float) -> float:
-        return math.exp(-econ.beta * d) * (1.0 - econ.beta * d) / econ.xi - econ.p_e
-
-    if g(0.0) <= 0:
-        return 0.0
-    lo, hi = 0.0, econ.phi
-    if g(hi) >= 0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # lo and hi are adjacent floats: neither end can move again
-        if g(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def inner_demand_opt(n: int, econ: EconomicParams, station: StationParams) -> tuple[float, float]:
-    """Best demand for a fixed integer sub-process count.
-
-    Searches the region with non-negative marginal revenue (outside it the
-    objective only decreases) on a coarse grid, then refines the bracket
-    around the grid maximum by golden-section search; returns (d, profit),
-    or (0, 0) when the region is empty or nothing profitable exists.
-    """
-    d_hi = demand_region_bound(econ)
-    if d_hi <= 0:
-        return 0.0, 0.0
-
-    def profit(d: float) -> float:
-        return profit_s(n, d, econ, station)
-
-    grid = np.linspace(0.0, d_hi, _GRID_POINTS)
-    vals = [profit(d) for d in grid]
-    k = int(np.argmax(vals))
-    if vals[k] <= 0.0:
-        return 0.0, 0.0
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    d_best, val = _golden_max(profit, lo, hi, _DEMAND_TOL)
-    if val < 0.0:
-        return 0.0, 0.0
-    return float(d_best), float(val)
-
-
-def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station: StationParams) -> JoapPolicy:
-    if d <= 0:
-        return JoapPolicy(
-            n_star=n, d_star=0.0, r_star=econ.choke_price, t_v=0.0,
-            predicted_profit=0.0, predicted_admit=1.0, predicted_wait=0.0,
-        )
-    analysis = q.analyze_admission(n, d, station)
-    wait = q.mean_wait(analysis, station, econ.wait_model)
-    return JoapPolicy(
-        n_star=n,
-        d_star=d,
-        r_star=price_for_demand(d, econ),
-        t_v=analysis.t_v,
-        predicted_profit=profit,
-        predicted_admit=float(analysis.p_admit),
-        predicted_wait=float(wait),
-    )
-
-
 def _seeds(grid, vals) -> tuple[np.ndarray, np.ndarray]:
     """Each row's grid maximum and grid neighbours (itself at an end): _brent_rows' seeds."""
     top = np.argmax(vals, axis=1)
@@ -525,25 +395,6 @@ def optimize_joap_many(points) -> list[JoapPolicy]:
         _policy_from(int(b) + 1, float(dk[b]), float(vk[b]), *point)
         for point, b, dk, vk in zip(points, best, d, val)
     ]
-
-
-def brute_force_oracle(econ: EconomicParams, station: StationParams) -> tuple[JoapPolicy, list]:
-    """Exhaustive demand optimization for every count up to N_CAP.
-
-    Returns the best policy plus the per-n (d, profit) table so callers can
-    inspect unimodality around the optimum.
-    """
-    table = []
-    best = (1, 0.0, float("-inf"))
-    for n in range(1, N_CAP + 1):
-        d, val = inner_demand_opt(n, econ, station)
-        table.append((n, d, val))
-        if val > best[2]:
-            best = (n, d, val)
-    n, d, val = best
-    if val <= 0.0:
-        return _policy_from(1, 0.0, 0.0, econ, station), table
-    return _policy_from(n, d, val, econ, station), table
 
 
 DEFAULT_TAU_GRID = (1.01, 1.05, 1.1, 1.2, 1.5, 2.0)

@@ -6,11 +6,12 @@ queue with deterministic service. analyze_admission returns one record
 of an operating point: the loss-system steady state, the admission
 probability and the charging-queue load rho. mean_wait is the one entry
 point to the mean-wait models selected by EconomicParams.wait_model; it
-draws on the moments of the gap to the next slot release. The optimizer
-searches the same model on numpy rows; these scalar forms serve the
-analyze command, the validation runners and the optimizer's oracle, and
-give every reported policy its t_v, predicted_admit and predicted_wait
-(optimizer._policy_from).
+draws on the moments of the gap to the next slot release. These scalar
+forms give every reported policy (JoapPolicy) its t_v, predicted_admit
+and predicted_wait. profit_s, inner_demand_opt and brute_force_oracle
+search them count by count, with their own demand grid, tolerance and
+golden section: the independent oracle of the optimizer, which searches
+the same model on numpy rows and which this module never imports.
 """
 from __future__ import annotations
 
@@ -19,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economics import WAIT_MODELS, DomainError, StationParams, _check_count
+from .economics import WAIT_MODELS, DomainError, EconomicParams, StationParams, _check_count
+from .economics import demand_region_bound, per_ev_profit, price_for_demand
+
+UNSTABLE = float("-inf")  # the profit of a point whose charging queue is unstable
+N_CAP = 64  # the largest sub-process count either search considers
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the share of its bracket a golden-section probe keeps
+_ORACLE_GRID = 160  # coarse demand grid that brackets each golden-section search of the oracle
+_ORACLE_TOL = 1e-8  # kWh: the oracle's golden section stops once its bracket is this wide
 
 
 def _check_loss_system(n: int, offered_load: float) -> None:
@@ -192,3 +200,118 @@ def mean_wait(analysis: AdmissionAnalysis, station: StationParams, model: str) -
         return rho * s / (2.0 * (1.0 - rho)) * (s**2 + 2.0 * s * mu_y + var_y)
     ca2 = m * var_y / mu_y**2
     return erlang_c(m, m * rho) * s / (m * (1.0 - rho)) * ca2 / 2.0
+
+
+@dataclass(frozen=True)
+class JoapPolicy:
+    """An optimized operating point for the station."""
+
+    n_star: int
+    d_star: float
+    r_star: float
+    t_v: float
+    predicted_profit: float
+    predicted_admit: float
+    predicted_wait: float
+
+
+def profit_s(n: int, d: float, econ: EconomicParams, station: StationParams) -> float:
+    """Expected per-arrival profit at integer sub-process count n.
+
+    The penalty is charged against the wait of econ.wait_model. Returns -inf
+    when the implied charging-queue load is at or above 1.
+    """
+    _check_count(n, "n")
+    if d < 0 or d > econ.phi:
+        raise DomainError(f"demand {d} outside [0, {econ.phi}]")
+    if d == 0:
+        return 0.0
+    analysis = analyze_admission(n, d, station)
+    if analysis.rho >= 1.0:
+        return UNSTABLE
+    wait = mean_wait(analysis, station, econ.wait_model)
+    return analysis.p_admit * per_ev_profit(d, 0.0, econ) - econ.c * wait
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal f on [a, b]."""
+    c = b - _INVPHI * (b - a)
+    e = a + _INVPHI * (b - a)
+    fc, fe = f(c), f(e)
+    while b - a > tol:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INVPHI * (b - a)
+            fe = f(e)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def inner_demand_opt(n: int, econ: EconomicParams, station: StationParams) -> tuple[float, float]:
+    """Best demand for a fixed integer sub-process count.
+
+    Searches the region with non-negative marginal revenue (outside it the
+    objective only decreases) on a coarse grid, then refines the bracket
+    around the grid maximum by golden-section search; returns (d, profit),
+    or (0, 0) when the region is empty or nothing profitable exists.
+    """
+    d_hi = demand_region_bound(econ)
+    if d_hi <= 0:
+        return 0.0, 0.0
+
+    def profit(d: float) -> float:
+        return profit_s(n, d, econ, station)
+
+    grid = np.linspace(0.0, d_hi, _ORACLE_GRID)
+    vals = [profit(d) for d in grid]
+    k = int(np.argmax(vals))
+    if vals[k] <= 0.0:
+        return 0.0, 0.0
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    d_best, val = _golden_max(profit, lo, hi, _ORACLE_TOL)
+    if val < 0.0:
+        return 0.0, 0.0
+    return float(d_best), float(val)
+
+
+def _policy_from(n: int, d: float, profit: float, econ: EconomicParams, station: StationParams) -> JoapPolicy:
+    if d <= 0:
+        return JoapPolicy(
+            n_star=n, d_star=0.0, r_star=econ.choke_price, t_v=0.0,
+            predicted_profit=0.0, predicted_admit=1.0, predicted_wait=0.0,
+        )
+    analysis = analyze_admission(n, d, station)
+    wait = mean_wait(analysis, station, econ.wait_model)
+    return JoapPolicy(
+        n_star=n,
+        d_star=d,
+        r_star=price_for_demand(d, econ),
+        t_v=analysis.t_v,
+        predicted_profit=profit,
+        predicted_admit=float(analysis.p_admit),
+        predicted_wait=float(wait),
+    )
+
+
+def brute_force_oracle(econ: EconomicParams, station: StationParams) -> tuple[JoapPolicy, list]:
+    """Exhaustive demand optimization for every count up to N_CAP.
+
+    Returns the best policy plus the per-n (d, profit) table so callers can
+    inspect unimodality around the optimum.
+    """
+    table = []
+    best = (1, 0.0, float("-inf"))
+    for n in range(1, N_CAP + 1):
+        d, val = inner_demand_opt(n, econ, station)
+        table.append((n, d, val))
+        if val > best[2]:
+            best = (n, d, val)
+    n, d, val = best
+    if val <= 0.0:
+        return _policy_from(1, 0.0, 0.0, econ, station), table
+    return _policy_from(n, d, val, econ, station), table

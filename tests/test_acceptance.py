@@ -29,8 +29,8 @@ from evstation.experiments import (
     run_tau_study,
     run_wait_validation,
 )
-from evstation.optimizer import UNSTABLE, demand_region_bound, profit_s
-from evstation.queueing import mean_wait
+from evstation.optimizer import UNSTABLE, demand_region_bound
+from evstation.queueing import mean_wait, profit_s
 
 SEED = 20240521
 

@@ -14,7 +14,7 @@ from evstation import (
     steady_state,
 )
 from evstation.cli import cli_dispatch
-from evstation.optimizer import N_CAP
+from evstation.queueing import N_CAP
 
 
 def test_state_space_size():
@@ -105,6 +105,18 @@ def test_marginals_match_closed_form():
             assert blocking_probability(chain) == pytest.approx(
                 erlang_blocking(n, a), abs=1e-8
             )
+
+
+def test_occupancy_marginal_matches_state_loop():
+    # The marginal adds each state's mass in state order, bit for bit the loop it replaced.
+    for n in (1, 4, 13, 37):
+        for lam, t_v in ((0.3, 2.0), (2.5, 7.0)):
+            chain = build_generator(n, lam, t_v)
+            dist = steady_state(chain)
+            want = np.zeros(n + 1)
+            for k, (_, s2) in enumerate(chain.states):
+                want[s2] += dist[k]
+            np.testing.assert_array_equal(occupancy_marginal(chain, dist), want)
 
 
 def test_build_generator_domain():

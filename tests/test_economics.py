@@ -20,7 +20,8 @@ from evstation import (
     run_loss_admission,
     utility,
 )
-from evstation.optimizer import objective, profit_s
+from evstation.optimizer import objective
+from evstation.queueing import profit_s
 
 
 def test_utility_endpoints(econ_default):

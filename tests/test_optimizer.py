@@ -1,7 +1,9 @@
+import ast
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +33,9 @@ from evstation.optimizer import (
     N_CAP,
     UNSTABLE,
     JoapPolicy,
-    inner_demand_opt,
     objective,
-    profit_s,
 )
-from evstation.queueing import mean_wait
+from evstation.queueing import inner_demand_opt, mean_wait, profit_s
 
 
 def random_params(rng):
@@ -674,6 +674,31 @@ def test_optimize_matches_oracle_allen_cunneen(table1):
             assert policy.d_star == pytest.approx(oracle.d_star, abs=1e-6)
             if policy.n_star <= station.m:
                 assert policy.predicted_wait == 0.0
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """Every dotted module name, and every name imported from one, that tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_reference_modules_never_import_the_optimizer():
+    # The closed forms, the oracle and the Markov chain judge the production
+    # search, so none of them may reach it, and the oracle lives beside them.
+    package = Path(opt.__file__).parent
+    for module in ("economics", "queueing", "ctmc"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        reached = [name for name in _imported_modules(tree) if "optimizer" in name.split(".")]
+        assert not reached, f"{module} imports {reached}"
+    tree = ast.parse((package / "optimizer.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"profit_s", "inner_demand_opt", "_golden_max", "brute_force_oracle"}
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

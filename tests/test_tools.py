@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -37,17 +38,30 @@ def test_output_digests_commands_parse():
         assert parser.parse_args([*argv, *extra]).func
 
 
+def code_lines(text):
+    """Lines that are not blank, not only a comment and not in a docstring, counted line by line."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(
+        k not in docstrings and line.strip() != "" and not line.lstrip().startswith("#")
+        for k, line in enumerate(text.splitlines(), 1)
+    )
+
+
 def test_src_size_format_and_consistency():
-    # One line per module, a total that is their sum, and the export count of
-    # the evstation this suite imports (the same src/).
+    # One line per module with its lines and code lines, totals that are their
+    # sums, and the export count of the evstation this suite imports (the same src/).
     *modules, total, exported = load_tool("src_size").report(ROOT / "src")
     files = sorted((ROOT / "src" / "evstation").glob("*.py"))
     assert len(modules) == len(files)
     counts = []
     for line, path in zip(modules, files):
-        assert re.fullmatch(rf" *(\d+) evstation/{re.escape(path.name)}", line)
-        counts.append(int(line.split()[0]))
-        assert counts[-1] == len(path.read_text().splitlines())
-    assert re.fullmatch(r" *\d+ total", total) and int(total.split()[0]) == sum(counts)
+        assert re.fullmatch(rf" *(\d+) +(\d+) evstation/{re.escape(path.name)}", line)
+        counts.append([int(field) for field in line.split()[:2]])
+        assert counts[-1] == [len(path.read_text().splitlines()), code_lines(path.read_text())]
+    assert re.fullmatch(r" *\d+ +\d+ total", total)
+    assert [int(field) for field in total.split()[:2]] == [sum(column) for column in zip(*counts)]
     bound = [v for k, v in vars(evstation).items() if not k.startswith("_")]
     assert exported == f"exports {sum(not isinstance(v, ModuleType) for v in bound)}"

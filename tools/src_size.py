@@ -5,17 +5,21 @@ Usage, from the root of a checkout:
     python3 tools/src_size.py [--src DIR]
 
 One line per `evstation/*.py` module under DIR (default: the `src/` of the
-checkout holding this script), as `<lines> <module>` with lines counted as
-`wc -l` counts them, then `<lines> total`, then `exports <k>`: the public
-names `import evstation` binds that are not modules. Two checkouts compare
-with one `diff`.
+checkout holding this script), as `<lines> <code> <module>`, with lines
+counted as `wc -l` counts them and code the lines that are neither blank,
+nor only a comment, nor part of a docstring. Then `<lines> <code> total`,
+then `exports <k>`: the public names `import evstation` binds that are not
+modules. Two checkouts compare with one `diff`.
 """
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 # Run in a fresh interpreter, so the count is of DIR's package alone.
@@ -26,10 +30,29 @@ _COUNT_EXPORTS = (
 )
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(text: str) -> int:
+    """Lines of Python source text that hold a token of code outside every docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE:  # a string spanning lines makes each of them code
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
 def module_lines(src: Path) -> list:
-    """(module path relative to src, newline count) for each evstation module, by name."""
+    """(module path relative to src, newline count, code lines) for each evstation module, by name."""
     return [
-        (path.relative_to(src).as_posix(), path.read_bytes().count(b"\n"))
+        (path.relative_to(src).as_posix(), path.read_bytes().count(b"\n"),
+         code_lines(path.read_text(encoding="utf-8")))
         for path in sorted((src / "evstation").glob("*.py"))
     ]
 
@@ -45,8 +68,8 @@ def exports(src: Path) -> int:
 def report(src: Path) -> list:
     """The tool's output lines for the package under src."""
     sizes = module_lines(src)
-    return [f"{count:5d} {name}" for name, count in sizes] + [
-        f"{sum(count for _, count in sizes):5d} total",
+    return [f"{count:5d} {code:5d} {name}" for name, count, code in sizes] + [
+        f"{sum(count for _, count, _ in sizes):5d} {sum(code for *_, code in sizes):5d} total",
         f"exports {exports(src)}",
     ]
 
