@@ -50,8 +50,8 @@ def _emit(obj) -> None:
 
 def _load(args) -> tuple[list, RunOptions]:
     path = Path(args.config)
-    if not path.exists():
-        bundled = bundled_config_path(path.stem)
+    if not path.exists() and path.name == args.config and not path.suffix:  # a bare name
+        bundled = bundled_config_path(args.config)
         if bundled.exists():
             path = bundled
     scenarios, run = load_config(path)

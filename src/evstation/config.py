@@ -12,10 +12,11 @@ The schema (version 1) has four blocks:
 
 Electricity prices are given in $/MWh (as tariffs usually are) and stored
 in $/kWh. Unknown keys anywhere are rejected so typos cannot silently
-change an experiment. station.m and station.parking_capacity must be whole
-numbers >= 1. In the run block, seed must be a whole number >= 0, reps a
-whole number >= 1 and horizon_min finite and positive. No field takes a
-JSON boolean for a number.
+change an experiment, and no two scenarios may share a name, since the
+daily report keys its rows by name. station.m and station.parking_capacity
+must be whole numbers >= 1. In the run block, seed must be a whole number
+>= 0, reps a whole number >= 1 and horizon_min finite and positive. No
+field takes a JSON boolean for a number.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -154,6 +155,13 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
                 station=station,
             )
         )
+    first_of: dict = {}
+    for i, scenario in enumerate(scenarios):  # reports key their rows by name
+        first = first_of.setdefault(scenario.name, i)
+        if first != i:
+            problems.append(
+                f"scenarios[{i}]: name {scenario.name!r} repeats scenarios[{first}]'s"
+            )
     seed = _whole(run_raw.get("seed", RunOptions.seed), "seed", 0, problems)
     reps = _whole(run_raw.get("reps", RunOptions.reps), "reps", 1, problems)
     horizon = run_raw.get("horizon_min")

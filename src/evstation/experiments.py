@@ -10,7 +10,9 @@ every stable point of its grid. That call builds each replication's
 stream once and runs a scenario's policies, the three of the daily
 experiment or the JoAP plans of the spacing study, on one arrival trace
 drawn from it: common random numbers by construction, which makes the
-profit comparisons paired rather than independent.
+profit comparisons paired rather than independent. The admission
+validation pairs its slot counts the same way: every point at one arrival
+rate counts admissions on one trace, drawn once for that rate.
 """
 from __future__ import annotations
 
@@ -255,19 +257,31 @@ def run_admission_validation(
     """Analytic vs loss-mode simulated admission rate per (n, λ) grid point.
 
     The simulation runs the slot-spacing rule with no charging stage, so any
-    gap is pure Monte-Carlo noise around the blocking formula. Rows are
-    (n, lambda, d, analytic, simulated, gap).
+    gap is pure Monte-Carlo noise around the blocking formula. Every point
+    at one rate reads one arrival trace, drawn from stream (seed, i) where i
+    is the grid index of the first point at that rate: the counts at a rate
+    are compared on common random numbers, and a grid that repeats each
+    rate once per count draws each rate once. The rates are drawn in
+    first-seen order and one trace is alive at a time. Rows are (n, lambda,
+    d, analytic, simulated, gap), in grid order.
     """
-    rows = []
-    for idx, (n, lam) in enumerate(grid):
-        analysis = analyze_admission(n, demand, replace(station_template, lam=lam))
-        analytic = float(analysis.p_admit)
-        rng = rng_for_stream(seed, idx)
-        horizon = arrivals_per_point / lam
-        arrivals = gen_poisson_arrivals(lam, horizon, rng)
-        admitted = run_loss_admission(arrivals, n, analysis.t_v)
-        simulated = admitted / len(arrivals) if len(arrivals) else 1.0
-        rows.append([n, lam, demand, analytic, simulated, abs(analytic - simulated)])
+    points_at: dict = {}
+    for idx, (_, lam) in enumerate(grid):
+        points_at.setdefault(lam, []).append(idx)
+    rows: list = [None] * len(grid)
+    for lam, indices in points_at.items():
+        station = replace(station_template, lam=lam)
+        arrivals = gen_poisson_arrivals(
+            lam, arrivals_per_point / lam, rng_for_stream(seed, indices[0])
+        )
+        for idx in indices:
+            n = grid[idx][0]
+            analysis = analyze_admission(n, demand, station)
+            analytic = float(analysis.p_admit)
+            admitted = run_loss_admission(arrivals, n, analysis.t_v)
+            simulated = admitted / len(arrivals) if len(arrivals) else 1.0
+            rows[idx] = [n, lam, demand, analytic, simulated, abs(analytic - simulated)]
+        del arrivals  # the next rate's draw starts with no trace alive
     if out_path is not None:
         _write_csv(Path(out_path), ADMISSION_COLUMNS, rows)
     return rows
@@ -310,6 +324,7 @@ def run_wait_validation(
         cases.append(([JoapAdmission(n, analysis.t_v, d)], econ, station, horizon))
         rows.append([n, lam, d, rho, analytic, None, None, "ok"])
     stable = [row for row in rows if row[-1] == "ok"]
+    # A grid with no stable point simulates nothing, so it reads no reps.
     for row, [metrics] in zip(stable, replicate(cases, reps, seed) if cases else []):
         analytic, simulated = row[4], metrics.mean_wait
         row[5:7] = simulated, abs(analytic - simulated) / max(simulated, 1e-12)

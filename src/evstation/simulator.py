@@ -364,6 +364,8 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
     with or on the chunking.
     """
     _check_count(reps, "reps")
+    if not cases:
+        return []
     for policies, _, _, horizon in cases:
         if not policies:
             raise DomainError("a case must hold at least one policy")

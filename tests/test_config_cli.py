@@ -75,6 +75,19 @@ def test_empty_scenarios_rejected():
         parse_config(raw)
 
 
+def test_duplicate_scenario_names_rejected():
+    # The daily report keys its rows by scenario name, so a repeated name
+    # would drop the earlier scenario's rows from policies_by_scenario.
+    raw = json.loads(bundled_config_path("table1").read_text())
+    raw["scenarios"][1]["name"] = raw["scenarios"][0]["name"]
+    with pytest.raises(ConfigError, match=r"scenarios\[1\].*scenarios\[0\]"):
+        parse_config(raw)
+    raw = valid_raw()
+    raw["scenarios"] = [dict(raw["scenarios"][0], name=name) for name in ("a", "b", "a", "b")]
+    with pytest.raises(ConfigError, match=r"scenarios\[2\].*scenarios\[0\].*scenarios\[3\]"):
+        parse_config(raw)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
@@ -334,9 +347,12 @@ def test_cli_oracle(capsys):
 
 
 def test_cli_missing_config(capsys):
-    code = cli_dispatch(["optimize", "--config", "/no/such/file.json"])
-    assert code == 1
-    assert "/no/such/file.json" in capsys.readouterr().err
+    # Only a bare name reads as a bundled config: a missing path whose stem
+    # names one (table1) is still a missing file.
+    for path in ("/no/such/file.json", "/no/such/table1.json"):
+        code = cli_dispatch(["optimize", "--config", path])
+        assert code == 1
+        assert path in capsys.readouterr().err
 
 
 def test_cli_config_is_a_directory(tmp_path, capsys):

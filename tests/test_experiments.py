@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from evstation import (
     price_for_demand,
     replicate,
     rng_for_stream,
+    run_loss_admission,
 )
 from evstation import experiments
 from evstation.config import RunOptions
@@ -173,6 +175,84 @@ def test_admission_validation_matches_per_arrival_loop():
     with mock.patch.object(experiments, "gen_poisson_arrivals", whole_minute_arrivals):
         rows = run_admission_validation(*args)
     assert rows == admission_rows_per_arrival_loop(*args, draw=whole_minute_arrivals)
+
+
+# Rates repeat in interleaved order: 0.1 at indices 0 and 2, 0.2 at 1 and 3.
+REPEATED_RATE_GRID = ((3, 0.1), (4, 0.2), (4, 0.1), (5, 0.2), (3, 0.3))
+
+
+def first_index_of_rate(grid):
+    first = {}
+    for idx, (_, lam) in enumerate(grid):
+        first.setdefault(lam, idx)
+    return first
+
+
+def test_admission_validation_shares_one_trace_per_rate():
+    station = StationParams(m=4, alpha=3.3, parking_capacity=40, lam=0.3, tau=1.01)
+    grid = REPEATED_RATE_GRID
+    first = first_index_of_rate(grid)
+    for seed in (5, 6):
+        args = (station, 35.0, grid, 20_000, seed)
+        rows = run_admission_validation(*args)
+        for (n, lam), row in zip(grid, rows):
+            analysis = analyze_admission(n, 35.0, replace(station, lam=lam))
+            arrivals = gen_poisson_arrivals(lam, 20_000 / lam, rng_for_stream(seed, first[lam]))
+            simulated = run_loss_admission(arrivals, n, analysis.t_v) / len(arrivals)
+            analytic = float(analysis.p_admit)
+            assert row == [n, lam, 35.0, analytic, simulated, abs(analytic - simulated)]
+        # The first point at each rate reads the stream it read when every
+        # point drew its own trace.
+        per_point = admission_rows_per_arrival_loop(*args)
+        for idx in first.values():
+            assert rows[idx] == per_point[idx]
+        assert rows[2] != per_point[2]  # a later point at 0.1 reads stream 0, not 2
+
+
+def test_admission_validation_draws_each_rate_once():
+    station = StationParams(m=4, alpha=3.3, parking_capacity=40, lam=0.3, tau=1.01)
+    drawn = []
+
+    def counting_draw(lam, horizon, rng):
+        drawn.append(lam)
+        return gen_poisson_arrivals(lam, horizon, rng)
+
+    with mock.patch.object(experiments, "gen_poisson_arrivals", counting_draw):
+        rows = run_admission_validation(station, 35.0, REPEATED_RATE_GRID, 5_000, 5)
+    assert drawn == [0.1, 0.2, 0.3]  # first-seen order
+    assert [row[:2] for row in rows] == [list(point) for point in REPEATED_RATE_GRID]
+
+
+def test_admission_validation_holds_one_trace_at_a_time():
+    # Every point draws about 100,000 arrivals, some 1 MB of trace. The peak
+    # of the whole grid stays within one draw's own peak plus half a trace:
+    # a second trace alive while the next is drawn, or every rate's trace
+    # held until the end, would add at least a whole one.
+    station = StationParams(m=4, alpha=3.3, parking_capacity=40, lam=0.3, tau=1.01)
+    arrivals_per_point, seed = 100_000, 5
+    first = first_index_of_rate(REPEATED_RATE_GRID)
+    run_admission_validation(station, 35.0, REPEATED_RATE_GRID, 1_000, seed)  # warm caches
+    draw_peak = trace_bytes = 0
+    tracemalloc.start()
+    try:
+        for lam, idx in first.items():
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            arrivals = gen_poisson_arrivals(
+                lam, arrivals_per_point / lam, rng_for_stream(seed, idx)
+            )
+            held, peak = tracemalloc.get_traced_memory()
+            draw_peak = max(draw_peak, peak - start)
+            trace_bytes = max(trace_bytes, held - start)
+            del arrivals
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        run_admission_validation(station, 35.0, REPEATED_RATE_GRID, arrivals_per_point, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace_bytes > 8 * arrivals_per_point
+    assert peak - start < draw_peak + trace_bytes / 2
 
 
 def wait_rows_per_point(station_template, econ, grid, reps, horizon, seed):

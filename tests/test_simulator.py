@@ -267,6 +267,9 @@ def test_replicate_rejects_bad_reps_and_horizon():
     for reps in (0, -1):
         with pytest.raises(DomainError, match="reps"):
             replicate([([policy], econ, station, 240.0)], reps, 1)
+        with pytest.raises(DomainError, match="reps"):
+            replicate([], reps, 1)
+    assert replicate([], 3, 1) == []  # no cases, nothing to run
     for horizon in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="horizon"):
             replicate([([policy], econ, station, horizon)], 3, 1)
