@@ -9,7 +9,7 @@ Markov-chain oracle for verification, a discrete-event simulator with two
 benchmark policies, and batch experiment runners with CSV output.
 """
 from .config import ConfigError, RunOptions, Scenario, load_config, parse_config, with_penalty
-from .ctmc import TwoPhaseChain, blocking_probability, build_generator, occupancy_marginal, steady_state
+from .ctmc import TwoPhaseChain, build_generator, occupancy_marginal, steady_state
 from .economics import (
     DomainError,
     EconomicParams,
@@ -22,7 +22,6 @@ from .economics import (
 )
 from .experiments import (
     ExperimentReport,
-    build_policy,
     run_admission_validation,
     run_daily_experiment,
     run_tau_study,

@@ -3,7 +3,8 @@
 Subcommands, each taking --config (all but oracle) and only the flags it reads:
     analyze     admission analysis for a slot count and demand: --scenario --n --demand
     optimize    the optimized operating point as JSON: --scenario --penalty --optimize-tau
-    simulate    one policy on one scenario: --scenario --seed --reps --penalty --policy
+    simulate    one policy's row of the daily run on one scenario:
+                --scenario --seed --reps --penalty --policy
     experiment  batch runners writing CSVs, flags after the runner's name: daily and tau
                 --seed --reps --penalty --out; wait --seed --reps --out; admission --seed --out
     oracle      ctmc: the verification chain and its blocking check: --n --lam --t-v
@@ -19,12 +20,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunOptions, _whole, bundled_config_path, load_config, with_penalty
-from .ctmc import blocking_probability, build_generator, occupancy_marginal, steady_state
+from .ctmc import build_generator, occupancy_marginal
 from .economics import DomainError
 from .experiments import (
     POLICY_NAMES,
-    _horizon,
-    build_policy,
     run_admission_validation,
     run_daily_experiment,
     run_tau_study,
@@ -32,7 +31,6 @@ from .experiments import (
 )
 from .optimizer import optimize_joap, optimize_tau
 from .queueing import analyze_admission, erlang_blocking
-from .simulator import replicate
 
 
 def _plain(obj):
@@ -94,10 +92,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_simulate(args) -> int:
     scenarios, run = _load(args)
     scenario = _pick_scenario(scenarios, args.scenario)
-    policy, n, demand = build_policy(args.policy, scenario)
-    case = ([policy], scenario.econ, scenario.station, _horizon(run, scenario))
-    [[metrics]] = replicate([case], run.reps, run.seed)
-    _emit({"policy": args.policy, "n": n, "demand_kwh": demand, "metrics": metrics})
+    [row] = [r for r in run_daily_experiment([scenario], run).rows if r.policy == args.policy]
+    _emit({"policy": args.policy, "n": row.n, "demand_kwh": row.demand, "metrics": row.metrics})
     return 0
 
 
@@ -135,15 +131,14 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle(args) -> int:
     chain = build_generator(args.n, args.lam, args.t_v)
-    pi = steady_state(chain)
-    marginal = occupancy_marginal(chain, pi)
+    marginal = occupancy_marginal(chain)
     _emit(
         {
             "n": args.n,
             "states": [list(s) for s in chain.states],
             "generator": chain.generator,
             "occupancy_marginal": marginal,
-            "blocking_ctmc": blocking_probability(chain, pi),
+            "blocking_ctmc": float(marginal[args.n]),
             "blocking_erlang": erlang_blocking(args.n, args.lam * args.t_v),
         }
     )
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "optimize", _cmd_optimize, ["--scenario", "--penalty"], "optimized operating point")
     p.add_argument("--optimize-tau", action="store_true")
 
-    p = command(sub, "simulate", _cmd_simulate, list(shared), "replicate one policy on one scenario")
+    p = command(sub, "simulate", _cmd_simulate, list(shared), "a policy's daily-run row, one scenario")
     p.add_argument("--policy", choices=POLICY_NAMES, default="joap")
 
     runners = sub.add_parser("experiment", help="batch experiment runners")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -120,31 +121,32 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     capacity = _whole(st.get("parking_capacity"), "parking_capacity", 1, problems, "station")
     if problems:
         raise ConfigError(f"{context}: " + "; ".join(problems))
+    # Each block is read once; each scenario then sets its price and rate.
+    with _blame(f"{context}: economics"):
+        econ_block = EconomicParams(
+            beta=_real(ec, "beta"),
+            phi=_real(ec, "phi_kwh"),
+            u_phi=_real(ec, "u_phi"),
+            p_e=0.0,
+            c=_real(ec, "penalty_rate", 0.0),
+            wait_model=ec.get("wait_model", "theorem1"),
+        )
+    with _blame(f"{context}: station"):
+        station_block = StationParams(
+            m=m,
+            alpha=_real(st, "alpha_kw"),
+            parking_capacity=capacity,
+            lam=1.0,
+            tau=_real(st, "tau"),
+        )
 
     scenarios: list[Scenario] = []
     for i, sc in enumerate(scenarios_raw):
         ctx = f"{context}:scenarios[{i}]"
         _check_keys(sc, "scenario", ctx)
-        try:
-            econ = EconomicParams(
-                beta=_real(ec, "beta"),
-                phi=_real(ec, "phi_kwh"),
-                u_phi=_real(ec, "u_phi"),
-                p_e=_real(sc, "p_e_mwh") / 1000.0,  # $/MWh -> $/kWh
-                c=_real(ec, "penalty_rate", 0.0),
-                wait_model=ec.get("wait_model", "theorem1"),
-            )
-            station = StationParams(
-                m=m,
-                alpha=_real(st, "alpha_kw"),
-                parking_capacity=capacity,
-                lam=_real(sc, "lambda_per_min"),
-                tau=_real(st, "tau"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{ctx}: missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError, DomainError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+        with _blame(ctx):
+            econ = replace(econ_block, p_e=_real(sc, "p_e_mwh") / 1000.0)  # $/MWh -> $/kWh
+            station = replace(station_block, lam=_real(sc, "lambda_per_min"))
         duration = sc.get("duration_min", 240.0)
         duration = _positive(duration, f"scenarios[{i}]: duration_min", problems)
         scenarios.append(
@@ -170,6 +172,17 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     if problems:
         raise ConfigError(f"{context}: " + "; ".join(problems))
     return scenarios, RunOptions(seed=seed, reps=reps, horizon=horizon)
+
+
+@contextmanager
+def _blame(context: str):
+    """Report a missing field or an invalid value in the block as a ConfigError naming context."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{context}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _is_number(value) -> bool:

@@ -31,8 +31,6 @@ class TwoPhaseChain:
     """
 
     n: int
-    kappa: float
-    lam: float
     states: tuple
     generator: np.ndarray
 
@@ -67,7 +65,7 @@ def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
             gen[row, row] += -s2 * kappa - lam
         else:
             gen[row, row] += -s2 * kappa
-    return TwoPhaseChain(n=n, kappa=kappa, lam=lam, states=states, generator=gen)
+    return TwoPhaseChain(n=n, states=states, generator=gen)
 
 
 def steady_state(chain: TwoPhaseChain) -> np.ndarray:
@@ -87,14 +85,12 @@ def steady_state(chain: TwoPhaseChain) -> np.ndarray:
     return x
 
 
-def occupancy_marginal(chain: TwoPhaseChain, dist: np.ndarray | None = None) -> np.ndarray:
-    """Marginal distribution of the total-busy coordinate s2."""
-    if dist is None:
-        dist = steady_state(chain)
+def occupancy_marginal(chain: TwoPhaseChain) -> np.ndarray:
+    """Steady-state marginal distribution of the total-busy coordinate s2.
+
+    Its last entry, the mass on full occupancy (s2 = n), is the blocking
+    probability.
+    """
     # bincount adds each state's mass in state order, as a running sum would.
-    return np.bincount(np.array(chain.states)[:, 1], weights=dist, minlength=chain.n + 1)
-
-
-def blocking_probability(chain: TwoPhaseChain, dist: np.ndarray | None = None) -> float:
-    """Probability mass on full occupancy (s2 = n)."""
-    return float(occupancy_marginal(chain, dist)[chain.n])
+    busy = np.array(chain.states)[:, 1]
+    return np.bincount(busy, weights=steady_state(chain), minlength=chain.n + 1)

@@ -12,7 +12,10 @@ experiment or the JoAP plans of the spacing study, on one arrival trace
 drawn from it: common random numbers by construction, which makes the
 profit comparisons paired rather than independent. The admission
 validation pairs its slot counts the same way: every point at one arrival
-rate counts admissions on one trace, drawn once for that rate.
+rate counts admissions on one trace, drawn once for that rate. No
+scenario's rows of the daily experiment depend on the scenarios run beside
+it, so the CLI's `simulate` prints its scenario's row of the daily
+experiment, run on that scenario alone.
 """
 from __future__ import annotations
 
@@ -23,7 +26,9 @@ from pathlib import Path
 
 from .config import RunOptions, Scenario
 from .economics import EconomicParams, StationParams, demand_region_bound, price_for_demand
-from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_joap_many
+# optimize_joap has no caller here: perfbench's tracer test checks that this
+# import site is rebound, so it stays until that test names another site.
+from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_joap_many  # noqa: F401
 from .queueing import analyze_admission, mean_wait
 from .simulator import (
     GreedyAdmission,
@@ -78,81 +83,57 @@ class ExperimentReport:
     policies_by_scenario: dict = field(default_factory=dict)
 
 
-def build_policy(name: str, scenario: Scenario) -> tuple[object, int | None, float]:
-    """Instantiate one admission policy for a scenario.
+def _policies(scenarios: list) -> list:
+    """Each scenario's admission policies, in POLICY_NAMES order.
 
-    Returns (policy, slot count or None, demand). The JoAP policy is placed
-    at its optimized operating point; both benchmarks use the myopic
+    JoAP sits at the scenario's optimized operating point, every scenario's
+    from one optimize_joap_many search; both benchmarks charge the myopic
     margin-maximizing demand.
     """
-    econ, station = scenario.econ, scenario.station
-    if name == "joap":
-        return _joap(optimize_joap(econ, station))
-    return _benchmark(name, demand_region_bound(econ))
-
-
-def _joap(plan) -> tuple[object, int, float]:
-    """build_policy's answer for JoAP at an optimized operating point."""
-    return JoapAdmission(plan.n_star, plan.t_v, plan.d_star), plan.n_star, plan.d_star
-
-
-def _benchmark(name: str, d_b: float) -> tuple[object, None, float]:
-    """build_policy's answer for a benchmark policy at the margin-maximizing demand d_b."""
-    if name == "qba":
-        return QbaAdmission(d_b), None, d_b
-    if name == "greedy":
-        return GreedyAdmission(d_b), None, d_b
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    plans = optimize_joap_many([(s.econ, s.station) for s in scenarios])
+    policies = []
+    for scenario, plan in zip(scenarios, plans):
+        d_b = demand_region_bound(scenario.econ)
+        joap = JoapAdmission(plan.n_star, plan.t_v, plan.d_star)
+        policies.append([joap, QbaAdmission(d_b), GreedyAdmission(d_b)])
+    return policies
 
 
 def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> ExperimentReport:
     """Benchmark JoAP against both benchmark policies across all scenarios of one day.
 
-    Every scenario's JoAP point comes from one optimize_joap_many search, and
-    all scenarios are replicated in one `replicate` call: a scenario's three
-    policies run on the same arrival trace per replication. Writes
+    All scenarios are replicated in one `replicate` call: a scenario's three
+    policies run on the same arrival trace per replication. The daily
+    aggregates are running totals from 0.0 in scenario order, which every
+    Python version rounds alike, where sum() compensates since 3.12. Writes
     daily_scenarios.csv, daily_aggregate.csv and daily_summary.json when
     out_dir is given.
     """
-    plans = optimize_joap_many([(s.econ, s.station) for s in scenarios])
-    built = []
-    for scenario, plan in zip(scenarios, plans):
-        d_b = demand_region_bound(scenario.econ)
-        benchmarks = [_benchmark(name, d_b) for name in POLICY_NAMES[1:]]
-        built.append([_joap(plan), *benchmarks])
+    built = _policies(scenarios)
     results = replicate(
-        [
-            ([policy for policy, _, _ in policies], s.econ, s.station, _horizon(run, s))
-            for s, policies in zip(scenarios, built)
-        ],
+        [(policies, s.econ, s.station, _horizon(run, s)) for s, policies in zip(scenarios, built)],
         run.reps,
         run.seed,
     )
     rows: list[ScenarioResult] = []
     policy_specs: dict = {}
+    total_time = 0.0
+    daily_profit, admission_rate, mean_wait = (dict.fromkeys(POLICY_NAMES, 0.0) for _ in range(3))
     for scenario, policies, scenario_results in zip(scenarios, built, results):
-        for name, (_, n, demand), metrics in zip(POLICY_NAMES, policies, scenario_results):
-            econ = scenario.econ  # no demand is what the choke price sells, as optimize reports
+        econ, duration = scenario.econ, scenario.duration
+        total_time += duration
+        for name, policy, metrics in zip(POLICY_NAMES, policies, scenario_results):
+            n = policy.n if isinstance(policy, JoapAdmission) else None
+            demand = policy.demand  # no demand is what the choke price sells, as optimize reports
             price = price_for_demand(demand, econ) if demand > 0 else econ.choke_price
-            rows.append(
-                ScenarioResult(
-                    scenario=scenario.name,
-                    policy=name,
-                    n=n,
-                    demand=demand,
-                    price=price,
-                    metrics=metrics,
-                    duration=scenario.duration,
-                )
-            )
+            rows.append(ScenarioResult(scenario.name, name, n, demand, price, metrics, duration))
             policy_specs[(scenario.name, name)] = {"n": n, "demand": demand, "price": price}
-    total_time = sum(s.duration for s in scenarios)
-    daily_profit, admission_rate, mean_wait = {}, {}, {}
+            daily_profit[name] += metrics.profit_per_hour * duration / 60.0
+            admission_rate[name] += metrics.admission_rate * duration
+            mean_wait[name] += metrics.mean_wait * duration
     for name in POLICY_NAMES:
-        mine = [r for r in rows if r.policy == name]
-        daily_profit[name] = sum(r.metrics.profit_per_hour * r.duration / 60.0 for r in mine)
-        admission_rate[name] = sum(r.metrics.admission_rate * r.duration for r in mine) / total_time
-        mean_wait[name] = sum(r.metrics.mean_wait * r.duration for r in mine) / total_time
+        admission_rate[name] /= total_time
+        mean_wait[name] /= total_time
     ratios = {
         f"joap_vs_{other}": daily_profit["joap"] / daily_profit[other]
         for other in POLICY_NAMES
@@ -324,8 +305,7 @@ def run_wait_validation(
         cases.append(([JoapAdmission(n, analysis.t_v, d)], econ, station, horizon))
         rows.append([n, lam, d, rho, analytic, None, None, "ok"])
     stable = [row for row in rows if row[-1] == "ok"]
-    # A grid with no stable point simulates nothing, so it reads no reps.
-    for row, [metrics] in zip(stable, replicate(cases, reps, seed) if cases else []):
+    for row, [metrics] in zip(stable, replicate(cases, reps, seed)):
         analytic, simulated = row[4], metrics.mean_wait
         row[5:7] = simulated, abs(analytic - simulated) / max(simulated, 1e-12)
     if out_path is not None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from evstation.config import (
     parse_config,
     with_penalty,
 )
+from evstation.experiments import POLICY_NAMES, run_daily_experiment
 
 
 def valid_raw():
@@ -164,11 +166,13 @@ def test_invalid_values_reported():
         (("scenarios", 0, "duration_min"), None, "scenarios\\[0\\]: duration_min"),
         (("scenarios", 0, "duration_min"), True, "scenarios\\[0\\]: duration_min"),
         (("scenarios", 0, "lambda_per_min"), True, "scenarios\\[0\\]: lambda_per_min"),
-        (("economics", "beta"), True, "scenarios\\[0\\]: beta"),
-        (("station", "alpha_kw"), False, "scenarios\\[0\\]: alpha_kw"),
+        (("economics", "beta"), True, "economics: beta"),
+        (("station", "alpha_kw"), False, "station: alpha_kw"),
+        # A station or economics field is its block's, not the first scenario's.
+        (("station", "tau"), 0.5, "<config>: station: tau must be > 1"),
         (("run", "horizon_min"), True, "run: horizon_min"),
         # A quoted number is a string, not a number.
-        (("economics", "beta"), "0.05", "scenarios\\[0\\]: beta"),
+        (("economics", "beta"), "0.05", "economics: beta"),
         (("scenarios", 0, "lambda_per_min"), " 0.3 ", "scenarios\\[0\\]: lambda_per_min"),
         (("scenarios", 0, "duration_min"), "240", "scenarios\\[0\\]: duration_min"),
         (("station", "m"), "4", "station: m"),
@@ -177,6 +181,10 @@ def test_invalid_values_reported():
     ):
         with pytest.raises(ConfigError, match=named):
             parse_config(valid_raw_with(path, bad))
+    raw = valid_raw()
+    del raw["station"]["alpha_kw"]
+    with pytest.raises(ConfigError, match="<config>: station: missing field 'alpha_kw'"):
+        parse_config(raw)
     raw = valid_raw()
     raw["run"].update(seed=3.0, reps=2.0, horizon_min=60)
     assert parse_config(raw)[1] == RunOptions(seed=3, reps=2, horizon=60.0)
@@ -225,7 +233,7 @@ def test_cli_seed_and_reps_follow_run_block_rules(monkeypatch, capsys):
     # The flags obey the run block's rules and fail as a ConfigError (exit 1)
     # before any policy is built or optimised.
     built = []
-    monkeypatch.setattr(cli, "build_policy", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "run_daily_experiment", lambda *args: built.append(args))
     for flag, bad in (("--seed", "-1"), ("--reps", "0")):
         assert cli_dispatch(["simulate", "--config", "table1", flag, bad]) == 1
         assert f"{flag}: {flag[2:]} must be a whole number" in capsys.readouterr().err
@@ -324,6 +332,16 @@ def test_cli_simulate(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["policy"] == "qba"
     assert out["metrics"]["replication_count"] == 3
+    # Each policy's output is its row of the whole day's run, scenario by scenario.
+    scenarios, run = load_config(bundled_config_path("table1"))
+    report = run_daily_experiment(scenarios, replace(run, seed=1, reps=3))
+    for name in POLICY_NAMES:
+        flags = ["--policy", name, "--scenario", "2", "--reps", "3", "--seed", "1"]
+        assert cli_dispatch(["simulate", "--config", "table1", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        [row] = [r for r in report.rows if (r.scenario, r.policy) == (scenarios[2].name, name)]
+        assert (out["n"], out["demand_kwh"]) == (row.n, row.demand)
+        assert out["metrics"] == json.loads(json.dumps(asdict(row.metrics)))
 
 
 def test_cli_simulate_one_rep_strict_json(capsys):

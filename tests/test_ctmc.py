@@ -6,7 +6,6 @@ import pytest
 
 from evstation import (
     DomainError,
-    blocking_probability,
     build_generator,
     erlang_blocking,
     erlang_steady_state,
@@ -89,7 +88,7 @@ def test_low_traffic_mass_at_empty():
 def test_two_state_blocking():
     # n = 1 with offered load 1 blocks half the arrivals.
     chain = build_generator(1, 1.0, 1.0)
-    assert blocking_probability(chain) == pytest.approx(0.5, abs=1e-10)
+    assert occupancy_marginal(chain)[chain.n] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_marginals_match_closed_form():
@@ -102,9 +101,7 @@ def test_marginals_match_closed_form():
             marginal = occupancy_marginal(chain)
             expected = erlang_steady_state(n, a)
             assert np.max(np.abs(marginal - expected)) < 1e-8
-            assert blocking_probability(chain) == pytest.approx(
-                erlang_blocking(n, a), abs=1e-8
-            )
+            assert marginal[n] == pytest.approx(erlang_blocking(n, a), abs=1e-8)
 
 
 def test_occupancy_marginal_matches_state_loop():
@@ -116,7 +113,7 @@ def test_occupancy_marginal_matches_state_loop():
             want = np.zeros(n + 1)
             for k, (_, s2) in enumerate(chain.states):
                 want[s2] += dist[k]
-            np.testing.assert_array_equal(occupancy_marginal(chain, dist), want)
+            np.testing.assert_array_equal(occupancy_marginal(chain), want)
 
 
 def test_build_generator_domain():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evstation import (
+    DomainError,
     EconomicParams,
     JoapAdmission,
     StationParams,
@@ -21,7 +22,8 @@ from evstation import (
 from evstation import experiments
 from evstation.config import RunOptions
 from evstation.experiments import (
-    build_policy,
+    POLICY_NAMES,
+    _policies,
     run_admission_validation,
     run_daily_experiment,
     run_tau_study,
@@ -81,19 +83,38 @@ def test_policies_by_scenario_matches_rows(table1):
         assert point == {"n": r.n, "demand": r.demand, "price": r.price}
 
 
-def test_build_policy_rejects_unknown(table1):
-    scenarios, _ = table1
-    with pytest.raises(ValueError, match="unknown policy"):
-        build_policy("oracle", scenarios[0])
+def neumaier_sum(values, start=0):
+    """sum() as Python 3.12 and later add floats: with Neumaier's compensation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
 
 
 def test_daily_aggregate_recombines(table1):
+    # The aggregates add the rows left to right from 0.0, so a sum() that
+    # compensates its rounding, as Python 3.12's does, changes none of them.
     scenarios, _ = table1
-    report = run_daily_experiment(scenarios[:3], small_run())
-    for name in ("joap", "qba", "greedy"):
-        rows = [r for r in report.rows if r.policy == name]
-        recombined = sum(r.metrics.profit_per_hour * r.duration / 60.0 for r in rows)
-        assert report.daily_profit[name] == pytest.approx(recombined, abs=1e-9)
+    with mock.patch.object(experiments, "sum", neumaier_sum, create=True):
+        report = run_daily_experiment(scenarios[:3], small_run())
+    total_time = 0.0
+    for scenario in scenarios[:3]:
+        total_time += scenario.duration
+    for name in POLICY_NAMES:
+        profit = admitted = waited = 0.0
+        for r in report.rows:
+            if r.policy == name:
+                profit += r.metrics.profit_per_hour * r.duration / 60.0
+                admitted += r.metrics.admission_rate * r.duration
+                waited += r.metrics.mean_wait * r.duration
+        assert report.daily_profit[name] == profit
+        assert report.admission_rate[name] == admitted / total_time
+        assert report.mean_wait[name] == waited / total_time
 
 
 def test_common_random_numbers_across_policies(table1):
@@ -101,8 +122,8 @@ def test_common_random_numbers_across_policies(table1):
     scenarios, _ = table1
     scenario = scenarios[0]
     traces = []
-    for name in ("joap", "qba", "greedy"):
-        policy, _, _ = build_policy(name, scenario)
+    [policies] = _policies([scenario])
+    for policy in policies:
         arrivals = gen_poisson_arrivals(scenario.station.lam, 240.0, rng_for_stream(11, 2))
         records = run_one_row(policy, scenario.econ, scenario.station, arrivals)
         traces.append([r.arrival_time for r in records])
@@ -281,9 +302,12 @@ def test_wait_validation_matches_one_call_per_point(econ_default):
         rows = run_wait_validation(*args)
         assert [r[7] for r in rows] == ["ok", "unstable", "ok", "ok", "ok"]
         assert rows == wait_rows_per_point(*args)
+    # A grid with no stable point simulates nothing, yet its reps are checked.
     unstable_only = ((8, 0.4, 50.0),)
-    assert run_wait_validation(station, econ_default, unstable_only, 0, 300.0, 7) == (
-        wait_rows_per_point(station, econ_default, unstable_only, 0, 300.0, 7)
+    with pytest.raises(DomainError):
+        run_wait_validation(station, econ_default, unstable_only, 0, 300.0, 7)
+    assert run_wait_validation(station, econ_default, unstable_only, 1, 300.0, 7) == (
+        wait_rows_per_point(station, econ_default, unstable_only, 1, 300.0, 7)
     )
 
 

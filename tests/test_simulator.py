@@ -29,7 +29,7 @@ from evstation import (
     run_loss_admission,
 )
 from evstation.config import with_penalty
-from evstation.experiments import POLICY_NAMES, build_policy
+from evstation.experiments import POLICY_NAMES, _policies
 from evstation.simulator import SimMetrics
 
 
@@ -574,11 +574,9 @@ def test_replicate_matches_reference_on_table1(table1, c):
     for scenario in scenarios:
         scenario = with_penalty(scenario, c)
         small = replace(scenario.station, parking_capacity=scenario.station.m)
-        for station in (scenario.station, small):
-            policies = [
-                build_policy(name, replace(scenario, station=station))[0]
-                for name in ("joap", "qba", "greedy")
-            ]
+        stations = (scenario.station, small)
+        built = _policies([replace(scenario, station=station) for station in stations])
+        for station, policies in zip(stations, built):
             args = (scenario.econ, station, scenario.duration, 20, run.seed)
             [results] = replicate([(policies, *args[:3])], *args[3:])
             assert len(results) == 3
@@ -828,8 +826,8 @@ def test_daily_replicate_memory_stays_small(table1, c):
     scenarios, run = table1
     scenarios = [with_penalty(s, c) for s in scenarios]
     cases = [
-        ([build_policy(name, s)[0] for name in POLICY_NAMES], s.econ, s.station, s.duration)
-        for s in scenarios
+        (policies, s.econ, s.station, s.duration)
+        for s, policies in zip(scenarios, _policies(scenarios))
     ]
     tracemalloc.start()
     try:
@@ -889,8 +887,8 @@ def test_metrics_match_per_row_reduction():
 
 def test_trace_matches_reference(table1):
     scenarios, run = table1
-    for name in ("joap", "qba", "greedy"):
-        policy, _, _ = build_policy(name, scenarios[0])
+    [policies] = _policies(scenarios[:1])
+    for policy in policies:
         econ, station, horizon = scenarios[0].econ, scenarios[0].station, scenarios[0].duration
         arrivals = gen_poisson_arrivals(station.lam, horizon, rng_for_stream(run.seed, 0))
         records = run_one_row(policy, econ, station, arrivals)
