@@ -39,9 +39,7 @@ from .queueing import (
     profit_s,
 )
 from .simulator import (
-    GreedyAdmission,
-    JoapAdmission,
-    QbaAdmission,
+    AdmissionRule,
     SimMetrics,
     gen_poisson_arrivals,
     replicate,

@@ -100,7 +100,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     scenarios, run = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"--out {args.out}: cannot make the output directory: {exc}") from exc
     if args.which == "daily":
         report = run_daily_experiment(scenarios, run, out)
         _emit({"daily_profit": report.daily_profit, "ratios": report.ratios})

@@ -12,11 +12,12 @@ The schema (version 1) has four blocks:
 
 Electricity prices are given in $/MWh (as tariffs usually are) and stored
 in $/kWh. Unknown keys anywhere are rejected so typos cannot silently
-change an experiment, and no two scenarios may share a name, since the
-daily report keys its rows by name. station.m and station.parking_capacity
+change an experiment. The daily report keys its rows by scenario name, so
+a name must be a non-empty string (scenario i defaults to "scenario-i")
+and no two scenarios may share one. station.m and station.parking_capacity
 must be whole numbers >= 1. In the run block, seed must be a whole number
 >= 0, reps a whole number >= 1 and horizon_min finite and positive. No
-field takes a JSON boolean for a number.
+field, schema_version included, takes a JSON boolean for a number.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -98,7 +99,7 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
         raise ConfigError(f"{context}: top level must be an object")
     _check_keys(raw, "top", context)
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_number(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"{context}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
     problems: list[str] = []
     for block in ("station", "economics", "scenarios"):
@@ -141,6 +142,7 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
         )
 
     scenarios: list[Scenario] = []
+    first_of: dict = {}
     for i, sc in enumerate(scenarios_raw):
         ctx = f"{context}:scenarios[{i}]"
         _check_keys(sc, "scenario", ctx)
@@ -149,21 +151,12 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
             station = replace(station_block, lam=_real(sc, "lambda_per_min"))
         duration = sc.get("duration_min", 240.0)
         duration = _positive(duration, f"scenarios[{i}]: duration_min", problems)
-        scenarios.append(
-            Scenario(
-                name=str(sc.get("name", f"scenario-{i}")),
-                duration=duration,
-                econ=econ,
-                station=station,
-            )
-        )
-    first_of: dict = {}
-    for i, scenario in enumerate(scenarios):  # reports key their rows by name
-        first = first_of.setdefault(scenario.name, i)
-        if first != i:
-            problems.append(
-                f"scenarios[{i}]: name {scenario.name!r} repeats scenarios[{first}]'s"
-            )
+        name = sc.get("name", f"scenario-{i}")
+        if not (isinstance(name, str) and name):  # reports key their rows by name
+            problems.append(f"scenarios[{i}]: name must be a non-empty string, got {name!r}")
+        elif (first := first_of.setdefault(name, i)) != i:
+            problems.append(f"scenarios[{i}]: name {name!r} repeats scenarios[{first}]'s")
+        scenarios.append(Scenario(name=name, duration=duration, econ=econ, station=station))
     seed = _whole(run_raw.get("seed", RunOptions.seed), "seed", 0, problems)
     reps = _whole(run_raw.get("reps", RunOptions.reps), "reps", 1, problems)
     horizon = run_raw.get("horizon_min")

@@ -31,9 +31,7 @@ from .economics import EconomicParams, StationParams, demand_region_bound, price
 from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_joap_many  # noqa: F401
 from .queueing import analyze_admission, mean_wait
 from .simulator import (
-    GreedyAdmission,
-    JoapAdmission,
-    QbaAdmission,
+    AdmissionRule,
     SimMetrics,
     gen_poisson_arrivals,
     replicate,
@@ -94,8 +92,8 @@ def _policies(scenarios: list) -> list:
     policies = []
     for scenario, plan in zip(scenarios, plans):
         d_b = demand_region_bound(scenario.econ)
-        joap = JoapAdmission(plan.n_star, plan.t_v, plan.d_star)
-        policies.append([joap, QbaAdmission(d_b), GreedyAdmission(d_b)])
+        joap = AdmissionRule(plan.d_star, plan.n_star, plan.t_v)
+        policies.append([joap, AdmissionRule(d_b), AdmissionRule(d_b, greedy=True)])
     return policies
 
 
@@ -123,7 +121,7 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
         econ, duration = scenario.econ, scenario.duration
         total_time += duration
         for name, policy, metrics in zip(POLICY_NAMES, policies, scenario_results):
-            n = policy.n if isinstance(policy, JoapAdmission) else None
+            n = policy.n if name == "joap" else None
             demand = policy.demand  # no demand is what the choke price sells, as optimize reports
             price = price_for_demand(demand, econ) if demand > 0 else econ.choke_price
             rows.append(ScenarioResult(scenario.name, name, n, demand, price, metrics, duration))
@@ -302,7 +300,7 @@ def run_wait_validation(
             rows.append([n, lam, d, rho, None, None, None, "unstable"])
             continue
         analytic = mean_wait(analysis, station, econ.wait_model)
-        cases.append(([JoapAdmission(n, analysis.t_v, d)], econ, station, horizon))
+        cases.append(([AdmissionRule(d, n, analysis.t_v)], econ, station, horizon))
         rows.append([n, lam, d, rho, analytic, None, None, "ok"])
     stable = [row for row in rows if row[-1] == "ok"]
     for row, [metrics] in zip(stable, replicate(cases, reps, seed)):
@@ -344,7 +342,7 @@ def run_tau_study(
     cases = []
     for scenario, taus in zip(scenarios, taus_of):
         mine, plans = plans[: len(taus)], plans[len(taus) :]
-        policies = [JoapAdmission(plan.n_star, plan.t_v, plan.d_star) for plan in mine]
+        policies = [AdmissionRule(plan.d_star, plan.n_star, plan.t_v) for plan in mine]
         cases.append((policies, scenario.econ, scenario.station, _horizon(run, scenario)))
     rows = []
     fixed_total = 0.0

@@ -7,16 +7,18 @@ completion after the arrival horizon so their waits and profits are not
 censored. Simultaneous departure/arrival ties are resolved departures-first
 (a completion at exactly the arrival instant has left the system).
 
-The three policies are one admission rule with different parameters. An
-EV arriving at t, whose FIFO wait would be exactly `wait`, is admitted iff
+The three policies are one AdmissionRule record with different fields:
+(demand, n, t_v, greedy). An EV arriving at t, whose FIFO wait would be
+exactly `wait`, is admitted iff
 - the lot has room;
 - its policy's n-th most recent admission arrived at or before t - t_v,
   the sliding window `run_loss_admission` counts (-inf before there were n);
 - cap - rate * wait > 0.
-JoAP sets (n, t_v). QBA and greedy set n = 1 and t_v = 0, a window that
-never binds. A greedy row's (rate, cap) is (c, margin), the very terms its
-profit is booked with; every other row's is (0, +inf). The policies are
-records of these parameters, and no run keeps state in them.
+JoAP sets (n, t_v). QBA and greedy keep the defaults n = 1 and t_v = 0, a
+window that never binds, and greedy sets greedy=True. A greedy row's
+(rate, cap) is (c, margin), the very terms its profit is booked with; every
+other row's is (0, +inf). Any window may carry the wait test, and no run
+keeps state in a record.
 
 Every EV needs the same service time and takes the earliest free port in
 turn, so EVs complete in the order they were admitted: the earliest free
@@ -156,7 +158,7 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
     """Fast count of admissions under the JoAP rule with no charging queue.
 
     An arrival at t is admitted iff the n-th most recent admission came at
-    or before t - t_v, as in JoapAdmission, which also sets the domain of n
+    or before t - t_v, as in AdmissionRule, which also sets the domain of n
     and t_v. The window edge admitted[-n] + t_v moves only when an arrival is
     admitted, so the loop holds it in a local and recomputes it only then:
     the same double the rule computes per arrival, whatever the order of the
@@ -177,43 +179,29 @@ def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
 
 
 @dataclass(frozen=True)
-class JoapAdmission:
-    """Sliding-window admission at a fixed demand (the optimized operating point).
+class AdmissionRule:
+    """One admission policy at a fixed demand: a sliding window and an optional wait test.
 
     The paper's n sub-processes each admit at most one EV per t_v, so an
-    arrival at t is admitted iff fewer than n admissions fell in
+    arrival at t passes the window iff fewer than n admissions fell in
     (t - t_v, t], that is iff the n-th most recent admission came at or
     before t - t_v: one that came exactly t_v earlier no longer counts. With
     t_v == 0, the operating point of a station that sells nothing, every
-    arrival is admitted.
+    arrival passes. JoAP is the window at its optimized (n, t_v, demand).
+    QBA is the default window, n = 1 and t_v = 0, which never binds: it
+    admits every EV the lot has room for, so the lot size is its threshold.
+    A greedy rule also admits only EVs whose margin beats the penalty of
+    their exactly-known FIFO wait, the margin and penalty rate being the
+    case's, those its profit is booked with.
     """
 
-    n: int
-    t_v: float
     demand: float
-    greedy = False  # no wait test
+    n: int = 1
+    t_v: float = 0.0
+    greedy: bool = False
 
     def __post_init__(self):
         _check_window(self.n, self.t_v)
-
-
-@dataclass(frozen=True)
-class QbaAdmission:
-    """Admit every EV the lot has room for: the lot size is the threshold."""
-
-    demand: float
-    n, t_v, greedy = 1, 0.0, False  # a window that never binds, and no wait test
-
-
-@dataclass(frozen=True)
-class GreedyAdmission:
-    """Admit iff the EV's margin beats the penalty of its exactly-known FIFO wait.
-
-    The margin and penalty rate are the case's, those its profit is booked with.
-    """
-
-    demand: float
-    n, t_v, greedy = 1, 0.0, True  # a window that never binds, and the wait test
 
 
 class _Columns(NamedTuple):

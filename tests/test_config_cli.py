@@ -118,10 +118,11 @@ def test_parse_config_raises_only_config_error(path, value):
 
 
 def test_schema_version_checked():
-    raw = valid_raw()
-    raw["schema_version"] = 2
-    with pytest.raises(ConfigError, match="schema_version"):
-        parse_config(raw)
+    # True == 1 in Python, but a JSON boolean is no number; 1.0 is the whole number 1.
+    for bad in (2, True, "1", None):
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_config(valid_raw_with(("schema_version",), bad))
+    assert parse_config(valid_raw_with(("schema_version",), 1.0)) == parse_config(valid_raw())
 
 
 def test_invalid_values_reported():
@@ -178,9 +179,21 @@ def test_invalid_values_reported():
         (("station", "m"), "4", "station: m"),
         (("run", "reps"), "5", "run: reps"),
         (("run", "horizon_min"), "60", "run: horizon_min"),
+        # Rows are keyed by name, which str() used to make of any JSON value.
+        (("scenarios", 0, "name"), None, "scenarios\\[0\\]: name"),
+        (("scenarios", 0, "name"), 5, "scenarios\\[0\\]: name"),
+        (("scenarios", 0, "name"), {"a": 1}, "scenarios\\[0\\]: name"),
+        (("scenarios", 0, "name"), ["a"], "scenarios\\[0\\]: name"),
+        (("scenarios", 0, "name"), True, "scenarios\\[0\\]: name"),
+        (("scenarios", 0, "name"), "", "scenarios\\[0\\]: name"),
     ):
         with pytest.raises(ConfigError, match=named):
             parse_config(valid_raw_with(path, bad))
+    raw = valid_raw()
+    raw["scenarios"].append(dict(raw["scenarios"][0]))
+    for scenario in raw["scenarios"]:
+        del scenario["name"]
+    assert [s.name for s in parse_config(raw)[0]] == ["scenario-0", "scenario-1"]
     raw = valid_raw()
     del raw["station"]["alpha_kw"]
     with pytest.raises(ConfigError, match="<config>: station: missing field 'alpha_kw'"):
@@ -443,6 +456,18 @@ def test_cli_experiment_daily_writes_outputs(tmp_path, capsys):
         assert (tmp_path / name).exists()
     summary = json.loads((tmp_path / "daily_summary.json").read_text())
     assert set(summary["daily_profit"]) == {"joap", "qba", "greedy"}
+
+
+def test_cli_experiment_out_not_a_directory(tmp_path, capsys):
+    # An --out that names a file, or a path under one, is an input error
+    # naming --out, not a runtime error (exit 2).
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert cli_dispatch(["experiment", "admission", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and "Errno" in err
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from evstation import (
+    AdmissionRule,
     DomainError,
     EconomicParams,
-    JoapAdmission,
-    QbaAdmission,
     StationParams,
     analyze_admission,
     build_generator,
@@ -132,11 +131,11 @@ _COUNT_CALLS = {
     "analyze_admission": lambda k, econ, station: analyze_admission(k, 10.0, station),
     "profit_s": lambda k, econ, station: profit_s(k, 10.0, econ, station),
     "objective": lambda k, econ, station: objective([k], [10.0], econ, station),
-    "JoapAdmission": lambda k, econ, station: JoapAdmission(k, 1.0, 10.0),
+    "AdmissionRule": lambda k, econ, station: AdmissionRule(10.0, k, 1.0),
     "run_loss_admission": lambda k, econ, station: run_loss_admission(np.array([1.0]), k, 1.0),
     "build_generator": lambda k, econ, station: build_generator(k, 1.0, 1.0),
     "replicate": lambda k, econ, station: replicate(
-        [([QbaAdmission(15.0)], econ, station, 240.0)], k, 1
+        [([AdmissionRule(15.0)], econ, station, 240.0)], k, 1
     ),
 }
 

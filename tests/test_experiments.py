@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from evstation import (
+    AdmissionRule,
     DomainError,
     EconomicParams,
-    JoapAdmission,
     StationParams,
     analyze_admission,
     demand_response,
@@ -286,7 +286,7 @@ def wait_rows_per_point(station_template, econ, grid, reps, horizon, seed):
             rows.append([n, lam, d, analysis.rho, None, None, None, "unstable"])
             continue
         analytic = mean_wait(analysis, station, econ.wait_model)
-        policy = JoapAdmission(n, analysis.t_v, d)
+        policy = AdmissionRule(d, n, analysis.t_v)
         [[metrics]] = replicate([([policy], econ, station, horizon)], reps, seed)
         simulated = metrics.mean_wait
         rel_gap = abs(analytic - simulated) / max(simulated, 1e-12)

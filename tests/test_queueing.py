@@ -211,7 +211,7 @@ def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default, monke
     # model says 0 without touching the moments, and the simulation agrees.
     from dataclasses import replace
 
-    from evstation import JoapAdmission, queueing, replicate
+    from evstation import AdmissionRule, queueing, replicate
 
     def no_moments(*args):
         raise AssertionError("moments must not be needed at n <= m")
@@ -225,7 +225,7 @@ def test_allen_cunneen_zero_at_most_m_slots(econ_default, station_default, monke
                 assert mean_wait(analysis, station, "allen_cunneen") == 0.0
     analysis = analyze_admission(station.m, 20.0, station)
     econ = replace(econ_default, wait_model="allen_cunneen")
-    policy = JoapAdmission(station.m, analysis.t_v, 20.0)
+    policy = AdmissionRule(20.0, station.m, analysis.t_v)
     [[metrics]] = replicate([([policy], econ, station, 600.0)], 5, 3)
     assert metrics.admission_rate < 1.0  # the slots do bind
     assert metrics.mean_wait == 0.0

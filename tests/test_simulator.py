@@ -13,11 +13,9 @@ from scipy.optimize import brentq
 
 import evstation.simulator as sim
 from evstation import (
+    AdmissionRule,
     DomainError,
     EconomicParams,
-    GreedyAdmission,
-    JoapAdmission,
-    QbaAdmission,
     StationParams,
     analyze_admission,
     erlang_blocking,
@@ -58,10 +56,10 @@ def test_poisson_empty_and_sorted():
 
 
 def joap_decisions(n, t_v, times):
-    """JoapAdmission's decision on each arrival of a trace, at a lot that never fills."""
+    """A JoAP window's decision on each arrival of a trace, at a lot that never fills."""
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10**6, lam=0.1, tau=1.01)
-    return [r.admitted for r in run_one_row(JoapAdmission(n, t_v, 10.0), econ, station, times)]
+    return [r.admitted for r in run_one_row(AdmissionRule(10.0, n, t_v), econ, station, times)]
 
 
 def test_subprocess_admitter_example_pattern():
@@ -83,9 +81,9 @@ def test_joap_admission_spacing_domain():
     assert joap_decisions(1, 0.0, [0.0, 0.0, 1e-9, 3.0]) == [True] * 4
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="t_v"):
-            JoapAdmission(2, bad, 10.0)
+            AdmissionRule(10.0, 2, bad)
     with pytest.raises(DomainError, match="n must"):
-        JoapAdmission(0, 1.0, 10.0)
+        AdmissionRule(10.0, 0, 1.0)
 
 
 def test_qba_threshold_strict():
@@ -93,7 +91,7 @@ def test_qba_threshold_strict():
     # its threshold. Ten EVs at once on one port and a $0.40/min penalty: the
     # last waits 90 minutes, a penalty far above its margin, and is admitted.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
-    policy = QbaAdmission(demand=1.0)  # service 10 min
+    policy = AdmissionRule(demand=1.0)  # service 10 min
     roomy = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     records = run_one_row(policy, econ, roomy, [0.0] * 10)
     assert all(r.admitted for r in records) and records[-1].wait == pytest.approx(90.0)
@@ -113,7 +111,7 @@ def test_greedy_wait_tradeoff():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
     d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
     station = StationParams(m=1, alpha=d * 60.0 / 50.0, parking_capacity=10, lam=0.1, tau=1.01)
-    policy = GreedyAdmission(d)
+    policy = AdmissionRule(d, greedy=True)
     first, waits_30, waits_20 = run_one_row(policy, econ, station, [0.0, 20.0, 30.0])
     assert first.admitted and first.profit == pytest.approx(10.0)
     assert waits_30.admitted is False
@@ -122,6 +120,26 @@ def test_greedy_wait_tradeoff():
     dear = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=10.0, c=0.4)
     [broke] = run_one_row(policy, dear, station, [0.0])
     assert broke.admitted is False
+
+
+def test_greedy_window_counts_only_admissions():
+    # A greedy record with a window of 2 admissions per 100 minutes, on the
+    # $10 margin and 50-minute service above. The EV at 20 fails the wait
+    # test and takes no window slot, so the EV at 30 is the window's second;
+    # the EV at 95 would wait 5 minutes but finds the window full, which
+    # reopens at 100.
+    econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.0, c=0.4)
+    d = brentq(lambda x: price_for_demand(x, econ) * x - 10.0, 0.1, 50.0)
+    station = StationParams(m=1, alpha=d * 60.0 / 50.0, parking_capacity=10, lam=0.1, tau=1.01)
+    times = [0.0, 20.0, 30.0, 95.0, 100.0]
+    records = run_one_row(AdmissionRule(d, 2, 100.0, greedy=True), econ, station, times)
+    assert [r.admitted for r in records] == [True, False, True, False, True]
+    assert [r.wait for r in records] == pytest.approx([0.0, 0.0, 20.0, 0.0, 0.0])
+    # Each of its parts alone admits an EV the record turns away.
+    greedy = run_one_row(AdmissionRule(d, greedy=True), econ, station, times)
+    window = run_one_row(AdmissionRule(d, 2, 100.0), econ, station, times)
+    assert [r.admitted for r in greedy] == [True, False, True, True, False]
+    assert [r.admitted for r in window] == [True, True, False, False, True]
 
 
 Ev = namedtuple("Ev", "arrival_time admitted service_start wait profit")
@@ -157,7 +175,7 @@ def test_fifo_single_server_waits():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
     d = 1.0  # service 10 min
-    policy = QbaAdmission(demand=d)
+    policy = AdmissionRule(demand=d)
     records = run_one_row(policy, econ, station, [0.0, 1.0])
     assert [r.wait for r in records] == pytest.approx([0.0, 9.0])
 
@@ -165,7 +183,7 @@ def test_fifo_single_server_waits():
 def test_fifo_two_servers_waits():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
-    policy = QbaAdmission(demand=1.0)
+    policy = AdmissionRule(demand=1.0)
     records = run_one_row(policy, econ, station, [0.0, 1e-9, 2e-9])
     assert [round(r.wait, 6) for r in records] == pytest.approx([0.0, 0.0, 10.0])
 
@@ -174,7 +192,7 @@ def test_departure_processed_before_arrival():
     # An EV arriving exactly at a completion instant sees the server free.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=1, lam=0.1, tau=1.01)
-    policy = QbaAdmission(demand=1.0)
+    policy = AdmissionRule(demand=1.0)
     records = run_one_row(policy, econ, station, [0.0, 10.0])
     assert all(r.admitted for r in records)
     assert records[1].wait == pytest.approx(0.0)
@@ -183,7 +201,7 @@ def test_departure_processed_before_arrival():
 def test_parking_capacity_converts_to_rejection():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=2, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
-    policy = QbaAdmission(demand=1.0)  # admits whatever the lot has room for
+    policy = AdmissionRule(demand=1.0)  # admits whatever the lot has room for
     times = [0.0, 0.1, 0.2, 0.3]
     records = run_one_row(policy, econ, station, times)
     assert [r.admitted for r in records] == [True, True, False, False]
@@ -196,7 +214,7 @@ def test_full_lot_leaves_joap_slot_free():
     # admission. Had the third arrival counted, the fourth would be rejected.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=2, lam=0.1, tau=1.01)
-    policy = JoapAdmission(3, 50.0, 1.0)  # service 10 min
+    policy = AdmissionRule(1.0, 3, 50.0)  # service 10 min
     times = [0.0, 0.1, 0.2, 10.0]
     records = run_one_row(policy, econ, station, times)
     assert [r.admitted for r in records] == [True, True, False, True]
@@ -210,7 +228,7 @@ def test_joap_trace_spacing():
     n = 4
     t_v = analyze_admission(n, d, station).t_v
     arrivals = gen_poisson_arrivals(station.lam, 2000.0, rng_for_stream(5, 0))
-    records = run_one_row(JoapAdmission(n, t_v, d), econ, station, arrivals)
+    records = run_one_row(AdmissionRule(d, n, t_v), econ, station, arrivals)
     admitted = [r.arrival_time for r in records if r.admitted]
     assert n < len(admitted) < len(records)
     # At most n admissions in any t_v: each comes no sooner than t_v after
@@ -230,7 +248,7 @@ def test_loss_mode_matches_blocking():
 def test_replicate_deterministic_and_reps1():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = QbaAdmission(demand=15.0)
+    policy = AdmissionRule(demand=15.0)
     [[a]] = replicate([([policy], econ, station, 240.0)], 5, 123)
     [[b]] = replicate([([policy], econ, station, 240.0)], 5, 123)
     assert a == b
@@ -248,11 +266,11 @@ def test_replicate_deterministic_and_reps1():
 
 
 def test_replicate_resets_a_policy_between_runs():
-    # One JoapAdmission listed twice: it keeps no state between runs, so the
+    # One JoAP record listed twice: it keeps no state between runs, so the
     # second run on the same trace sees none of the first's admissions.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = JoapAdmission(3, 12.0, 15.0)
+    policy = AdmissionRule(15.0, 3, 12.0)
     [[first, second]] = replicate([([policy, policy], econ, station, 240.0)], 20, 5)
     assert first == second
     [[alone]] = replicate([([policy], econ, station, 240.0)], 20, 5)
@@ -263,7 +281,7 @@ def test_replicate_resets_a_policy_between_runs():
 def test_replicate_rejects_bad_reps_and_horizon():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = QbaAdmission(demand=15.0)
+    policy = AdmissionRule(demand=15.0)
     for reps in (0, -1):
         with pytest.raises(DomainError, match="reps"):
             replicate([([policy], econ, station, 240.0)], reps, 1)
@@ -281,7 +299,7 @@ def test_replicate_rejects_bad_reps_and_horizon():
 def test_half_width_shrinks():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
-    policy = QbaAdmission(demand=15.0)
+    policy = AdmissionRule(demand=15.0)
     [[small]] = replicate([([policy], econ, station, 240.0)], 50, 77)
     [[large]] = replicate([([policy], econ, station, 240.0)], 200, 77)
     ratio = large.half_width_95["profit_per_hour"] / small.half_width_95["profit_per_hour"]
@@ -292,7 +310,7 @@ def test_drain_out_completes_all():
     # Arrivals near the horizon still get served (waits counted, not censored).
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.0)
     station = StationParams(m=1, alpha=6.0, parking_capacity=10, lam=0.1, tau=1.01)
-    policy = QbaAdmission(demand=1.0)
+    policy = AdmissionRule(demand=1.0)
     records = run_one_row(policy, econ, station, [99.0, 99.5])
     assert all(r.admitted and r.service_start is not None for r in records)
     assert records[1].wait == pytest.approx(9.5)
@@ -302,9 +320,9 @@ def test_drain_out_completes_all():
 # generated by cumsum and the event loop ran on plain floats, with a heap of
 # completions and a list of port free times, one EV at a time. The reference
 # event loop checks the lot before it asks the policy, and gives the policy
-# the wait at the earliest free port, as the simulator does. It asks scalar
-# copies of the three rules, with JoAP's window kept in a deque, so it shares
-# no admission code with the simulator. The tests below hold the current code
+# the wait at the earliest free port, as the simulator does. It asks a scalar
+# copy of the record's rule, its window kept in a deque, so it shares no
+# admission code with the simulator. The tests below hold the current code
 # to them bit for bit.
 
 
@@ -337,24 +355,24 @@ def reference_run_loss_admission(arrivals, n, t_v):
 
 
 def reference_rule(policy, econ):
-    """A fresh scalar copy of the policy's rule: decide(t, wait) -> bool."""
-    if isinstance(policy, JoapAdmission):
-        window = deque()
+    """A fresh scalar copy of the policy's rule: decide(t, wait) -> bool.
 
-        def decide(t, wait):
-            while window and window[0] + policy.t_v <= t:
-                window.popleft()
-            if len(window) < policy.n:
-                window.append(t)
-                return True
+    The window holds the admissions of the last t_v minutes, and an arrival
+    joins it only when it is admitted: when the window has room and, for a
+    greedy record, its margin beats its wait's penalty.
+    """
+    window = deque()
+    margin = per_ev_profit(policy.demand, 0.0, econ)
+
+    def decide(t, wait):
+        while window and window[0] + policy.t_v <= t:
+            window.popleft()
+        if len(window) >= policy.n or (policy.greedy and not margin - econ.c * wait > 0):
             return False
+        window.append(t)
+        return True
 
-        return decide
-    if isinstance(policy, GreedyAdmission):
-        margin = per_ev_profit(policy.demand, 0.0, econ)
-        return lambda t, wait: margin - econ.c * wait > 0
-    assert isinstance(policy, QbaAdmission)
-    return lambda t, wait: True
+    return decide
 
 
 def reference_run_simulation(policy, econ, station, horizon, rng):
@@ -558,12 +576,12 @@ def test_loss_mode_edge_cases():
     [(0, 1.0), (-1, 1.0), (1, float("nan")), (1, float("inf")), (1, -float("inf")), (2, -5.0)],
 )
 def test_loss_mode_rejects_invalid_window(n, t_v):
-    # As JoapAdmission does, and before the loop, so an empty trace is rejected too.
+    # As AdmissionRule does, and before the loop, so an empty trace is rejected too.
     for arrivals in (np.empty(0), np.array([1.0, 2.0])):
         with pytest.raises(DomainError):
             run_loss_admission(arrivals, n, t_v)
     with pytest.raises(DomainError):
-        JoapAdmission(n, t_v, 1.0)
+        AdmissionRule(1.0, n, t_v)
 
 
 @pytest.mark.parametrize("c", [0.4, 1.0])
@@ -589,7 +607,8 @@ def replicated_runs(draw):
     """A small station, one to three policies and a short run of 1-6 replications.
 
     Short horizons at low rates leave some replications with no arrivals, so
-    rows have unequal lengths; demands include 0, and JoAP's n may exceed the lot.
+    rows have unequal lengths; demands include 0, and JoAP's n may exceed the
+    lot. A greedy record may also carry a window that binds.
     """
     m = draw(st.integers(1, 4))
     lot = draw(st.integers(m, 3 * m))
@@ -601,9 +620,10 @@ def replicated_runs(draw):
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=p_e, c=c)
     demand = st.one_of(st.just(0.0), st.floats(1.0, 40.0))
     policy = st.one_of(
-        st.builds(JoapAdmission, st.integers(1, 3 * lot), st.floats(0.0, 120.0), demand),
-        st.builds(QbaAdmission, demand),
-        st.builds(GreedyAdmission, demand),
+        st.builds(AdmissionRule, demand, st.integers(1, 3 * lot), st.floats(0.0, 120.0)),
+        st.builds(AdmissionRule, demand),
+        st.builds(AdmissionRule, demand, greedy=st.just(True)),
+        st.builds(AdmissionRule, demand, st.integers(1, lot), st.floats(1.0, 120.0), st.just(True)),
     )
     policies = draw(st.lists(policy, min_size=1, max_size=3))
     horizon = draw(st.floats(0.5, 120.0))
@@ -642,10 +662,10 @@ def test_replicate_cases_match_each_case_alone():
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=0.3, tau=1.01)
     small = replace(station, m=2, parking_capacity=3, lam=1.0)
     cases = [
-        ([JoapAdmission(3, 12.0, 15.0), QbaAdmission(15.0)], econ, station, 240.0),
-        ([GreedyAdmission(15.0)], econ, replace(station, lam=0.1), 600.0),
-        ([QbaAdmission(5.0)], econ, station, 240.0),
-        ([JoapAdmission(2, 5.0, 8.0)], econ, small, 30.0),
+        ([AdmissionRule(15.0, 3, 12.0), AdmissionRule(15.0)], econ, station, 240.0),
+        ([AdmissionRule(15.0, greedy=True)], econ, replace(station, lam=0.1), 600.0),
+        ([AdmissionRule(5.0)], econ, station, 240.0),
+        ([AdmissionRule(8.0, 2, 5.0)], econ, small, 30.0),
     ]
     reps, seed = 7, 3
     alone = [replicate([case], reps, seed)[0] for case in cases]
@@ -682,16 +702,16 @@ def test_replicate_runs_cases_on_one_trace_as_one_loop():
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=2, alpha=6.0, parking_capacity=3, lam=2.0, tau=1.01)
     cases = [
-        ([QbaAdmission(6.0), GreedyAdmission(6.0)], econ, station, 30.0),
+        ([AdmissionRule(6.0), AdmissionRule(6.0, greedy=True)], econ, station, 30.0),
         (
-            [JoapAdmission(2, 20.0, 1.0), QbaAdmission(1.0)],
+            [AdmissionRule(1.0, 2, 20.0), AdmissionRule(1.0)],
             replace(econ, c=1.0), replace(station, m=3, parking_capacity=5), 30.0,
         ),
         (
-            [JoapAdmission(1, 4.0, 0.5), JoapAdmission(3, 0.0, 2.0)],
+            [AdmissionRule(0.5, 1, 4.0), AdmissionRule(2.0, 3, 0.0)],
             econ, replace(station, m=1, parking_capacity=8), 30.0,
         ),
-        ([JoapAdmission(2, 25.0, 1.0)], econ, replace(station, m=4, parking_capacity=40), 60.0),
+        ([AdmissionRule(1.0, 2, 25.0)], econ, replace(station, m=4, parking_capacity=40), 60.0),
     ]
     reps, seed = 6, 3
     expected = [
@@ -766,7 +786,7 @@ def test_qba_is_joap_with_no_window_property(m, extra, lam, demand, n, reps, see
     # and services of up to 200 minutes turn many arrivals away.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=m, alpha=12.0, parking_capacity=m * (1 + extra), lam=lam, tau=1.01)
-    policies = [QbaAdmission(demand), JoapAdmission(n, 0.0, demand)]
+    policies = [AdmissionRule(demand), AdmissionRule(demand, n, 0.0)]
     [[qba, joap]] = replicate([(policies, econ, station, 120.0)], reps, seed)
     assert qba == joap
     [[alone]] = replicate([(policies[1:], econ, station, 120.0)], reps, seed)
@@ -777,17 +797,17 @@ def test_qba_is_joap_with_no_window_at_a_full_lot():
     # The property above at a lot that binds: a third of the arrivals are turned away.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=2, alpha=12.0, parking_capacity=2, lam=1.0, tau=1.01)
-    policies = [QbaAdmission(10.0), JoapAdmission(7, 0.0, 10.0)]
+    policies = [AdmissionRule(10.0), AdmissionRule(10.0, 7, 0.0)]
     [[qba, joap]] = replicate([(policies, econ, station, 120.0)], 3, 1)
     assert qba == joap and qba.admission_rate < 0.7
 
 
 def test_greedy_decides_on_the_case_economics():
-    # One GreedyAdmission record runs under several economics, and decides on
+    # One greedy record runs under several economics, and decides on
     # the margin and penalty rate of each, those its profit is booked with.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=2, alpha=11.5, parking_capacity=10, lam=0.3, tau=1.01)
-    greedy, qba = GreedyAdmission(15.0), QbaAdmission(15.0)
+    greedy, qba = AdmissionRule(15.0, greedy=True), AdmissionRule(15.0)
     cases = [
         ([greedy, qba], econ, station, 240.0),
         ([greedy, qba], replace(econ, c=0.0), station, 240.0),  # no penalty: every EV pays
@@ -807,7 +827,7 @@ def test_replicate_memory_stays_bounded():
     # loop held them all at once. Chunks of replications bound them.
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=0.06, c=0.4)
     station = StationParams(m=4, alpha=11.5, parking_capacity=40, lam=1.0, tau=1.01)
-    policies = [JoapAdmission(6, 20.0, 15.0), QbaAdmission(15.0), GreedyAdmission(15.0)]
+    policies = [AdmissionRule(15.0, 6, 20.0), AdmissionRule(15.0), AdmissionRule(15.0, greedy=True)]
     tracemalloc.start()
     try:
         [results] = replicate([(policies, econ, station, 20_000.0)], 20, 1)
@@ -902,7 +922,10 @@ def test_trace_matches_reference(table1):
 
 @st.composite
 def simulated_runs(draw):
-    """A small random station, one of the three policies and a seed for its arrivals."""
+    """A small random station, a policy and a seed for its arrivals.
+
+    The policy is one of the three, or a greedy record with a window that binds.
+    """
     m = draw(st.integers(1, 4))
     station = StationParams(
         m=m,
@@ -914,13 +937,15 @@ def simulated_runs(draw):
     p_e, c = draw(st.floats(0.01, 0.12)), draw(st.floats(0.0, 1.0))
     econ = EconomicParams(beta=0.05, phi=100.0, u_phi=100.0, p_e=p_e, c=c)
     d = draw(st.floats(1.0, 40.0))
-    name = draw(st.sampled_from(POLICY_NAMES))
+    name = draw(st.sampled_from((*POLICY_NAMES, "greedy window")))
     if name == "joap":
-        policy = JoapAdmission(draw(st.integers(1, 6)), draw(st.floats(0.0, 120.0)), d)
+        policy = AdmissionRule(d, draw(st.integers(1, 6)), draw(st.floats(0.0, 120.0)))
     elif name == "qba":
-        policy = QbaAdmission(d)
+        policy = AdmissionRule(d)
+    elif name == "greedy":
+        policy = AdmissionRule(d, greedy=True)
     else:
-        policy = GreedyAdmission(d)
+        policy = AdmissionRule(d, draw(st.integers(1, 6)), draw(st.floats(1.0, 120.0)), True)
     return name, policy, econ, station, draw(st.integers(0, 2**16))
 
 
@@ -946,13 +971,13 @@ def test_simulator_invariants_property(point):
             k += 1
         elif name == "qba":
             assert in_system == station.parking_capacity  # only a full lot turns an EV away
-    if name == "greedy":
+    if policy.greedy:
         assert all(r.profit > 0 for r in admitted)
+    n, t_v = policy.n, policy.t_v
+    times = [r.arrival_time for r in admitted]
+    # Any n + 1 consecutive admissions span at least t_v.
+    assert all(a + t_v <= b for a, b in zip(times, times[n:]))
     if name == "joap":
-        n, t_v = policy.n, policy.t_v
-        times = [r.arrival_time for r in admitted]
-        # Any n + 1 consecutive admissions span at least t_v.
-        assert all(a + t_v <= b for a, b in zip(times, times[n:]))
         # With a lot that never binds, JoAP is the loss-mode count.
         free = replace(station, parking_capacity=10**6)
         records = run_one_row(policy, econ, free, arrivals)
