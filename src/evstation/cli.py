@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunOptions, _whole, bundled_config_path, load_config, with_penalty
+from .config import ConfigError, RunOptions, _blame, _number, bundled_config_path, load_config, with_penalty
 from .ctmc import build_generator, occupancy_marginal
 from .economics import DomainError
 from .experiments import (
@@ -53,13 +53,11 @@ def _load(args) -> tuple[list, RunOptions]:
         if bundled.exists():
             path = bundled
     scenarios, run = load_config(path)
-    problems: list = []  # --seed and --reps follow the config's run-block rules
-    if vars(args).get("seed") is not None:  # a command has only the flags it reads
-        run = dataclasses.replace(run, seed=_whole(args.seed, "seed", 0, problems, "--seed"))
-    if vars(args).get("reps") is not None:
-        run = dataclasses.replace(run, reps=_whole(args.reps, "reps", 1, problems, "--reps"))
-    if problems:
-        raise ConfigError("; ".join(problems))
+    for flag, least in (("seed", 0), ("reps", 1)):  # the config's run-block rules
+        value = vars(args).get(flag)  # a command has only the flags it reads
+        if value is not None:
+            with _blame(f"--{flag}"):
+                run = dataclasses.replace(run, **{flag: _number(value, flag, least)})
     if vars(args).get("penalty") is not None:
         scenarios = [with_penalty(s, args.penalty) for s in scenarios]
     return scenarios, run

@@ -18,6 +18,14 @@ and no two scenarios may share one. station.m and station.parking_capacity
 must be whole numbers >= 1. In the run block, seed must be a whole number
 >= 0, reps a whole number >= 1 and horizon_min finite and positive. No
 field, schema_version included, takes a JSON boolean for a number.
+horizon_min, if given, is every scenario's simulation horizon; the daily
+profit still weights each scenario by its duration_min.
+
+The first problem found raises a ConfigError naming its block and field,
+and later problems go unreported. A block's keys are checked before its
+values, and the values are read in the order station, economics,
+scenarios, run. Only the missing blocks and the repeated scenario names
+are each reported whole, every offender in one message.
 
 economics.wait_model selects the mean wait that penalty_rate ($/min) is
 charged against: "allen_cunneen", the two-moment GI/D/m approximation in
@@ -29,7 +37,7 @@ fig4 configs select "allen_cunneen". Any other value is a ConfigError.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -101,70 +109,63 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     version = raw.get("schema_version")
     if not _is_number(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"{context}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    problems: list[str] = []
-    for block in ("station", "economics", "scenarios"):
-        if block not in raw:
-            problems.append(f"missing block '{block}'")
-    if problems:
-        raise ConfigError(f"{context}: " + "; ".join(problems))
+    missing = [f"missing block '{b}'" for b in ("station", "economics", "scenarios") if b not in raw]
+    if missing:
+        raise ConfigError(f"{context}: " + "; ".join(missing))
 
-    st = raw["station"]
-    _check_keys(st, "station", f"{context}:station")
-    ec = raw["economics"]
-    _check_keys(ec, "economics", f"{context}:economics")
-    run_raw = raw.get("run", {})
-    _check_keys(run_raw, "run", f"{context}:run")
+    st, ec, run_raw = raw["station"], raw["economics"], raw.get("run", {})
+    for block, obj in (("station", st), ("economics", ec), ("run", run_raw)):
+        _check_keys(obj, block, f"{context}:{block}")
 
     scenarios_raw = raw["scenarios"]
     if not isinstance(scenarios_raw, list) or not scenarios_raw:
         raise ConfigError(f"{context}: scenarios must be a non-empty array")
-    m = _whole(st.get("m"), "m", 1, problems, "station")
-    capacity = _whole(st.get("parking_capacity"), "parking_capacity", 1, problems, "station")
-    if problems:
-        raise ConfigError(f"{context}: " + "; ".join(problems))
     # Each block is read once; each scenario then sets its price and rate.
-    with _blame(f"{context}: economics"):
-        econ_block = EconomicParams(
-            beta=_real(ec, "beta"),
-            phi=_real(ec, "phi_kwh"),
-            u_phi=_real(ec, "u_phi"),
-            p_e=0.0,
-            c=_real(ec, "penalty_rate", 0.0),
-            wait_model=ec.get("wait_model", "theorem1"),
-        )
     with _blame(f"{context}: station"):
         station_block = StationParams(
-            m=m,
-            alpha=_real(st, "alpha_kw"),
-            parking_capacity=capacity,
+            m=_number(st.get("m"), "m", least=1),
+            alpha=_number(st["alpha_kw"], "alpha_kw"),
+            parking_capacity=_number(st.get("parking_capacity"), "parking_capacity", least=1),
             lam=1.0,
-            tau=_real(st, "tau"),
+            tau=_number(st["tau"], "tau"),
+        )
+    with _blame(f"{context}: economics"):
+        econ_block = EconomicParams(
+            beta=_number(ec["beta"], "beta"),
+            phi=_number(ec["phi_kwh"], "phi_kwh"),
+            u_phi=_number(ec["u_phi"], "u_phi"),
+            p_e=0.0,
+            c=_number(ec.get("penalty_rate", 0.0), "penalty_rate"),
+            wait_model=ec.get("wait_model", "theorem1"),
         )
 
     scenarios: list[Scenario] = []
-    first_of: dict = {}
     for i, sc in enumerate(scenarios_raw):
-        ctx = f"{context}:scenarios[{i}]"
-        _check_keys(sc, "scenario", ctx)
-        with _blame(ctx):
-            econ = replace(econ_block, p_e=_real(sc, "p_e_mwh") / 1000.0)  # $/MWh -> $/kWh
-            station = replace(station_block, lam=_real(sc, "lambda_per_min"))
-        duration = sc.get("duration_min", 240.0)
-        duration = _positive(duration, f"scenarios[{i}]: duration_min", problems)
-        name = sc.get("name", f"scenario-{i}")
-        if not (isinstance(name, str) and name):  # reports key their rows by name
-            problems.append(f"scenarios[{i}]: name must be a non-empty string, got {name!r}")
-        elif (first := first_of.setdefault(name, i)) != i:
-            problems.append(f"scenarios[{i}]: name {name!r} repeats scenarios[{first}]'s")
+        _check_keys(sc, "scenario", f"{context}:scenarios[{i}]")
+        with _blame(f"{context}: scenarios[{i}]"):
+            p_e = _number(sc["p_e_mwh"], "p_e_mwh") / 1000.0  # $/MWh -> $/kWh
+            econ = replace(econ_block, p_e=p_e)
+            station = replace(station_block, lam=_number(sc["lambda_per_min"], "lambda_per_min"))
+            duration = _number(sc.get("duration_min", 240.0), "duration_min", positive=True)
+            name = sc.get("name", f"scenario-{i}")
+            if not (isinstance(name, str) and name):  # reports key their rows by name
+                raise ValueError(f"name must be a non-empty string, got {name!r}")
         scenarios.append(Scenario(name=name, duration=duration, econ=econ, station=station))
-    seed = _whole(run_raw.get("seed", RunOptions.seed), "seed", 0, problems)
-    reps = _whole(run_raw.get("reps", RunOptions.reps), "reps", 1, problems)
-    horizon = run_raw.get("horizon_min")
-    if horizon is not None:
-        horizon = _positive(horizon, "run: horizon_min", problems)
-    if problems:
-        raise ConfigError(f"{context}: " + "; ".join(problems))
-    return scenarios, RunOptions(seed=seed, reps=reps, horizon=horizon)
+    first_of: dict = {}
+    repeats = [
+        f"scenarios[{i}]: name {s.name!r} repeats scenarios[{first}]'s"
+        for i, s in enumerate(scenarios)
+        if (first := first_of.setdefault(s.name, i)) != i
+    ]
+    if repeats:
+        raise ConfigError(f"{context}: " + "; ".join(repeats))
+    with _blame(f"{context}: run"):
+        horizon = run_raw.get("horizon_min")
+        return scenarios, RunOptions(
+            seed=_number(run_raw.get("seed", RunOptions.seed), "seed", least=0),
+            reps=_number(run_raw.get("reps", RunOptions.reps), "reps", least=1),
+            horizon=None if horizon is None else _number(horizon, "horizon_min", positive=True),
+        )
 
 
 @contextmanager
@@ -183,35 +184,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive(value, name: str, problems: list) -> float | None:
-    """`value` as a float if it is a finite, positive number; otherwise a problem is noted."""
-    try:
-        number = float(value) if _is_number(value) else math.nan
-    except OverflowError:  # an int too large for a float
-        number = math.nan
-    if math.isfinite(number) and number > 0:
-        return number
-    problems.append(f"{name} must be finite and positive, got {value!r}")
-    return None
+def _number(value, name: str, least: int | None = None, positive: bool = False):
+    """`value` as an int if `least` is given, else as a float, if it keeps its rule.
 
-
-def _real(block: dict, key: str, default=None) -> float:
-    """block[key] (`default` if given and the key is absent) as a float, if it is a number."""
-    value = block[key] if default is None else block.get(key, default)
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _whole(value, name: str, least: int, problems: list, block: str = "run") -> int | None:
-    """`value` as an int if it is a whole number >= least; otherwise a problem is noted."""
-    whole = None
-    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
-        whole = int(value)  # exact for an int, where a float would round
-    if whole is None or whole < least:
-        problems.append(f"{block}: {name} must be a whole number >= {least}, got {value!r}")
-        return None
-    return whole
+    The rule is a whole number >= least if `least` is given, a finite number
+    > 0 if `positive`, and any number otherwise; a value that breaks it is a
+    ValueError naming `name`.
+    """
+    if least is not None:
+        rule = f"a whole number >= {least}"
+        ok = _is_number(value) and value % 1 == 0 and value >= least  # NaN and inf % 1 are NaN
+    elif positive:
+        rule = "finite and positive"
+        ok = _is_number(value) and 0 < value <= sys.float_info.max  # no int too large for a float
+    else:
+        rule = "a number"
+        ok = _is_number(value)
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value) if least is not None else float(value)  # an int stays exact
 
 
 def with_penalty(scenario: Scenario, c: float) -> Scenario:

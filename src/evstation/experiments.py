@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import RunOptions, Scenario
@@ -77,8 +77,8 @@ class ExperimentReport:
     daily_profit: dict
     admission_rate: dict
     mean_wait: dict
-    ratios: dict = field(default_factory=dict)
-    policies_by_scenario: dict = field(default_factory=dict)
+    ratios: dict
+    policies_by_scenario: dict
 
 
 def _policies(scenarios: list) -> list:

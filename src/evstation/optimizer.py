@@ -226,13 +226,10 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
         s1[span] = _sum_in_order(term[1:] / w1[:top_i])
         s2[span] = _sum_in_order(term[1:] * w2[:top_i])
     cells = (n, d_pos, s, t_v, q0, q_n, total, s1, s2)
-    if certified.any():  # the uncertified cells, gathered into one run
-        keep = ~certified
-        value = np.full(n.shape, UNSTABLE)
-        kept_rows = _Rows(*(np.broadcast_to(c, n.shape)[keep] for c in rows))
-        value[keep] = _value(*(x[keep] for x in cells), kept_rows)
-    else:
-        value = _value(*cells, rows)
+    keep = ~certified  # the uncertified cells, gathered into one run
+    value = np.full(n.shape, UNSTABLE)
+    kept_rows = _Rows(*(np.broadcast_to(c, n.shape)[keep] for c in rows))
+    value[keep] = _value(*(x[keep] for x in cells), kept_rows)
     return np.where(d > 0, value, 0.0)
 
 

@@ -47,10 +47,7 @@ run in chunks that bound the draws and the histories, and since rows are
 independent, chunking changes no result. A step costs about 17-20 us plus
 30-37 ns per row (a shared 2-vCPU Xeon, numpy 2.4), so the loop pays off
 with many rows per chunk: a few rows on long traces run several times
-slower per arrival than a scalar loop over one trace. On table1's daily run
-at penalty 1.0, its 18 policies take 3 loops and 264 steps where one loop
-per case took 6 loops and 620, and the widest history is 53 slots where
-the trace is 129 arrivals wide.
+slower per arrival than a scalar loop over one trace.
 
 Profit totals are running sums in admission order, from 0.0, in numpy, so
 they are the same on every Python version; sum() has compensated its

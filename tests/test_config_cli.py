@@ -222,6 +222,19 @@ def test_invalid_values_reported():
     assert type(station.m) is int and type(station.parking_capacity) is int
 
 
+def test_first_problem_reported_alone(capsys):
+    # Several bad fields report the first one, in reading order: the run
+    # block is read after the scenarios, and --seed before --reps.
+    raw = valid_raw()
+    raw["scenarios"][0]["duration_min"] = -1
+    raw["run"]["seed"] = -1
+    with pytest.raises(ConfigError) as caught:
+        parse_config(raw)
+    assert str(caught.value) == "<config>: scenarios[0]: duration_min must be finite and positive, got -1"
+    assert cli_dispatch(["simulate", "--config", "table1", "--seed", "-1", "--reps", "0"]) == 1
+    assert capsys.readouterr().err == "error: --seed: seed must be a whole number >= 0, got -1\n"
+
+
 def test_cli_non_finite_config_value(tmp_path, capsys):
     raw = valid_raw()
     raw["scenarios"][0]["lambda_per_min"] = float("nan")

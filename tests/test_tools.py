@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
@@ -36,6 +37,18 @@ def test_output_digests_commands_parse():
     for argv in load_tool("output_digests").COMMANDS:
         extra = ["--out", "out"] if argv[0] == "experiment" else []
         assert parser.parse_args([*argv, *extra]).func
+
+
+def test_readme_cli_lines_parse():
+    # README's CLI block is run by no other test; each of its commands must
+    # still parse as written.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("evstation ") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        assert parser.parse_args(shlex.split(line)[1:]).func
 
 
 def code_lines(text):
