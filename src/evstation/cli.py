@@ -59,7 +59,8 @@ def _load(args) -> tuple[list, RunOptions]:
             with _blame(f"--{flag}"):
                 run = dataclasses.replace(run, **{flag: _number(value, flag, least)})
     if vars(args).get("penalty") is not None:
-        scenarios = [with_penalty(s, args.penalty) for s in scenarios]
+        with _blame("--penalty"):
+            scenarios = [with_penalty(s, args.penalty) for s in scenarios]
     return scenarios, run
 
 

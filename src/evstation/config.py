@@ -99,6 +99,8 @@ def load_config(path) -> tuple[list[Scenario], RunOptions]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an int literal past Python's int-string digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(raw, str(path))
 
 
@@ -123,9 +125,9 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
     # Each block is read once; each scenario then sets its price and rate.
     with _blame(f"{context}: station"):
         station_block = StationParams(
-            m=_number(st.get("m"), "m", least=1),
+            m=_number(st["m"], "m", least=1),
             alpha=_number(st["alpha_kw"], "alpha_kw"),
-            parking_capacity=_number(st.get("parking_capacity"), "parking_capacity", least=1),
+            parking_capacity=_number(st["parking_capacity"], "parking_capacity", least=1),
             lam=1.0,
             tau=_number(st["tau"], "tau"),
         )
@@ -189,14 +191,17 @@ def _number(value, name: str, least: int | None = None, positive: bool = False):
 
     The rule is a whole number >= least if `least` is given, a finite number
     > 0 if `positive`, and any number otherwise; a value that breaks it is a
-    ValueError naming `name`.
+    ValueError naming `name`. The float rules refuse an int a float cannot
+    hold, giving its size, as the repr of so long an int may itself fail.
     """
+    if least is None and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must fit in a float, got an integer of {value.bit_length()} bits")
     if least is not None:
         rule = f"a whole number >= {least}"
         ok = _is_number(value) and value % 1 == 0 and value >= least  # NaN and inf % 1 are NaN
     elif positive:
         rule = "finite and positive"
-        ok = _is_number(value) and 0 < value <= sys.float_info.max  # no int too large for a float
+        ok = _is_number(value) and 0 < value <= sys.float_info.max
     else:
         rule = "a number"
         ok = _is_number(value)

@@ -10,12 +10,11 @@ distribution, which is what this module is used to check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .economics import DomainError, _check_count
+from .economics import DomainError, _check_count, _check_real
 from .queueing import N_CAP
 
 R1 = -1.0
@@ -44,10 +43,8 @@ def build_generator(n: int, lam: float, t_v: float) -> TwoPhaseChain:
     _check_count(n, "n")
     if n > N_CAP:
         raise DomainError(f"n must be in [1, {N_CAP}], got {n}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"lam must be finite and positive, got {lam}")
-    if not (math.isfinite(t_v) and t_v > 0):
-        raise DomainError(f"t_v must be finite and positive, got {t_v}")
+    _check_real(lam, "lam")
+    _check_real(t_v, "t_v")
     kappa = 2.0 / t_v
     states = tuple((s1, s2) for s2 in range(n + 1) for s1 in range(s2 + 1))
     idx = {st: k for k, st in enumerate(states)}

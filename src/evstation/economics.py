@@ -4,6 +4,14 @@ All quantities use canonical units of minutes, kWh, and dollars. Charging
 power is stored in kW and converted to kWh/min where a service duration is
 needed. demand_region_bound, a property of the demand curve, bounds the
 demand searches of the optimizer and of its oracle.
+
+Inputs are checked by two domain rules, each raising a DomainError whose
+message leads with the argument's name: a count (_check_count) is a whole
+number at or above its floor, which a bool is not; a real (_check_real) is
+finite and above its floor, or at or above it where the floor itself is
+allowed. The demand intervals that phi closes (utility, price_for_demand
+and the profit searches) and demand_response's price, where +inf means no
+demand, are checked where they are read.
 """
 from __future__ import annotations
 
@@ -22,19 +30,20 @@ class DomainError(ValueError):
 WAIT_MODELS = ("theorem1", "allen_cunneen")
 
 
-def _check_finite(params, fields: tuple) -> None:
-    # NaN fails every comparison, so the range checks alone would let it through.
-    for name in fields:
-        if not math.isfinite(getattr(params, name)):
-            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
-
-
 def _check_count(value, name: str, least: int = 1) -> None:
     """The domain of every count: a whole number >= least, which a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_real(value, name: str, least: float = 0.0, strict: bool = True) -> None:
+    """The domain of every real input: a finite value > least, or >= least if not strict."""
+    if not math.isfinite(value):  # NaN fails every comparison, so the floor alone lets it through
+        raise DomainError(f"{name} must be finite, got {value}")
+    if value < least or (strict and value == least):
+        raise DomainError(f"{name} must be {'>' if strict else '>='} {least:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +69,10 @@ class EconomicParams:
     wait_model: str = "theorem1"
 
     def __post_init__(self):
-        _check_finite(self, ("beta", "phi", "u_phi", "p_e", "c"))
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.phi <= 0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
-        if self.u_phi <= 0:
-            raise DomainError(f"u_phi must be positive, got {self.u_phi}")
-        if self.p_e < 0:
-            raise DomainError(f"p_e must be non-negative, got {self.p_e}")
-        if self.c < 0:
-            raise DomainError(f"c must be non-negative, got {self.c}")
+        for name in ("beta", "phi", "u_phi"):
+            _check_real(getattr(self, name), name)
+        _check_real(self.p_e, "p_e", strict=False)
+        _check_real(self.c, "c", strict=False)
         if self.wait_model not in WAIT_MODELS:
             raise DomainError(
                 f"wait_model must be one of {list(WAIT_MODELS)}, got {self.wait_model!r}"
@@ -110,13 +112,9 @@ class StationParams:
         _check_count(self.parking_capacity, "parking_capacity")
         if self.parking_capacity < self.m:
             raise DomainError(f"parking_capacity ({self.parking_capacity}) must be >= m ({self.m})")
-        _check_finite(self, ("alpha", "lam", "tau"))
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.lam <= 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
-        if self.tau <= 1:
-            raise DomainError(f"tau must be > 1, got {self.tau}")
+        _check_real(self.alpha, "alpha")
+        _check_real(self.lam, "lam")
+        _check_real(self.tau, "tau", least=1.0)
 
     @property
     def alpha_per_min(self) -> float:
@@ -165,8 +163,7 @@ def price_for_demand(d: float, econ: EconomicParams) -> float:
 
 def per_ev_profit(d: float, wait: float, econ: EconomicParams) -> float:
     """Realized profit ($) from one admitted EV; an EV charged nothing earns nothing."""
-    if math.isnan(wait):
-        raise DomainError("wait must be a number, got nan")
+    _check_real(wait, "wait", strict=False)
     if d == 0:
         return 0.0
     return (price_for_demand(d, econ) - econ.p_e) * d - econ.c * wait

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economics import WAIT_MODELS, DomainError, EconomicParams, StationParams, _check_count
-from .economics import demand_region_bound, per_ev_profit, price_for_demand
+from .economics import _check_real, demand_region_bound, per_ev_profit, price_for_demand
 
 UNSTABLE = float("-inf")  # the profit of a point whose charging queue is unstable
 N_CAP = 64  # the largest sub-process count either search considers
@@ -30,20 +30,14 @@ _ORACLE_GRID = 160  # coarse demand grid that brackets each golden-section searc
 _ORACLE_TOL = 1e-8  # kWh: the oracle's golden section stops once its bracket is this wide
 
 
-def _check_loss_system(n: int, offered_load: float) -> None:
-    """The domain of an n-server loss system: a count n >= 1 and a finite load a >= 0."""
-    _check_count(n, "n")
-    if not (math.isfinite(offered_load) and offered_load >= 0):
-        raise DomainError(f"offered load must be finite and >= 0, got {offered_load}")
-
-
 def erlang_steady_state(n: int, offered_load: float) -> np.ndarray:
     """Occupancy distribution P_0..P_n of an n-server loss system.
 
     Uses the term recursion q_i = q_{i-1} * a / i carried in log space,
     never raw factorials, so it is stable for large n and a.
     """
-    _check_loss_system(n, offered_load)
+    _check_count(n, "n")
+    _check_real(offered_load, "offered load", strict=False)
     # log-space cumulative terms log(a^i / i!), shifted before exponentiation
     if offered_load == 0.0:
         out = np.zeros(n + 1)
@@ -61,7 +55,8 @@ def erlang_blocking(n: int, offered_load: float) -> float:
 
     B(k) = a B(k-1) / (k + a B(k-1)) with B(0) = 1.
     """
-    _check_loss_system(n, offered_load)
+    _check_count(n, "n")
+    _check_real(offered_load, "offered load", strict=False)
     b = 1.0
     for k in range(1, n + 1):
         b = offered_load * b / (k + offered_load * b)
@@ -95,8 +90,7 @@ class AdmissionAnalysis:
 def analyze_admission(n: int, d: float, station: StationParams) -> AdmissionAnalysis:
     """Full loss-system analysis of the admission queue at (n, d)."""
     _check_count(n, "n")
-    if not (math.isfinite(d) and d > 0):
-        raise DomainError(f"demand must be finite and positive, got {d}")
+    _check_real(d, "demand")
     t_v = station.tau * station.m * station.service_time(d) / n
     a = station.lam * t_v
     if not math.isfinite(a):

@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .economics import DomainError, _check_count, per_ev_profit
+from .economics import DomainError, _check_count, _check_real, per_ev_profit
 
 _BLOCK = 2**18  # floats in one chunk's drawn traces, and in each of its loops' histories
 
@@ -134,10 +134,8 @@ def _cut(blocks: list, horizon: float) -> tuple:
 
 def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing Poisson arrival times on (0, horizon]."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"lam must be finite and positive, got {lam}")
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise DomainError(f"horizon must be finite and non-negative, got {horizon}")
+    _check_real(lam, "lam")
+    _check_real(horizon, "horizon", strict=False)
     if horizon == 0:
         return np.empty(0)
     [(times, _)] = _poisson_traces([rng], [(lam, horizon)])
@@ -147,8 +145,7 @@ def gen_poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -
 def _check_window(n: int, t_v: float) -> None:
     """The domain of JoAP's window: a count n >= 1 of admissions per finite t_v >= 0."""
     _check_count(n, "n")
-    if not (math.isfinite(t_v) and t_v >= 0):
-        raise DomainError(f"t_v must be finite and >= 0, got {t_v}")
+    _check_real(t_v, "t_v", strict=False)
 
 
 def run_loss_admission(arrivals: np.ndarray, n: int, t_v: float) -> int:
@@ -354,8 +351,7 @@ def replicate(cases: Sequence, reps: int, seed: int) -> list[list[SimMetrics]]:
     for policies, _, _, horizon in cases:
         if not policies:
             raise DomainError("a case must hold at least one policy")
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise DomainError(f"horizon must be finite and positive, got {horizon}")
+        _check_real(horizon, "horizon")
     keys = [(station.lam, horizon) for _, _, station, horizon in cases]
     rates = list(dict.fromkeys(keys))
     loops = [_columns([case for case, key in zip(cases, keys) if key == rate]) for rate in rates]

@@ -194,10 +194,11 @@ def test_invalid_values_reported():
     for scenario in raw["scenarios"]:
         del scenario["name"]
     assert [s.name for s in parse_config(raw)[0]] == ["scenario-0", "scenario-1"]
-    raw = valid_raw()
-    del raw["station"]["alpha_kw"]
-    with pytest.raises(ConfigError, match="<config>: station: missing field 'alpha_kw'"):
-        parse_config(raw)
+    for key in ("alpha_kw", "m", "parking_capacity"):
+        raw = valid_raw()
+        del raw["station"][key]
+        with pytest.raises(ConfigError, match=f"<config>: station: missing field '{key}'"):
+            parse_config(raw)
     raw = valid_raw()
     raw["run"].update(seed=3.0, reps=2.0, horizon_min=60)
     assert parse_config(raw)[1] == RunOptions(seed=3, reps=2, horizon=60.0)
@@ -243,6 +244,28 @@ def test_cli_non_finite_config_value(tmp_path, capsys):
     assert "NaN" in path.read_text()
     assert cli_dispatch(["optimize", "--config", str(path)]) == 1
     assert "lam must be finite" in capsys.readouterr().err
+
+
+def test_cli_huge_integer_in_config(tmp_path, capsys):
+    # float() cannot hold 10**400, and json.loads refuses a literal past
+    # Python's int-string digit limit: each is an input error (exit 1), and
+    # neither message prints the integer, whose repr meets the same limit.
+    raw = valid_raw_with(("station", "alpha_kw"), 10**400)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(raw))
+    assert cli_dispatch(["optimize", "--config", str(wide)]) == 1
+    err = capsys.readouterr().err
+    assert f"{wide}: station: alpha_kw" in err and "0" * 400 not in err
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps(raw).replace(str(10**400), "9" * 5000))
+    assert cli_dispatch(["optimize", "--config", str(long)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {long}: ") and "9" * 400 not in err
+
+
+def test_cli_bad_penalty_names_its_flag(capsys):
+    assert cli_dispatch(["optimize", "--config", "table1", "--penalty", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --penalty: c must be >= 0, got -1.0\n"
 
 
 def test_cli_invalid_run_block(tmp_path, capsys):

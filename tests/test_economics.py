@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from evstation import (
     demand_response,
     erlang_blocking,
     erlang_steady_state,
+    gen_poisson_arrivals,
     per_ev_profit,
     price_for_demand,
     replicate,
@@ -149,6 +152,55 @@ def test_counts_are_whole_numbers(call, count, econ_default, station_default):
     # a TypeError or IndexError, and True ran as 1.
     with pytest.raises(DomainError, match="integer|whole number"):
         _COUNT_CALLS[call](count, econ_default, station_default)
+
+
+# Every real input that _check_real guards: its name, its floor, whether the
+# floor itself is refused, and a call with the value x.
+_REAL_CALLS = {
+    "EconomicParams.beta": ("beta", 0.0, True, lambda x, econ, st: replace(econ, beta=x)),
+    "EconomicParams.phi": ("phi", 0.0, True, lambda x, econ, st: replace(econ, phi=x)),
+    "EconomicParams.u_phi": ("u_phi", 0.0, True, lambda x, econ, st: replace(econ, u_phi=x)),
+    "EconomicParams.p_e": ("p_e", 0.0, False, lambda x, econ, st: replace(econ, p_e=x)),
+    "EconomicParams.c": ("c", 0.0, False, lambda x, econ, st: replace(econ, c=x)),
+    "StationParams.alpha": ("alpha", 0.0, True, lambda x, econ, st: replace(st, alpha=x)),
+    "StationParams.lam": ("lam", 0.0, True, lambda x, econ, st: replace(st, lam=x)),
+    "StationParams.tau": ("tau", 1.0, True, lambda x, econ, st: replace(st, tau=x)),
+    "erlang_steady_state": ("offered load", 0.0, False, lambda x, econ, st: erlang_steady_state(2, x)),
+    "erlang_blocking": ("offered load", 0.0, False, lambda x, econ, st: erlang_blocking(2, x)),
+    "analyze_admission": ("demand", 0.0, True, lambda x, econ, st: analyze_admission(2, x, st)),
+    "gen_poisson_arrivals.lam": (
+        "lam", 0.0, True, lambda x, econ, st: gen_poisson_arrivals(x, 10.0, np.random.default_rng(1))
+    ),
+    "gen_poisson_arrivals.horizon": (
+        "horizon", 0.0, False, lambda x, econ, st: gen_poisson_arrivals(0.3, x, np.random.default_rng(1))
+    ),
+    "AdmissionRule.t_v": ("t_v", 0.0, False, lambda x, econ, st: AdmissionRule(10.0, 2, x)),
+    "run_loss_admission.t_v": (
+        "t_v", 0.0, False, lambda x, econ, st: run_loss_admission(np.array([1.0]), 2, x)
+    ),
+    "replicate.horizon": (
+        "horizon", 0.0, True, lambda x, econ, st: replicate([([AdmissionRule(15.0)], econ, st, x)], 1, 1)
+    ),
+    "build_generator.lam": ("lam", 0.0, True, lambda x, econ, st: build_generator(2, x, 1.0)),
+    "build_generator.t_v": ("t_v", 0.0, True, lambda x, econ, st: build_generator(2, 1.0, x)),
+    "per_ev_profit.wait": ("wait", 0.0, False, lambda x, econ, st: per_ev_profit(10.0, x, econ)),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value", [(call, value) for call in _REAL_CALLS for value in ("nan", "inf", "-inf", "floor")]
+)
+def test_reals_are_finite_and_above_their_floor(call, value, econ_default, station_default):
+    # One rule for every real input: NaN and +-inf are refused, and so is the
+    # floor itself (strict) or the float just below it; the message leads
+    # with the argument's name.
+    name, least, strict, run = _REAL_CALLS[call]
+    if value == "floor":
+        x = least if strict else math.nextafter(least, -math.inf)
+    else:
+        x = float(value)
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be"):
+        run(x, econ_default, station_default)
 
 
 def test_service_time_units():
