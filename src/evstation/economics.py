@@ -8,10 +8,11 @@ demand searches of the optimizer and of its oracle.
 Inputs are checked by two domain rules, each raising a DomainError whose
 message leads with the argument's name: a count (_check_count) is a whole
 number at or above its floor, which a bool is not; a real (_check_real) is
-finite and above its floor, or at or above it where the floor itself is
-allowed. The demand intervals that phi closes (utility, price_for_demand
-and the profit searches) and demand_response's price, where +inf means no
-demand, are checked where they are read.
+finite, which an int too large for a float is not, and above its floor,
+or at or above it where the floor itself is allowed. The demand intervals
+that phi closes (utility, price_for_demand and the profit searches) and
+demand_response's price, where +inf means no demand, are checked where
+they are read.
 """
 from __future__ import annotations
 
@@ -40,7 +41,11 @@ def _check_count(value, name: str, least: int = 1) -> None:
 
 def _check_real(value, name: str, least: float = 0.0, strict: bool = True) -> None:
     """The domain of every real input: a finite value > least, or >= least if not strict."""
-    if not math.isfinite(value):  # NaN fails every comparison, so the floor alone lets it through
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int a float cannot hold, whose digits may be too many to print
+        raise DomainError(f"{name} must fit in a float, got an integer of {value.bit_length()} bits") from None
+    if not finite:  # NaN fails every comparison, so the floor alone lets it through
         raise DomainError(f"{name} must be finite, got {value}")
     if value < least or (strict and value == least):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {least:g}, got {value}")

@@ -12,10 +12,11 @@ experiment or the JoAP plans of the spacing study, on one arrival trace
 drawn from it: common random numbers by construction, which makes the
 profit comparisons paired rather than independent. The admission
 validation pairs its slot counts the same way: every point at one arrival
-rate counts admissions on one trace, drawn once for that rate. No
-scenario's rows of the daily experiment depend on the scenarios run beside
-it, so the CLI's `simulate` prints its scenario's row of the daily
-experiment, run on that scenario alone.
+rate counts admissions on one trace, drawn once for that rate. The daily
+experiment's rows are its only per-scenario state, read by its
+aggregates, its files and the `policies_by_scenario` view. No scenario's
+rows depend on the scenarios run beside it, so the CLI's `simulate`
+prints its scenario's row of the daily experiment, run on that one alone.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .config import RunOptions, Scenario
-from .economics import EconomicParams, StationParams, demand_region_bound, price_for_demand
+from .config import RunOptions
+from .economics import DomainError, EconomicParams, StationParams, demand_region_bound, price_for_demand
 # optimize_joap has no caller here: perfbench's tracer test checks that this
 # import site is rebound, so it stays until that test names another site.
 from .optimizer import DEFAULT_TAU_GRID, optimize_joap, optimize_joap_many  # noqa: F401
@@ -68,6 +69,11 @@ class ScenarioResult:
     metrics: SimMetrics
     duration: float
 
+    @property
+    def profit_block(self) -> float:
+        """Profit over the scenario's block of `duration` minutes ($)."""
+        return self.metrics.profit_per_hour * self.duration / 60.0
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -78,7 +84,14 @@ class ExperimentReport:
     admission_rate: dict
     mean_wait: dict
     ratios: dict
-    policies_by_scenario: dict
+
+    @property
+    def policies_by_scenario(self) -> dict:
+        """Each row's operating point, {"n", "demand", "price"}, by (scenario, policy)."""
+        return {
+            (r.scenario, r.policy): {"n": r.n, "demand": r.demand, "price": r.price}
+            for r in self.rows
+        }
 
 
 def _policies(scenarios: list) -> list:
@@ -107,26 +120,22 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     daily_scenarios.csv, daily_aggregate.csv and daily_summary.json when
     out_dir is given.
     """
+    if not scenarios:  # the duration-weighted aggregates divide by the day's length
+        raise DomainError(f"scenarios must be a non-empty list, got {scenarios!r}")
     built = _policies(scenarios)
-    results = replicate(
-        [(policies, s.econ, s.station, _horizon(run, s)) for s, policies in zip(scenarios, built)],
-        run.reps,
-        run.seed,
-    )
     rows: list[ScenarioResult] = []
-    policy_specs: dict = {}
     total_time = 0.0
     daily_profit, admission_rate, mean_wait = (dict.fromkeys(POLICY_NAMES, 0.0) for _ in range(3))
-    for scenario, policies, scenario_results in zip(scenarios, built, results):
+    for scenario, policies, results in zip(scenarios, built, _simulate(scenarios, built, run)):
         econ, duration = scenario.econ, scenario.duration
         total_time += duration
-        for name, policy, metrics in zip(POLICY_NAMES, policies, scenario_results):
+        for name, policy, metrics in zip(POLICY_NAMES, policies, results):
             n = policy.n if name == "joap" else None
             demand = policy.demand  # no demand is what the choke price sells, as optimize reports
             price = price_for_demand(demand, econ) if demand > 0 else econ.choke_price
-            rows.append(ScenarioResult(scenario.name, name, n, demand, price, metrics, duration))
-            policy_specs[(scenario.name, name)] = {"n": n, "demand": demand, "price": price}
-            daily_profit[name] += metrics.profit_per_hour * duration / 60.0
+            row = ScenarioResult(scenario.name, name, n, demand, price, metrics, duration)
+            rows.append(row)
+            daily_profit[name] += row.profit_block
             admission_rate[name] += metrics.admission_rate * duration
             mean_wait[name] += metrics.mean_wait * duration
     for name in POLICY_NAMES:
@@ -143,16 +152,23 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
         admission_rate=admission_rate,
         mean_wait=mean_wait,
         ratios=ratios,
-        policies_by_scenario=policy_specs,
     )
     if out_dir is not None:
         _write_daily_outputs(report, Path(out_dir))
     return report
 
 
-def _horizon(run: RunOptions, scenario: Scenario) -> float:
-    """The run's horizon, or the scenario's duration when the run sets none."""
-    return run.horizon if run.horizon is not None else scenario.duration
+def _simulate(scenarios: list, policies: list, run: RunOptions) -> list:
+    """Replicate each scenario's policies on its station in one `replicate` call.
+
+    policies[k] lists scenario k's policies; each case runs for the run's
+    horizon, or for its scenario's duration when the run sets none.
+    """
+    cases = [
+        (mine, s.econ, s.station, run.horizon if run.horizon is not None else s.duration)
+        for s, mine in zip(scenarios, policies)
+    ]
+    return replicate(cases, run.reps, run.seed)
 
 
 def _fmt(x) -> str:
@@ -173,24 +189,21 @@ def _write_csv(path: Path, columns: list, rows: list) -> None:
 
 def _write_daily_outputs(report: ExperimentReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "daily_scenarios.csv",
-        DAILY_COLUMNS,
+    csv_rows = [
         [
-            [
-                r.scenario,
-                r.policy,
-                r.n,
-                r.demand,
-                r.price,
-                r.metrics.admission_rate,
-                r.metrics.mean_wait,
-                r.metrics.profit_per_hour,
-                r.metrics.profit_per_hour * r.duration / 60.0,
-            ]
-            for r in report.rows
-        ],
-    )
+            r.scenario,
+            r.policy,
+            r.n,
+            r.demand,
+            r.price,
+            r.metrics.admission_rate,
+            r.metrics.mean_wait,
+            r.metrics.profit_per_hour,
+            r.profit_block,
+        ]
+        for r in report.rows
+    ]
+    _write_csv(out_dir / "daily_scenarios.csv", DAILY_COLUMNS, csv_rows)
     _write_csv(
         out_dir / "daily_aggregate.csv",
         AGGREGATE_COLUMNS,
@@ -204,16 +217,10 @@ def _write_daily_outputs(report: ExperimentReport, out_dir: Path) -> None:
         "admission_rate": report.admission_rate,
         "mean_wait_min": report.mean_wait,
         "ratios": report.ratios,
+        # A row's five identifying keys are the CSV's first five columns, with its values.
         "scenarios": [
-            {
-                "scenario": r.scenario,
-                "policy": r.policy,
-                "n": r.n,
-                "demand_kwh": r.demand,
-                "price_per_kwh": r.price,
-                **asdict(r.metrics),
-            }
-            for r in report.rows
+            {**dict(zip(DAILY_COLUMNS[:5], line)), **asdict(r.metrics)}
+            for r, line in zip(report.rows, csv_rows)
         ],
     }
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
@@ -332,22 +339,15 @@ def run_tau_study(
     taus_of = [
         [s.station.tau] + [tau for tau in tau_grid if tau != s.station.tau] for s in scenarios
     ]
-    plans = optimize_joap_many(
-        [
-            (s.econ, replace(s.station, tau=tau))
-            for s, taus in zip(scenarios, taus_of)
-            for tau in taus
-        ]
-    )
-    cases = []
-    for scenario, taus in zip(scenarios, taus_of):
-        mine, plans = plans[: len(taus)], plans[len(taus) :]
-        policies = [AdmissionRule(plan.d_star, plan.n_star, plan.t_v) for plan in mine]
-        cases.append((policies, scenario.econ, scenario.station, _horizon(run, scenario)))
+    points = [
+        (s.econ, replace(s.station, tau=tau)) for s, taus in zip(scenarios, taus_of) for tau in taus
+    ]
+    rules = (AdmissionRule(plan.d_star, plan.n_star, plan.t_v) for plan in optimize_joap_many(points))
+    policies = [[next(rules) for _ in taus] for taus in taus_of]  # each scenario's plans, by τ
     rows = []
     fixed_total = 0.0
     best_total = 0.0
-    for scenario, taus, results in zip(scenarios, taus_of, replicate(cases, run.reps, run.seed)):
+    for scenario, taus, results in zip(scenarios, taus_of, _simulate(scenarios, policies, run)):
         profits = [metrics.profit_per_hour * scenario.duration / 60.0 for metrics in results]
         profit_fixed = profits[0]
         best = max(range(len(taus)), key=lambda k: (profits[k], -k))

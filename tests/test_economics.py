@@ -188,18 +188,28 @@ _REAL_CALLS = {
 
 
 @pytest.mark.parametrize(
-    "call, value", [(call, value) for call in _REAL_CALLS for value in ("nan", "inf", "-inf", "floor")]
+    "call, value",
+    [
+        (call, value)
+        for call in _REAL_CALLS
+        for value in ("nan", "inf", "-inf", "floor", "10**400", "10**5000")
+    ],
 )
 def test_reals_are_finite_and_above_their_floor(call, value, econ_default, station_default):
     # One rule for every real input: NaN and +-inf are refused, and so is the
     # floor itself (strict) or the float just below it; the message leads
-    # with the argument's name.
+    # with the argument's name. An int a float cannot hold is refused by its
+    # size, as printing 10**5000 itself raises on Python 3.11 and later.
     name, least, strict, run = _REAL_CALLS[call]
+    expected = f"^{re.escape(name)} must be"
     if value == "floor":
         x = least if strict else math.nextafter(least, -math.inf)
+    elif value.startswith("10**"):
+        x = 10 ** int(value[4:])
+        expected = rf"^{re.escape(name)} must fit in a float, got an integer of {x.bit_length()} bits$"
     else:
         x = float(value)
-    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be"):
+    with pytest.raises(DomainError, match=expected):
         run(x, econ_default, station_default)
 
 

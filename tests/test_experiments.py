@@ -1,5 +1,7 @@
+import csv
+import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,8 @@ from evstation import experiments
 from evstation.config import RunOptions
 from evstation.experiments import (
     POLICY_NAMES,
+    ExperimentReport,
+    _fmt,
     _policies,
     run_admission_validation,
     run_daily_experiment,
@@ -74,13 +78,40 @@ def test_price_of_a_row_that_sells_nothing(table1):
 
 
 def test_policies_by_scenario_matches_rows(table1):
-    # Each (scenario, policy) operating point is the one its row reports.
+    # Each (scenario, policy) operating point is the one its row reports:
+    # the view is read off the rows, not stored beside them.
+    assert "policies_by_scenario" not in {f.name for f in fields(ExperimentReport)}
     scenarios, _ = table1
     report = run_daily_experiment(scenarios[:2], small_run())
     assert len(report.policies_by_scenario) == len(report.rows) == 6
     for r in report.rows:
         point = report.policies_by_scenario[(r.scenario, r.policy)]
         assert point == {"n": r.n, "demand": r.demand, "price": r.price}
+
+
+def test_daily_experiment_rejects_no_scenarios():
+    # A day of no scenarios has no length to weight the aggregates by.
+    with pytest.raises(DomainError, match=r"^scenarios must be a non-empty list, got \[\]$"):
+        run_daily_experiment([], small_run())
+
+
+def test_daily_summary_rows_carry_the_csv_columns(table1, tmp_path):
+    # Each summary row has the CSV's five identifying columns, by the same
+    # names and with the values that row of the CSV writes, and its metrics.
+    scenarios, _ = table1
+    run_daily_experiment(scenarios[:2], small_run(), out_dir=tmp_path)
+    with open(tmp_path / "daily_scenarios.csv", newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    entries = json.loads((tmp_path / "daily_summary.json").read_text())["scenarios"]
+    ids = ["scenario", "policy", "n", "demand_kwh", "price_per_kwh"]
+    assert header[:5] == ids
+    assert len(entries) == len(lines) == 6
+    for entry, line in zip(entries, lines):
+        assert set(entry) == {
+            *ids, "admission_rate", "mean_wait", "profit_per_hour", "replication_count",
+            "half_width_95",
+        }
+        assert [_fmt(entry[key]) for key in ids] == line[:5]
 
 
 def neumaier_sum(values, start=0):

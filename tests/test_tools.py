@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 import re
@@ -37,6 +38,22 @@ def test_output_digests_commands_parse():
     for argv in load_tool("output_digests").COMMANDS:
         extra = ["--out", "out"] if argv[0] == "experiment" else []
         assert parser.parse_args([*argv, *extra]).func
+
+
+def subcommands(parser):
+    """The names a parser's subcommand argument accepts."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_output_digests_reach_every_command_and_runner():
+    # A bit-for-bit check covers only the commands it runs: a new subcommand
+    # or experiment runner must join COMMANDS, or this fails.
+    commands = load_tool("output_digests").COMMANDS
+    top = subcommands(build_parser())
+    assert {argv[0] for argv in commands} == set(top)
+    runners = {argv[1] for argv in commands if argv[0] == "experiment"}
+    assert runners == set(subcommands(top["experiment"]))
 
 
 def test_readme_cli_lines_parse():
