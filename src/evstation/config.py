@@ -138,7 +138,7 @@ def parse_config(raw: dict, context: str = "<config>") -> tuple[list[Scenario], 
             u_phi=_number(ec["u_phi"], "u_phi"),
             p_e=0.0,
             c=_number(ec.get("penalty_rate", 0.0), "penalty_rate"),
-            wait_model=ec.get("wait_model", "theorem1"),
+            wait_model=ec.get("wait_model", EconomicParams.wait_model),
         )
 
     scenarios: list[Scenario] = []

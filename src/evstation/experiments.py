@@ -116,9 +116,11 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     All scenarios are replicated in one `replicate` call: a scenario's three
     policies run on the same arrival trace per replication. The daily
     aggregates are running totals from 0.0 in scenario order, which every
-    Python version rounds alike, where sum() compensates since 3.12. Writes
-    daily_scenarios.csv, daily_aggregate.csv and daily_summary.json when
-    out_dir is given.
+    Python version rounds alike, where sum() compensates since 3.12. The
+    ratios, joap_vs_<other>, divide JoAP's daily profit by each benchmark's
+    that is positive: a ratio to a loss or to 0 is no share of a profit.
+    Writes daily_scenarios.csv, daily_aggregate.csv and daily_summary.json
+    when out_dir is given.
     """
     if not scenarios:  # the duration-weighted aggregates divide by the day's length
         raise DomainError(f"scenarios must be a non-empty list, got {scenarios!r}")
@@ -144,7 +146,7 @@ def run_daily_experiment(scenarios: list, run: RunOptions, out_dir=None) -> Expe
     ratios = {
         f"joap_vs_{other}": daily_profit["joap"] / daily_profit[other]
         for other in POLICY_NAMES
-        if other != "joap" and daily_profit[other] != 0
+        if other != "joap" and daily_profit[other] > 0
     }
     report = ExperimentReport(
         rows=rows,
@@ -237,7 +239,7 @@ def run_admission_validation(
     demand: float,
     grid=DEFAULT_ADMISSION_GRID,
     arrivals_per_point: int = 200_000,
-    seed: int = 20240521,
+    seed: int = RunOptions.seed,
     out_path=None,
 ) -> list:
     """Analytic vs loss-mode simulated admission rate per (n, λ) grid point.
@@ -287,7 +289,7 @@ def run_wait_validation(
     grid=DEFAULT_WAIT_GRID,
     reps: int = 40,
     horizon: float = 2000.0,
-    seed: int = 20240521,
+    seed: int = RunOptions.seed,
     out_path=None,
 ) -> list:
     """Closed-form mean wait vs simulated mean wait over a (n, λ, d) grid.

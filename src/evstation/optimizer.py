@@ -10,21 +10,21 @@ every row whose grid maximum is positive, evaluating only the rows still
 searching, and each point keeps its first best count. A row's arithmetic
 never depends on the rows beside it, so a point's result is bit for bit
 the same alone or in a batch; optimize_joap is the one-point call, and
-optimize_tau searches its whole grid in one batch. The objective holds
-the Erlang occupancy terms of every row, demand and occupancy index i in
-one array with i leading, built a block of rows at a time so that no
-block exceeds _BLOCK elements. The index terms, log i and log k!, are
-read-only arrays cached per largest count; log k! is computed as the Cephes
-lgam routine computes log Gamma(k + 1), so it matches
-scipy.special.gammaln bit for bit and importing evstation loads no public
-scipy submodule. A cell whose load Jagerman's bound on Erlang B,
-B(n, a) <= a / (n + a), puts at 1 + 1e-3 or more is unstable: the objective
-gives it no waits, and no occupancy terms past its block's last
-uncertified demand. That is 53-83% of the cells of table1's grids. The
-independent oracle, queueing.brute_force_oracle, computes the same
-optimum count by count with its own grid and golden-section search; it
-shares no arithmetic with objective and imports nothing from this module,
-which takes the policy record and its builder, N_CAP and UNSTABLE from it.
+optimize_tau searches its whole grid in one batch. A (count, demand) cell
+whose load Jagerman's bound on Erlang B, B(n, a) <= a / (n + a), puts at
+1 + 1e-3 or more is unstable, and the objective gives it no occupancy
+terms or waits; that is 53-83% of the cells of table1's grids. The other
+cells are gathered in row order, and their Erlang occupancy terms are
+held in one array with the occupancy index i leading and a cell per
+column, built a chunk of cells at a time so that no chunk exceeds _BLOCK
+elements. The index terms, log i and log k!, are read-only arrays cached
+per largest count; log k! is computed as the Cephes lgam routine computes
+log Gamma(k + 1), so it matches scipy.special.gammaln bit for bit and
+importing evstation loads no public scipy submodule. The independent
+oracle, queueing.brute_force_oracle, computes the same optimum count by
+count with its own grid and golden-section search; it shares no
+arithmetic with objective and imports nothing from this module, which
+takes the policy record and its builder, N_CAP and UNSTABLE from it.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .queueing import N_CAP, UNSTABLE, JoapPolicy, _policy_from
 _CGOLD = 1.0 - (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand search
 _DEMAND_TOL = 1e-8  # kWh: Brent's search stops once its best demand is this near both ends
-_BLOCK = 2**16  # elements in one (i, count, demand) block of objective
+_BLOCK = 2**16  # elements in one (i, cell) chunk of objective's occupancy terms
 _RHO_MARGIN = 1e-3  # objective skips a cell once a lower bound on its load reaches 1 + this
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 # Stirling series of log Gamma(x) in powers of 1/x^2, leading coefficient first.
@@ -77,12 +77,11 @@ def _index_terms(n_max: int) -> tuple[np.ndarray, ...]:
     """Read-only arrays over the occupancy index for counts up to n_max.
 
     i = 1..n_max with log i, log k! for k = 0..n_max, and the gap-moment
-    weights i + 1 and 2/((i+1)(i+2)).
+    weights i + 1 and 2/((i+1)(i+2)) as (i, 1) columns.
     """
     i = np.arange(1, n_max + 1)
     log_i = np.array([math.log(k) for k in range(1, n_max + 1)])
-    terms = (i, log_i, _log_factorials(n_max),
-             (i + 1.0)[:, None, None], (2.0 / ((i + 1) * (i + 2)))[:, None, None])
+    terms = (i, log_i, _log_factorials(n_max), (i + 1.0)[:, None], (2.0 / ((i + 1) * (i + 2)))[:, None])
     for term in terms:
         term.flags.writeable = False
     return terms
@@ -142,45 +141,44 @@ def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarra
 def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     """objective with the station and economics of every row given as columns.
 
-    The Erlang occupancy terms a^i/i!, each scaled by the largest one (at
-    i = min(n, floor(a))), are a running sum of logs along the leading axis i
-    of an (i, count, demand) array: every block adds its rows in order of i,
-    one row onto the next, and the normalising sum and the two gap-moment
-    sums add along i in order too. The array is built for a block of counts
-    at a time, with i running up to the block's largest count, so a block
-    holds at most _BLOCK elements unless a single count's row is larger.
-    Every row gets the Theorem 1 index and, in a call that leaves any
-    Allen-Cunneen cell uncertified (below), Allen-Cunneen's minutes too,
-    and charges the one its wait model selects. Every row's arithmetic is
-    the same whatever rows it is listed with: the terms past a row's count
-    are exactly 0, the Erlang C recursion stops at each row's own port
-    count, and the cells a block-mate adds to a row are certified, so their
-    values are discarded.
-
     A cell is certified unstable when a lower bound on its load,
     rho_lb = lam (n / (n + a)) s / m, reaches 1 + delta, delta = _RHO_MARGIN.
     Erlang B's recursion B(k) = a B(k-1) / (k + a B(k-1)) rises with
     B(k-1) <= 1, so B(n, a) <= a / (n + a) (Jagerman 1974, Some properties
     of the Erlang loss function, BSTJ 53): the admission probability
     P = 1 - B(n, a) is at least n / (n + a), and the load rho = lam P s / m
-    at least rho_lb. A block builds its occupancy terms only for the demands
-    up to the last one that any of its rows leaves uncertified, so the cells
-    it skips are certified; only uncertified cells get a load, waits and
-    revenue, and every certified cell is UNSTABLE.
+    at least rho_lb. Every certified cell is UNSTABLE; only the uncertified
+    cells get occupancy terms, a load, waits and revenue.
 
-    The full computation returns UNSTABLE there too, because its float rho
-    is within far less than delta of the exact one. A term's log is a
-    running sum of at most n + 1 logs, each partial sum at most L = 745 in
-    size on every term that is not 0 (one below e^-745 underflows), so its
-    error is at most about n L eps. Every term, their total and B =
-    q_n / total then carry a relative error of about 2 n L eps, 2.1e-11 at
-    n = 64, which bounds P's absolute error. lam s / m times that bounds
-    rho's absolute error and, as P >= m / (lam s) on a certified cell, its
-    relative error too. For criterion 3's parameters and the bundled
-    configs (lam <= 0.5 per minute, s <= 2000 minutes, m >= 1) that factor
-    is at most 1000, and rho's error at most 2.1e-8; rho_lb is off by a few
-    ulps. So a certified cell's float rho is at least 1: skipping it changes
-    no value and raises no warning.
+    The uncertified cells are gathered once, in row order, with their _Rows
+    columns. Their Erlang occupancy terms a^i/i!, each scaled by the largest
+    one (at i = min(n, floor(a))), are a running sum of logs along the
+    leading axis i of an (i, cell) array, one row added onto the next, and
+    the normalising sum and the two gap-moment sums add along i in order
+    too. The array is built a chunk of consecutive cells at a time, with i
+    running up to the chunk's largest count, so a chunk holds at most _BLOCK
+    elements unless a single cell's terms are more. A cell's terms past its
+    own count are exactly 0 and add nothing, and the Erlang C recursion
+    stops at each row's own port count, so a cell's arithmetic is the same
+    whatever cells share its chunk and whatever rows it is listed with.
+    Every cell gets the Theorem 1 index and, in a call that leaves any
+    Allen-Cunneen cell uncertified, Allen-Cunneen's minutes too, and is
+    charged the one its wait model selects.
+
+    The full computation returns UNSTABLE on a certified cell too, because
+    its float rho is within far less than delta of the exact one. A term's
+    log is a running sum of at most n + 1 logs, each partial sum at most
+    L = 745 in size on every term that is not 0 (one below e^-745
+    underflows), so its error is at most about n L eps. Every term, their
+    total and B = q_n / total then carry a relative error of about
+    2 n L eps, 2.1e-11 at n = 64, which bounds P's absolute error.
+    lam s / m times that bounds rho's absolute error and, as
+    P >= m / (lam s) on a certified cell, its relative error too. For
+    criterion 3's parameters and the bundled configs (lam <= 0.5 per
+    minute, s <= 2000 minutes, m >= 1) that factor is at most 1000, and
+    rho's error at most 2.1e-8; rho_lb is off by a few ulps. So a certified
+    cell's float rho is at least 1: skipping it changes no value and raises
+    no warning.
     """
     counts = np.asarray(ns, dtype=float)
     n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
@@ -193,6 +191,10 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     s = d_pos / rows.alpha_per_min
     t_v = rows.tau * m * s / n
     a = rows.lam * t_v
+    # rho >= rho_lb by Jagerman's bound on Erlang B (see above).
+    keep = ~(rows.lam * (n / (n + a)) * s / m >= 1.0 + _RHO_MARGIN)
+    n, d_pos, s, t_v, a = (x[keep] for x in (n, d_pos, s, t_v, a))
+    kept_rows = _Rows(*(np.broadcast_to(c, keep.shape)[keep] for c in rows))
     # Below the smallest normal float (t_v can underflow to 0) every term past
     # i = 0 vanishes against 1 either way; the floor keeps log a finite.
     log_a = np.log(np.maximum(a, np.finfo(float).tiny))
@@ -200,36 +202,26 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     i, log_i, log_fact, w1, w2 = _index_terms(n_max)
     top = np.minimum(n, np.floor(a))
     log_q0 = -(top * log_a - log_fact[top.astype(int)])  # i = 0, scaled by the largest term
-    # rho >= rho_lb by Jagerman's bound on Erlang B (see above).
-    certified = rows.lam * (n / (n + a)) * s / m >= 1.0 + _RHO_MARGIN
     q0, q_n, total, s1, s2 = (np.empty(n.shape) for _ in range(5))
-    block_rows = max(1, _BLOCK // ((n_max + 1) * max(1, n.shape[1])))
-    for lo in range(0, len(counts), block_rows):
-        blk = slice(lo, lo + block_rows)
-        # The block's demands up to the last one that any of its rows leaves uncertified.
-        open_cols = np.flatnonzero(~certified[blk].all(axis=0))
-        if not open_cols.size:
-            continue
-        span = (blk, slice(open_cols[-1] + 1))
-        top_i = int(counts[blk].max())
-        # log_a - inf = -inf: a count's terms past i = n are exactly 0.
-        cut = np.where(i[:top_i, None] <= counts[blk], log_i[:top_i, None], np.inf)
-        log_q = np.empty((top_i + 1,) + n[span].shape)
-        log_q[0] = log_q0[span]
-        np.subtract(log_a[span], cut[:, :, None], out=log_q[1:])
+    step = max(1, _BLOCK // (n_max + 1))
+    for lo in range(0, n.size, step):
+        at = slice(lo, lo + step)
+        top_i = int(n[at].max())
+        # log_a - inf = -inf: a cell's terms past i = n are exactly 0.
+        cut = np.where(i[:top_i, None] <= n[at], log_i[:top_i, None], np.inf)
+        log_q = np.empty((top_i + 1, cut.shape[1]))
+        log_q[0] = log_q0[at]
+        np.subtract(log_a[at], cut, out=log_q[1:])
         for prev, row in zip(log_q, log_q[1:]):  # each row already holds the sum before it
             np.add(prev, row, out=row)
         term = np.exp(log_q, out=log_q)
-        q0[span] = term[0]
-        q_n[span] = term[counts[blk].astype(int), np.arange(term.shape[1])]
-        total[span] = _sum_in_order(term)
-        s1[span] = _sum_in_order(term[1:] / w1[:top_i])
-        s2[span] = _sum_in_order(term[1:] * w2[:top_i])
-    cells = (n, d_pos, s, t_v, q0, q_n, total, s1, s2)
-    keep = ~certified  # the uncertified cells, gathered into one run
-    value = np.full(n.shape, UNSTABLE)
-    kept_rows = _Rows(*(np.broadcast_to(c, n.shape)[keep] for c in rows))
-    value[keep] = _value(*(x[keep] for x in cells), kept_rows)
+        q0[at] = term[0]
+        q_n[at] = term[n[at].astype(int), np.arange(term.shape[1])]
+        total[at] = _sum_in_order(term)
+        s1[at] = _sum_in_order(term[1:] / w1[:top_i])
+        s2[at] = _sum_in_order(term[1:] * w2[:top_i])
+    value = np.full(keep.shape, UNSTABLE)
+    value[keep] = _value(n, d_pos, s, t_v, q0, q_n, total, s1, s2, kept_rows)
     return np.where(d > 0, value, 0.0)
 
 

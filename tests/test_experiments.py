@@ -22,7 +22,7 @@ from evstation import (
     run_loss_admission,
 )
 from evstation import experiments
-from evstation.config import RunOptions
+from evstation.config import RunOptions, with_penalty
 from evstation.experiments import (
     POLICY_NAMES,
     ExperimentReport,
@@ -62,6 +62,17 @@ def test_scenario_that_sells_nothing(table1):
     assert report.ratios == {}
     result = run_tau_study([broke], small_run())
     assert result["aggregate_gain"] == 0.0
+
+
+def test_no_ratio_to_a_benchmark_that_loses_money(table1):
+    # At c = 1.0 QBA loses money over table1's day: JoAP's profit over its
+    # loss would read as a share of a profit, so only greedy gets a ratio.
+    scenarios, _ = table1
+    report = run_daily_experiment([with_penalty(s, 1.0) for s in scenarios], small_run())
+    assert report.daily_profit["qba"] < 0.0 < report.daily_profit["greedy"]
+    assert report.ratios == {
+        "joap_vs_greedy": report.daily_profit["joap"] / report.daily_profit["greedy"]
+    }
 
 
 def test_price_of_a_row_that_sells_nothing(table1):

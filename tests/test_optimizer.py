@@ -400,9 +400,10 @@ def test_certified_cells_are_unstable_property(econ, station):
 
 def test_objective_rows_ignore_their_block_width(table1):
     # Rows of a mostly certified point (table1's morning peak) and a barely
-    # certified one, interleaved so that every block holds both: the wide
-    # rows make the block evaluate cells of the narrow ones that their own
-    # calls skip, and each point's rows still equal its own call bit for bit.
+    # certified one, interleaved so that chunks hold uncertified cells of
+    # both: a cell's chunk-mates, and the count its index runs up to, differ
+    # from those of its own point's call, and each point's rows still equal
+    # its own call bit for bit.
     scenarios, _ = table1
     peak = (scenarios[1].econ, scenarios[1].station)
     station = StationParams(m=8, alpha=22.0, parking_capacity=60, lam=0.03, tau=1.01)
@@ -414,6 +415,37 @@ def test_objective_rows_ignore_their_block_width(table1):
     got = opt._objective(np.repeat(counts, 2), demands, opt._Rows.of([peak, low] * N_CAP))
     for k, point in enumerate((peak, low)):
         assert np.array_equal(got[k::2], objective(counts, demands, *point))
+
+
+def test_chunk_size_changes_no_value(monkeypatch, table1):
+    # Chunks of one cell, where every cell takes _sum_in_order's single-run
+    # path, and chunks of 15 cells, which split a count's row, give the
+    # default chunks' values bit for bit: the table1 and fig4 grids under
+    # both wait models, and the table1 batch at both penalty rates.
+    from evstation.config import bundled_config_path, load_config, with_penalty
+
+    fig4, _ = load_config(bundled_config_path("fig4"))
+    counts = np.arange(1, N_CAP + 1)
+    grids = [
+        (replace(s.econ, wait_model=model), s.station)
+        for s in (*table1[0], *fig4)
+        for model in WAIT_MODELS
+    ]
+    batches = [[(with_penalty(s, c).econ, s.station) for s in table1[0]] for c in (0.4, 1.0)]
+
+    def run():
+        values = [
+            objective(counts, np.linspace(0.0, demand_region_bound(econ), _GRID_POINTS), econ, station)
+            for econ, station in grids
+        ]
+        return values, [optimize_joap_many(points) for points in batches]
+
+    want_values, want_plans = run()
+    for block in (1, 15 * (N_CAP + 1)):
+        monkeypatch.setattr(opt, "_BLOCK", block)
+        got_values, got_plans = run()
+        assert all(np.array_equal(got, want) for got, want in zip(got_values, want_values))
+        assert got_plans == want_plans
 
 
 def test_table1_grids_raise_no_warning(table1):
@@ -553,12 +585,12 @@ def test_policy_fields_self_consistent(econ_default, station_default):
 
 
 def test_optimize_joap_memory_bounded(table1):
-    # objective works on (i, count, demand) blocks of at most 2**16 elements,
-    # 512 KiB per array, beside (count, demand) arrays of about 80 KiB. One
-    # array over every count's whole index range would take 5 MiB, and the
-    # few such arrays alive at once would pass the bound.
+    # objective works on (i, cell) chunks of at most 2**16 elements, 512 KiB
+    # per array, beside (count, demand) arrays and gathered cell columns of
+    # about 80 KiB. One array over every cell's whole index range would take
+    # 5 MiB, and the few such arrays alive at once would pass the bound.
     # The batch of every (scenario, tau) point holds one point's grid at a
-    # time, and its Brent probes are (i, row) blocks of the same bound.
+    # time, and its Brent probes are (i, cell) chunks of the same bound.
     scenarios, _ = table1
     batch = [(s.econ, replace(s.station, tau=tau)) for s in scenarios for tau in DEFAULT_TAU_GRID]
     runs = [(s.name, lambda s=s: optimize_joap(s.econ, s.station)) for s in scenarios]

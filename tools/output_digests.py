@@ -6,7 +6,10 @@ Usage, from the root of a checkout:
 
 Each command runs as `python3 -m evstation.cli ...` in a fresh process,
 with `evstation` imported from DIR (default: the `src/` of the checkout
-holding this script), and writes into its own temporary directory. Each
+holding this script), and writes into its own temporary directory. Both
+bundled configs select the allen_cunneen wait, so that directory also
+holds DIR's bundled table1 without its `economics.wait_model`, named
+THEOREM1: the commands that read it cover the default theorem1 wait. Each
 output line is `<sha256>  <command> :: <file or stdout>`, in a fixed order,
 so two runs compare with one `diff`:
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +35,7 @@ EXPERIMENTS = [
     ("daily", "table1", ["--penalty", "1.0"]),
     ("daily", "fig4", []),
 ] + [(which, config, []) for which in ("admission", "wait", "tau") for config in ("table1", "fig4")]
+THEOREM1 = "table1-theorem1.json"  # bundled table1 under the default wait model
 
 COMMANDS = (
     [["experiment", which, "--config", config, *extra] for which, config, extra in EXPERIMENTS]
@@ -49,6 +54,8 @@ COMMANDS = (
         ["oracle", "ctmc", "--n", "3", "--lam", "0.5", "--t-v", "2.0"],
         ["experiment", "wait", "--config", "fig4", "--reps", "5"],
     ]
+    + [["optimize", "--config", THEOREM1, "--scenario", str(k)] for k in range(6)]
+    + [["experiment", "wait", "--config", THEOREM1, "--reps", "5"]]
 )
 
 
@@ -60,6 +67,9 @@ def digests(argv: list, src: Path) -> list:
     """(name, sha256) of stdout and of every file one command writes."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
+        raw = json.loads((src / "evstation" / "data" / "table1.json").read_text(encoding="utf-8"))
+        del raw["economics"]["wait_model"]
+        (Path(tmp) / THEOREM1).write_text(json.dumps(raw), encoding="utf-8")
         out = Path(tmp) / "out"
         if argv[0] == "experiment":
             argv = [*argv, "--out", str(out)]
