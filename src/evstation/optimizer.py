@@ -17,18 +17,18 @@ terms or waits; that is 53-83% of the cells of table1's grids. The other
 cells are gathered in row order, and their Erlang occupancy terms are
 held in one array with the occupancy index i leading and a cell per
 column, built a chunk of cells at a time so that no chunk exceeds _BLOCK
-elements. The index terms, log i and log k!, are read-only arrays cached
-per largest count; log k! is computed as the Cephes lgam routine computes
-log Gamma(k + 1), so it matches scipy.special.gammaln bit for bit and
-importing evstation loads no public scipy submodule. The independent
-oracle, queueing.brute_force_oracle, computes the same optimum count by
-count with its own grid and golden-section search; it shares no
-arithmetic with objective and imports nothing from this module, which
-takes the policy record and its builder, N_CAP and UNSTABLE from it.
+elements. Each call builds its index terms from its largest count: log i,
+and log k! from math.lgamma (Lanczos 1964, SIAM J. Numer. Anal. B 1).
+log k! only sets each cell's scale, the largest term, which cancels from
+every ratio the objective reads, so an lgamma good to a few ulps is all
+it needs, and importing evstation loads no public scipy submodule. The
+independent oracle, queueing.brute_force_oracle, computes the same
+optimum count by count with its own grid and golden-section search; it
+shares no arithmetic with objective and imports nothing from this module,
+which takes the policy record and its builder, N_CAP and UNSTABLE from it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -47,44 +47,6 @@ _GRID_POINTS = 160  # coarse demand grid that brackets and seeds each demand sea
 _DEMAND_TOL = 1e-8  # kWh: Brent's search stops once its best demand is this near both ends
 _BLOCK = 2**16  # elements in one (i, cell) chunk of objective's occupancy terms
 _RHO_MARGIN = 1e-3  # objective skips a cell once a lower bound on its load reaches 1 + this
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-# Stirling series of log Gamma(x) in powers of 1/x^2, leading coefficient first.
-_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-
-
-def _log_factorials(n_max: int) -> np.ndarray:
-    """log k! for k = 0..n_max, computed as the Cephes lgam routine computes log Gamma(k + 1).
-
-    Below x = k + 1 = 13, k! is exact in a float and its log is taken;
-    above, Stirling's series is added in Cephes' order (Moshier 1989,
-    Methods and Programs for Mathematical Functions), so each entry is
-    bit for bit scipy.special.gammaln(k + 1).
-    """
-    table = [math.log(math.factorial(k)) for k in range(min(n_max + 1, 12))]
-    for k in range(12, n_max + 1):
-        x = k + 1.0
-        p = 1.0 / (x * x)
-        series = 0.0
-        for coef in _STIRLING:  # Horner's rule, as Cephes' polevl
-            series = series * p + coef
-        table.append((x - 0.5) * math.log(x) - x + _LS2PI + series / x)
-    return np.array(table)
-
-
-@functools.cache
-def _index_terms(n_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only arrays over the occupancy index for counts up to n_max.
-
-    i = 1..n_max with log i, log k! for k = 0..n_max, and the gap-moment
-    weights i + 1 and 2/((i+1)(i+2)) as (i, 1) columns.
-    """
-    i = np.arange(1, n_max + 1)
-    log_i = np.array([math.log(k) for k in range(1, n_max + 1)])
-    terms = (i, log_i, _log_factorials(n_max), (i + 1.0)[:, None], (2.0 / ((i + 1) * (i + 2)))[:, None])
-    for term in terms:
-        term.flags.writeable = False
-    return terms
 
 
 def _sum_in_order(x: np.ndarray) -> np.ndarray:
@@ -129,8 +91,9 @@ class _Rows(NamedTuple):
 def objective(ns, ds, econ: EconomicParams, station: StationParams) -> np.ndarray:
     """profit_s for every count in ns against demands ds, as one array.
 
-    ns is a 1-D array of counts; ds is either one demand vector shared by
-    every count or one row of demands per count. Returns an array with a
+    ns is a non-empty 1-D array of counts; ds is either one 1-D demand
+    vector shared by every count or a 2-D array with one row of demands per
+    count, and any other shape is a DomainError. Returns an array with a
     row per count, -inf where the charging-queue load is at or above 1 and
     0 at zero demand. Where 1 - P_0 rounds to 0 the charging queue is empty
     to float precision, so the wait is 0 and the profit is P times the margin.
@@ -180,12 +143,15 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     cell's float rho is at least 1: skipping it changes no value and raises
     no warning.
     """
-    counts = np.asarray(ns, dtype=float)
-    n, d = np.broadcast_arrays(counts[:, None], np.asarray(ds, dtype=float))
+    counts, demands = np.asarray(ns, dtype=float), np.asarray(ds, dtype=float)
+    one_row_each = demands.ndim == 2 and len(demands) == counts.size
+    shaped = counts.ndim == 1 and counts.size > 0 and (demands.ndim == 1 or one_row_each)
+    n, d = np.broadcast_arrays(counts[:, None], demands) if shaped else (counts, demands)
     whole = (counts >= 1) & (counts < np.inf) & (np.floor(counts) == counts)
     whole &= np.asarray(ns).dtype != bool  # a bool is not a count, though True reads as 1.0
-    if not (whole.all() and np.all((d >= 0) & (d <= rows.phi))):  # NaN fails every comparison
-        raise DomainError("counts must be whole numbers >= 1 and demands within [0, phi]")
+    if not (shaped and whole.all() and np.all((d >= 0) & (d <= rows.phi))):  # NaN fails every comparison
+        raise DomainError("counts must be whole numbers >= 1 in a non-empty 1-D array, and demands within"
+                          " [0, phi], 1-D or one row per count")
     m = rows.m
     d_pos = np.where(d > 0, d, 1.0)
     s = d_pos / rows.alpha_per_min
@@ -199,7 +165,10 @@ def _objective(ns, ds, rows: _Rows) -> np.ndarray:
     # i = 0 vanishes against 1 either way; the floor keeps log a finite.
     log_a = np.log(np.maximum(a, np.finfo(float).tiny))
     n_max = int(counts.max())
-    i, log_i, log_fact, w1, w2 = _index_terms(n_max)
+    i = np.arange(1, n_max + 1)
+    log_i = np.log(i)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])  # log k!, k = 0..n_max
+    w1, w2 = (i + 1.0)[:, None], (2.0 / ((i + 1) * (i + 2)))[:, None]  # the gap-moment weights
     top = np.minimum(n, np.floor(a))
     log_q0 = -(top * log_a - log_fact[top.astype(int)])  # i = 0, scaled by the largest term
     q0, q_n, total, s1, s2 = (np.empty(n.shape) for _ in range(5))

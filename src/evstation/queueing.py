@@ -299,13 +299,10 @@ def brute_force_oracle(econ: EconomicParams, station: StationParams) -> tuple[Jo
     inspect unimodality around the optimum.
     """
     table = []
-    best = (1, 0.0, float("-inf"))
+    best = (1, 0.0, 0.0)  # sells nothing, unless some count earns a positive profit
     for n in range(1, N_CAP + 1):
         d, val = inner_demand_opt(n, econ, station)
         table.append((n, d, val))
         if val > best[2]:
             best = (n, d, val)
-    n, d, val = best
-    if val <= 0.0:
-        return _policy_from(1, 0.0, 0.0, econ, station), table
-    return _policy_from(n, d, val, econ, station), table
+    return _policy_from(*best, econ, station), table

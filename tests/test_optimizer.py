@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
 
 from evstation import (
     DomainError,
@@ -127,8 +126,20 @@ def test_objective_matches_profit_s(econ_default, station_default, table1):
 
 def test_objective_rejects_nan(econ_default, station_default):
     # NaN fails every comparison, so the domain check is written to catch it,
-    # as analyze_admission does for the scalar path.
-    for ns, ds in (([4], [math.nan]), ([math.nan], [4.0]), ([4, 5], [1.0, math.nan])):
+    # as analyze_admission does for the scalar path. The same check refuses
+    # counts that are not a non-empty 1-D array and demands that are neither
+    # 1-D nor one row per count, which used to fail inside numpy or return an
+    # array of the wrong rank.
+    for ns, ds in (
+        ([4], [math.nan]),
+        ([math.nan], [4.0]),
+        ([4, 5], [1.0, math.nan]),
+        ([], [1.0]),
+        (2, [1.0]),
+        ([[1, 2]], [1.0]),
+        ([1, 2, 3], np.ones((2, 5))),
+        ([1, 2], np.ones((2, 2, 2))),
+    ):
         with pytest.raises(DomainError):
             objective(ns, ds, econ_default, station_default)
     with pytest.raises(DomainError):
@@ -187,7 +198,7 @@ def reference_objective(ns, ds, econ, station):
     a = station.lam * t_v
     log_a = np.log(a)
     top = np.minimum(n, np.floor(a))
-    log_q = -(top * log_a - special.gammaln(top + 1.0))
+    log_q = -(top * log_a - np.vectorize(math.lgamma)(top + 1.0))
     q0 = total = np.exp(log_q)
     q_n = s1 = s2 = np.zeros_like(q0)
     for i in range(1, int(n.max()) + 1):
@@ -247,19 +258,6 @@ def test_objective_matches_reference_bitwise(econ_default, station_default, tabl
                 assert_matches_reference(np.array([N_CAP]), np.array([d]), econ, station)
 
 
-def test_log_factorials_match_gammaln():
-    # objective's log k! table stands in for scipy.special.gammaln(k + 1), bit for bit.
-    np.testing.assert_array_equal(opt._log_factorials(3000), special.gammaln(np.arange(3001) + 1.0))
-
-
-def test_index_terms_cached_and_read_only():
-    terms = opt._index_terms(N_CAP)
-    assert opt._index_terms(N_CAP) is terms
-    for term in terms:
-        with pytest.raises(ValueError):
-            term[0] = 0.0
-
-
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
     economics(),
@@ -288,6 +286,26 @@ def test_tiny_demand_has_no_wait(econ_default):
             got = float(objective([64], [d], econ, station)[0, 0])
         assert want == analysis.p_admit * per_ev_profit(d, 0.0, econ)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_objective_scale_keeps_huge_terms_finite():
+    # At this load the largest occupancy term a^top / top! is beyond a float,
+    # so unscaled terms would overflow; the objective scales each cell by it.
+    econ = EconomicParams(beta=0.01, phi=100.0, u_phi=100.0, p_e=0.01, c=0.001)
+    station = StationParams(m=64, alpha=3.0, parking_capacity=64, lam=20_000.0, tau=1.01)
+    counts = np.array([8, 16, 32, 48, 60, 63, 64])
+    demands = np.linspace(1.0, 100.0, 12)
+    n, d = np.meshgrid(counts, demands, indexing="ij")
+    a = station.lam * station.tau * station.m * (d / station.alpha_per_min) / n
+    top = np.minimum(n, np.floor(a))
+    log_top = top * np.log(a) - np.vectorize(math.lgamma)(top + 1.0)
+    assert log_top.max() > np.log(np.finfo(float).max)
+    for model in WAIT_MODELS:
+        econ = replace(econ, wait_model=model)
+        got = objective(counts, demands, econ, station)
+        want = [[profit_s(int(k), float(x), econ, station) for x in demands] for k in counts]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
 
 
 def test_objective_rows_are_independent(econ_default):

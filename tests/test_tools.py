@@ -6,8 +6,11 @@ import shlex
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+
 import evstation
 from evstation.cli import build_parser
+from test_acceptance import SEED, _random_params
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,3 +98,23 @@ def test_src_size_format_and_consistency():
     assert [int(field) for field in total.split()[:2]] == [sum(column) for column in zip(*counts)]
     bound = [v for k, v in vars(evstation).items() if not k.startswith("_")]
     assert exported == f"exports {sum(not isinstance(v, ModuleType) for v in bound)}"
+
+
+def test_decisions_line_format_stability_and_sets():
+    # The tool that compares two checkouts' decisions: every label once, in
+    # `<label>  n=<n*> d=<d*> profit=<profit>` lines that two runs print alike,
+    # and criterion 3's parameter sets drawn as the acceptance suite draws them.
+    tool = load_tool("decisions")
+    labelled = tool.points()
+    labels = [label for label, _ in labelled]
+    # 7 bundled scenarios at two penalties and the random sets, under two wait models.
+    assert len(labels) == len(set(labels)) == 2 * (2 * 7 + tool.SETS)
+    some = labelled[:28] + labelled[-4:]  # the bundled points and the last two sets
+    first = tool.lines(some)
+    assert first == tool.lines(some)
+    number = r"-?\d+(\.\d+)?(e[-+]\d+)?"  # a float's repr
+    for line, label in zip(first, [label for label, _ in some]):
+        assert re.fullmatch(rf"{re.escape(label)}  n=\d+ d={number} profit={number}", line)
+    rng = np.random.default_rng(SEED)
+    assert tool.SEED == SEED
+    assert tool.random_sets(5) == [_random_params(rng) for _ in range(5)]
